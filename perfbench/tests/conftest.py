@@ -1,0 +1,7 @@
+"""Import paths for the benchmark's own tests: the library and perfbench."""
+
+import sys
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(BENCH_DIR.parent / "src"), str(BENCH_DIR)]
