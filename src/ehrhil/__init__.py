@@ -18,6 +18,7 @@ from .constructions import (
     mod_tension_complex,
     oracle,
 )
+from .exact import InvariantError
 from .graphs import (
     Graph,
     chromatic_bf,
@@ -60,6 +61,7 @@ __all__ = [
     "GRLEX",
     "Graph",
     "IntegralityError",
+    "InvariantError",
     "KINDS",
     "LatticePolytope",
     "NormalityError",

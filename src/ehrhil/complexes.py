@@ -18,7 +18,7 @@ import itertools
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import LinearSystem, dot, lp_feasible
+from .exact import InvariantError, LinearSystem, dot, lp_feasible
 from .polytope import LatticePolytope, simplex_is_unimodular
 
 
@@ -206,9 +206,6 @@ class PolytopalComplex:
             pts.update(cell.lattice_points(k))
         return pts
 
-    def contains_point(self, point, k=1):
-        return any(cell.contains(point, k) for cell in self.maximal_cells)
-
     def minimal_face_at(self, point):
         """Smallest face containing the point, or None when it lies outside.
 
@@ -345,7 +342,8 @@ class RelativeComplex:
             return 0
         big = self.complex.lattice_points(k)
         small = self.sub.lattice_points(k)
-        assert small <= big
+        if not small <= big:
+            raise InvariantError("C' has lattice points outside C")
         return len(big) - len(small)
 
     def pulled_pair(self, order=None, require_unimodular=False):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .complexes import PolytopalComplex, RelativeComplex
-from .exact import LinearSystem, lp_feasible
+from .exact import InvariantError, LinearSystem, lp_feasible
 from .graphs import (
     chromatic_bf,
     cycle_basis,
@@ -189,8 +189,9 @@ def build_family(kind, g):
     labels, relative = builder(g)
     expected = bound(g)
     for cell in relative.complex.maximal_cells:
-        assert cell.dim == expected, \
-            f"{kind} cell of dimension {cell.dim}, expected {expected}"
+        if cell.dim != expected:
+            raise InvariantError(
+                f"{kind} cell of dimension {cell.dim}, expected {expected}")
     return CellFamily(kind, g, labels, relative)
 
 

@@ -6,16 +6,30 @@ counting) is decided, never approximated: arbitrary precision integers and
 
 Matrices are plain lists of lists in row major order; vectors are lists or
 tuples.  The structured pieces are `LinearSystem` (a block of equalities,
-weak inequalities and strict inequalities) together with `lp_feasible`,
-an exact two phase simplex, and `fourier_motzkin_feasible`, an independent
-elimination based feasibility test used to cross check the simplex.
+weak inequalities and strict inequalities), the LP entry points
+`lp_feasible` and `lp_maximize`, and `fourier_motzkin_feasible`, an
+independent elimination based feasibility test used to cross check them.
+
+Both LP entry points share one two phase simplex with Bland's rule.  It
+keeps an integer tableau T and one common denominator d > 0, the rational
+tableau being T / d, and pivots fraction free (Edmonds 1967, Bareiss 1968):
+every entry stays, up to sign, a minor of the scaled input, so each
+division is exact and Fractions appear only in the returned optimum and
+witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+
+
+class InvariantError(RuntimeError):
+    """An invariant the mathematics guarantees failed to hold.
+
+    Raised where an `assert` would do, because `python -O` strips asserts.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -33,10 +47,6 @@ def mat_mul(a, b):
     cols = len(b[0]) if b else 0
     return [[sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)]
             for row in a]
-
-
-def mat_vec(m, x):
-    return [sum(c * v for c, v in zip(row, x)) for row in m]
 
 
 def dot(a, b):
@@ -65,16 +75,6 @@ def canonical_direction(vec):
         if v:
             return red if v > 0 else tuple(-x for x in red)
     return red
-
-
-def scale_to_integer(vec):
-    """Smallest positive rational multiple of `vec` that is integral."""
-    fracs = [Fraction(v) for v in vec]
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in fracs]
-    return reduce_content(ints)
 
 
 def det(m):
@@ -301,96 +301,150 @@ class LinearSystem:
         object.__setattr__(self, "lt", _norm_block(self.lt, self.n_vars))
 
 
-def _pivot(tableau, basis, row, col):
-    piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
-    pivot_row = tableau[row]
-    for i, r in enumerate(tableau):
-        if i != row and r[col] != 0:
-            f = r[col]
-            tableau[i] = [x - f * y for x, y in zip(r, pivot_row)]
-    if basis is not None:
-        basis[row] = col
+def _standard_form(system, margin):
+    """Integer rows of A z = b, z >= 0 for `system`, with x = u - w.
+
+    Columns: u_0..u_{n-1}, w_0..w_{n-1}, then with `margin` the shared
+    strict margin eps, one slack per le row, and with `margin` one slack per
+    lt row and the slack of the cap eps <= 1.  Each constraint is scaled by
+    the lcm of its denominators; returns (rows, rhs, scales).
+    """
+    n = system.n_vars
+    first = 2 * n + (1 if margin else 0)
+    n_le = len(system.le)
+    width = first + n_le + (len(system.lt) + 1 if margin else 0)
+    rows, rhs, scales = [], [], []
+
+    def add(coeffs, b, *units):
+        scale = lcm(b.denominator, *(c.denominator for c in coeffs))
+        row = [0] * width
+        for j, c in enumerate(coeffs):
+            if c:
+                row[j] = v = c.numerator * (scale // c.denominator)
+                row[n + j] = -v
+        for col in units:
+            row[col] = scale
+        rows.append(row)
+        rhs.append(b.numerator * (scale // b.denominator))
+        scales.append(scale)
+
+    for coeffs, b in system.eq:
+        add(coeffs, b)
+    for idx, (coeffs, b) in enumerate(system.le):
+        add(coeffs, b, first + idx)
+    if margin:
+        for idx, (coeffs, b) in enumerate(system.lt):
+            add(coeffs, b, 2 * n, first + n_le + idx)
+        add((), Fraction(1), 2 * n, width - 1)
+    return rows, rhs, scales
 
 
-def _run_simplex(tableau, basis, obj, ncols):
-    """Maximize, Bland's rule.  `obj` holds reduced costs; obj[-1] is -value."""
-    m = len(tableau)
+def _pivot(tableau, d, r, c):
+    """Fraction-free (Edmonds/Bareiss) pivot on (r, c); returns the new d.
+
+    The rational tableau is tableau / d with d > 0.  Every entry stays, up
+    to sign, a minor of the input (Sylvester's identity), so the division
+    is exact.
+    """
+    row = tableau[r]
+    p = row[c]
+    if p < 0:
+        row = tableau[r] = [-v for v in row]
+        p = -p
+    for i, other in enumerate(tableau):
+        if i == r:
+            continue
+        f = other[c]
+        if f:
+            tableau[i] = [(p * x - f * y) // d for x, y in zip(other, row)]
+        elif p != d:
+            tableau[i] = [p * x // d for x in other]
+    return p
+
+
+def _run_simplex(tableau, basis, d, ncols):
+    """Maximize with Bland's rule; tableau[-1] is the objective row.
+
+    The objective row holds d times the reduced costs, its last entry is
+    -d times the value.  Returns the final d.
+    """
+    m = len(basis)
     while True:
+        obj = tableau[-1]
         entering = next((j for j in range(ncols) if obj[j] > 0), None)
         if entering is None:
-            return -obj[-1]
+            return d
         leave = None
-        best = None
         for i in range(m):
             coef = tableau[i][entering]
             if coef > 0:
-                ratio = tableau[i][-1] / coef
-                if best is None or ratio < best or (ratio == best
-                                                    and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                if leave is None:
+                    leave, num, den = i, tableau[i][-1], coef
+                    continue
+                # ratio test tableau[i][-1] / coef against num / den
+                lhs = tableau[i][-1] * den
+                rhs = num * coef
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, num, den = i, tableau[i][-1], coef
         if leave is None:
             raise ArithmeticError("unbounded linear program")
-        _pivot(tableau, basis, leave, entering)
-        f = obj[entering]
-        if f != 0:
-            row = tableau[leave]
-            for j in range(len(obj)):
-                obj[j] -= f * row[j]
+        d = _pivot(tableau, d, leave, entering)
+        basis[leave] = entering
 
 
-def _reduced_costs(tableau, basis, cost, ncols):
-    m = len(tableau)
-    cb = [cost[b] for b in basis]
-    obj = []
-    for j in range(ncols + 1):
-        cj = cost[j] if j < ncols else Fraction(0)
-        obj.append(cj - sum(cb[i] * tableau[i][j if j < ncols else -1]
-                            for i in range(m)))
-    return obj
+def _simplex_max(rows, rhs, scales, cost):
+    """Maximize cost . z subject to rows z = rhs, z >= 0 (two phase, exact).
 
-
-def _simplex_max(a_rows, b_vec, cost):
-    """Maximize cost . x subject to A x = b, x >= 0 (two phase, exact).
-
-    Returns (value, x) or None when infeasible.
+    All inputs are integers; row i was scaled by scales[i], so phase 1
+    weighs its artificial variable by 1 / scales[i], which keeps the pivot
+    path of the unscaled system.  Returns (value, z) as Fractions, or None
+    when infeasible.
     """
-    m = len(a_rows)
+    m = len(rows)
     n = len(cost)
-    a = [[Fraction(v) for v in row] for row in a_rows]
-    b = [Fraction(v) for v in b_vec]
-    for i in range(m):
-        if b[i] < 0:
-            a[i] = [-v for v in a[i]]
-            b[i] = -b[i]
-
-    tableau = [a[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-               + [b[i]] for i in range(m)]
+    tableau = []
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        if b < 0:
+            row, b = [-v for v in row], -b
+        tableau.append(row + [1 if j == i else 0 for j in range(m)] + [b])
+    # phase 1: maximize -sum(artificial_i / scales[i]), scaled to integers
+    total = lcm(*scales)
+    obj = [0] * (n + m + 1)
+    for scale, row in zip(scales, tableau):
+        weight = total // scale
+        for j, v in enumerate(row):
+            if v:
+                obj[j] += weight * v
+    obj[n:n + m] = [0] * m
+    tableau.append(obj)
     basis = list(range(n, n + m))
-    phase1_cost = [Fraction(0)] * n + [Fraction(-1)] * m
-    obj = _reduced_costs(tableau, basis, phase1_cost, n + m)
-    if _run_simplex(tableau, basis, obj, n + m) < 0:
+    d = _run_simplex(tableau, basis, 1, n + m)
+    if tableau.pop()[-1] > 0:
         return None
 
     # pivot artificial variables out of the basis, dropping redundant rows
     keep = []
     for i in range(m):
         if basis[i] >= n:
-            col = next((j for j in range(n) if tableau[i][j] != 0), None)
+            col = next((j for j in range(n) if tableau[i][j]), None)
             if col is None:
                 continue
-            _pivot(tableau, basis, i, col)
+            d = _pivot(tableau, d, i, col)
+            basis[i] = col
         keep.append(i)
     tableau = [tableau[i][:n] + [tableau[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
 
-    obj = _reduced_costs(tableau, basis, list(cost), n)
-    value = _run_simplex(tableau, basis, obj, n)
+    obj = [d * c for c in cost] + [0]
+    for row, b in zip(tableau, basis):
+        if cost[b]:
+            obj = [o - cost[b] * v for o, v in zip(obj, row)]
+    tableau.append(obj)
+    d = _run_simplex(tableau, basis, d, n)
     x = [Fraction(0)] * n
-    for i, bv in enumerate(basis):
-        x[bv] = tableau[i][-1]
-    return value, x
+    for row, b in zip(tableau, basis):
+        x[b] = Fraction(row[-1], d)
+    return Fraction(-tableau[-1][-1], d), x
 
 
 def lp_feasible(system):
@@ -401,54 +455,14 @@ def lp_feasible(system):
     positive.  Returns a rational point or None.
     """
     n = system.n_vars
-    if n == 0:
-        ok = (all(rhs == 0 for _, rhs in system.eq)
-              and all(rhs >= 0 for _, rhs in system.le)
-              and all(rhs > 0 for _, rhs in system.lt))
-        return () if ok else None
-
-    n_le = len(system.le)
-    n_lt = len(system.lt)
-    # columns: u_0..u_{n-1}, w_0..w_{n-1}, eps, le slacks, lt slacks, cap slack
-    eps_col = 2 * n
-    total = 2 * n + 1 + n_le + n_lt + 1
-    rows = []
-    rhs = []
-
-    def base_row(coeffs):
-        row = [Fraction(0)] * total
-        for j, c in enumerate(coeffs):
-            row[j] = Fraction(c)
-            row[n + j] = -Fraction(c)
-        return row
-
-    for coeffs, b in system.eq:
-        rows.append(base_row(coeffs))
-        rhs.append(b)
-    for idx, (coeffs, b) in enumerate(system.le):
-        row = base_row(coeffs)
-        row[eps_col + 1 + idx] = Fraction(1)
-        rows.append(row)
-        rhs.append(b)
-    for idx, (coeffs, b) in enumerate(system.lt):
-        row = base_row(coeffs)
-        row[eps_col] = Fraction(1)
-        row[eps_col + 1 + n_le + idx] = Fraction(1)
-        rows.append(row)
-        rhs.append(b)
-    cap = [Fraction(0)] * total
-    cap[eps_col] = Fraction(1)
-    cap[-1] = Fraction(1)
-    rows.append(cap)
-    rhs.append(Fraction(1))
-
-    cost = [Fraction(0)] * total
-    cost[eps_col] = Fraction(1)
-    result = _simplex_max(rows, rhs, cost)
+    rows, rhs, scales = _standard_form(system, margin=True)
+    cost = [0] * len(rows[0])
+    cost[2 * n] = 1
+    result = _simplex_max(rows, rhs, scales, cost)
     if result is None:
         return None
     value, x = result
-    if n_lt and value <= 0:
+    if system.lt and value <= 0:
         return None
     return tuple(x[j] - x[n + j] for j in range(n))
 
@@ -462,38 +476,16 @@ def lp_maximize(system, cost):
     if system.lt:
         raise ValueError("lp_maximize expects a closed system")
     n = system.n_vars
-    if n == 0:
-        ok = (all(rhs == 0 for _, rhs in system.eq)
-              and all(rhs >= 0 for _, rhs in system.le))
-        return (Fraction(0), ()) if ok else None
-    n_le = len(system.le)
-    rows = []
-    rhs = []
-
-    def base_row(coeffs):
-        row = [Fraction(0)] * (2 * n + n_le)
-        for j, c in enumerate(coeffs):
-            row[j] = Fraction(c)
-            row[n + j] = -Fraction(c)
-        return row
-
-    for coeffs, b in system.eq:
-        rows.append(base_row(coeffs))
-        rhs.append(b)
-    for idx, (coeffs, b) in enumerate(system.le):
-        row = base_row(coeffs)
-        row[2 * n + idx] = Fraction(1)
-        rows.append(row)
-        rhs.append(b)
-    obj = [Fraction(0)] * (2 * n + n_le)
-    for j, c in enumerate(cost):
-        obj[j] = Fraction(c)
-        obj[n + j] = -Fraction(c)
-    result = _simplex_max(rows, rhs, obj)
+    rows, rhs, scales = _standard_form(system, margin=False)
+    cost = [Fraction(c) for c in cost]
+    scale = lcm(*(c.denominator for c in cost))
+    ints = [c.numerator * (scale // c.denominator) for c in cost]
+    obj = ints + [-c for c in ints] + [0] * len(system.le)
+    result = _simplex_max(rows, rhs, scales, obj)
     if result is None:
         return None
     value, x = result
-    return value, tuple(x[j] - x[n + j] for j in range(n))
+    return value / scale, tuple(x[j] - x[n + j] for j in range(n))
 
 
 def fourier_motzkin_feasible(system):
@@ -506,10 +498,8 @@ def fourier_motzkin_feasible(system):
 
     def add(coeffs, rhs, strict):
         data = tuple(Fraction(c) for c in coeffs) + (Fraction(rhs),)
-        lcm = 1
-        for f in data:
-            lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-        ints = [int(f * lcm) for f in data]
+        scale = lcm(*(f.denominator for f in data))
+        ints = [int(f * scale) for f in data]
         g = content(ints)
         if g:
             ints = [v // g for v in ints]

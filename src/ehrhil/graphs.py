@@ -11,6 +11,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .exact import InvariantError
+
 # refuse blind enumeration beyond 2^34 states
 _STATE_BUDGET = 2 ** 34
 
@@ -143,10 +145,14 @@ def cycle_basis(g):
             walk_to_root(h, -1, vec)  # carry the chord's unit back to its tail
             walk_to_root(t, +1, vec)
             basis.append(tuple(vec))
-    assert len(basis) == g.cyclomatic_number()
+    if len(basis) != g.cyclomatic_number():
+        raise InvariantError(
+            f"{len(basis)} basis cycles, cyclomatic number "
+            f"{g.cyclomatic_number()}")
     rows = incidence_matrix(g)
-    assert all(sum(a * c for a, c in zip(row, vec)) == 0
-               for vec in basis for row in rows)
+    if any(sum(a * c for a, c in zip(row, vec)) != 0
+           for vec in basis for row in rows):
+        raise InvariantError("a basis vector is not a cycle")
     return tuple(basis)
 
 

@@ -9,7 +9,7 @@ equal inputs produce byte-identical documents.
 import json
 from fractions import Fraction
 
-from .complexes import PolytopalComplex, RelativeComplex
+from .complexes import InvalidComplexError, PolytopalComplex, RelativeComplex
 from .graphs import Graph
 from .polynomials import BinomialPolynomial
 from .polytope import LatticePolytope
@@ -147,6 +147,12 @@ def complex_from_json(data):
     total = PolytopalComplex.generated_by(cells)
     sub = PolytopalComplex.generated_by(
         sub_cells, ambient_dim=total.ambient_dim)
+    # the subcomplex needs no check of its own: RelativeComplex demands that
+    # its cells be faces of C, and the faces of a valid complex form one
+    try:
+        total.validate()
+    except InvalidComplexError as exc:
+        raise InputError(f"faces do not form a complex: {exc}") from exc
     try:
         return RelativeComplex(total, sub)
     except ValueError as exc:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import PolytopalComplex, RelativeComplex
-from .exact import LinearSystem, lp_feasible
+from .exact import InvariantError, LinearSystem, lp_feasible
 from .polytope import LatticePolytope
 
 
@@ -158,7 +158,8 @@ def minimal_representatives(rel, k, order=GREVLEX):
     targets = sorted(cx.lattice_points(k) - rel.sub.lattice_points(k))
     out = {}
     for z in targets:
-        assert z[-1] == k
+        if z[-1] != k:
+            raise InvariantError(f"{z} is not at height {k}")
         face = cx.minimal_face_at(tuple(Fraction(c, k) for c in z))
         sol = _minimal_representation(sorted(face.lattice_points()), z, order)
         if sol is None:

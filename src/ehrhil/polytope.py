@@ -204,9 +204,6 @@ class LatticePolytope:
         """A simplex whose only lattice points are its vertices."""
         return self.is_simplex() and self.is_empty_polytope()
 
-    def is_unimodular_simplex(self):
-        return self.is_simplex() and simplex_is_unimodular(self.vertices)
-
     # -- face lattice ----------------------------------------------------------
 
     @cached_property

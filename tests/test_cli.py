@@ -126,6 +126,16 @@ class TestComplexAndTriangulate:
         assert report["triangulation"]["faces"] == [[0, 1]]
         assert report["triangulation"]["sub_faces"] == [[0], [1]]
 
+    def test_overlapping_cells_rejected(self, tmp_path, capsys):
+        # the union [0, 3] has 4, 7, 10 points at k = 1, 2, 3; counting the
+        # two segments as a complex would give 4, 6, 8
+        path = write(tmp_path, "overlap.json", {
+            "vertices": [[0], [1], [2], [3]], "faces": [[0, 2], [1, 3]]})
+        assert main(["triangulate", path]) == 2
+        captured = capsys.readouterr()
+        assert "do not form a complex" in captured.err
+        assert "f-vector" not in captured.out
+
 
 class TestCheckCompressed:
     def test_unit_square(self, tmp_path, capsys):

@@ -1,7 +1,11 @@
 """Complex validation, relative counting, complex-wide pulling."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +22,7 @@ from ehrhil.complexes import (
     pull_polytope,
     relative_f_vector,
 )
+import ehrhil
 from ehrhil.polytope import LatticePolytope
 
 
@@ -131,6 +136,28 @@ class TestRelativeComplex:
         bad = PolytopalComplex.generated_by([poly((0, 0), (1, 1))])
         with pytest.raises(ValueError):
             RelativeComplex(cx, bad)
+
+    def test_invariant_holds_under_optimize_flag(self):
+        # a pair that skips the constructor's subcomplex check: under
+        # python -O an assert would be gone and a count of -1 returned
+        code = (
+            "import sys\n"
+            "from ehrhil.complexes import PolytopalComplex, RelativeComplex\n"
+            "from ehrhil.exact import InvariantError\n"
+            "from ehrhil.polytope import LatticePolytope\n"
+            "rel = object.__new__(RelativeComplex)\n"
+            "rel.complex = PolytopalComplex([LatticePolytope([(0,), (1,)])])\n"
+            "rel.sub = PolytopalComplex([LatticePolytope([(2,), (3,)])])\n"
+            "try:\n"
+            "    print(rel.count_points(1))\n"
+            "except InvariantError as exc:\n"
+            "    print('optimize', sys.flags.optimize, 'InvariantError', exc)\n")
+        src = str(Path(ehrhil.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("optimize 1 InvariantError")
 
     def test_relative_f_vector_open_square(self):
         cx = PolytopalComplex.generated_by([UNIT_SQUARE])

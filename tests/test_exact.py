@@ -7,12 +7,14 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ehrhil import exact
 from ehrhil.exact import (
     LinearSystem,
     det,
     fourier_motzkin_feasible,
     integer_kernel,
     lp_feasible,
+    lp_maximize,
     mat_mul,
     rational_rank,
     smith_normal_form,
@@ -176,14 +178,46 @@ class TestLpFeasible:
         assert all(0 <= v <= 5 for v in x)
 
 
+# small rationals, so every row is scaled by the lcm of its denominators
+RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 2, 3)))
+
+
 def _random_system(data, n):
     def block(label, max_rows):
         rows = data.draw(st.lists(
-            st.tuples(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
-                      st.integers(-4, 4)),
+            st.tuples(st.lists(RATIONALS, min_size=n, max_size=n),
+                      st.builds(Fraction, st.integers(-8, 8),
+                                st.sampled_from((1, 2)))),
             max_size=max_rows), label=label)
         return [(tuple(c), r) for c, r in rows]
     return LinearSystem(n, eq=block("eq", 1), le=block("le", 3), lt=block("lt", 2))
+
+
+def _bounded_system(data, n):
+    """A random closed system inside the box [-3, 3]^n, so never unbounded."""
+    sys = _random_system(data, n)
+    box = [(tuple(s if j == i else 0 for j in range(n)), 3)
+           for i in range(n) for s in (1, -1)]
+    return LinearSystem(n, eq=sys.eq, le=sys.le + tuple(box))
+
+
+def _brute_maximum(sys, cost):
+    """Best feasible basic solution: solve every choice of tight rows."""
+    eq = list(sys.eq)
+    best = None
+    for size in range(sys.n_vars + 1):
+        for tight in combinations(sys.le, size):
+            rows = eq + list(tight)
+            sol = solve_rational([c for c, _ in rows], [b for _, b in rows],
+                                 sys.n_vars)
+            if sol is None or sol[1]:
+                continue
+            x = sol[0]
+            if (all(exact.dot(c, x) == b for c, b in sys.eq)
+                    and all(exact.dot(c, x) <= b for c, b in sys.le)):
+                value = exact.dot(cost, x)
+                best = value if best is None else max(best, value)
+    return best
 
 
 class TestFeasibilityAgreement:
@@ -203,3 +237,97 @@ class TestFeasibilityAgreement:
                 assert sum(c * x for c, x in zip(coeffs, witness)) <= rhs
             for coeffs, rhs in sys.lt:
                 assert sum(c * x for c, x in zip(coeffs, witness)) < rhs
+
+
+class TestLpMaximize:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3), st.data())
+    def test_against_basic_solutions(self, n, data):
+        sys = _bounded_system(data, n)
+        cost = tuple(data.draw(st.lists(RATIONALS, min_size=n, max_size=n),
+                               label="cost"))
+        got = lp_maximize(sys, cost)
+        best = _brute_maximum(sys, cost)
+        if best is None:
+            assert got is None
+            return
+        value, x = got
+        assert value == best
+        assert exact.dot(cost, x) == value
+        assert all(exact.dot(c, x) == b for c, b in sys.eq)
+        assert all(exact.dot(c, x) <= b for c, b in sys.le)
+
+    def test_unbounded(self):
+        with pytest.raises(ArithmeticError):
+            lp_maximize(LinearSystem(1, le=[((-1,), 0)]), (1,))
+
+
+_PIVOT = exact._pivot
+
+
+def _checked_pivot(tableau, d, r, c):
+    """exact._pivot, after checking that each of its divisions is exact."""
+    row = tableau[r]
+    p = row[c]
+    if p < 0:
+        row, p = [-v for v in row], -p
+    assert d > 0
+    for i, other in enumerate(tableau):
+        if i != r:
+            assert all((p * x - other[c] * y) % d == 0
+                       for x, y in zip(other, row))
+    return _PIVOT(tableau, d, r, c)
+
+
+class TestFractionFree:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3), st.data())
+    def test_divisions_are_exact(self, n, data):
+        sys = _random_system(data, n)
+        closed = _bounded_system(data, n)
+        cost = tuple(data.draw(st.lists(RATIONALS, min_size=n, max_size=n)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "_pivot", _checked_pivot)
+            lp_feasible(sys)
+            lp_maximize(closed, cost)
+
+
+# Witnesses the Fraction-tableau simplex returned; the integer tableau must
+# follow the same Bland pivot path.  _relint_point averages witnesses, so
+# another path (another optimal vertex) would move the points it computes.
+STRICT = LinearSystem(3, eq=[((1, 1, 1), 3)],
+                      lt=[((-1, 0, 0), 0), ((0, -1, 0), 0),
+                          ((0, 0, -1), 0), ((1, -1, 0), 1)])
+DEGENERATE = LinearSystem(2, le=[((1, 0), 1), ((0, 1), 1), ((1, 1), 2),
+                                 ((1, -1), 0), ((-1, 0), 0), ((0, -1), 0)])
+REDUNDANT_EQ = LinearSystem(3, eq=[((1, 1, 0), 2), ((2, 2, 0), 4)],
+                            le=[((-1, 0, 0), 0), ((0, -1, 0), 0),
+                                ((0, 0, 1), 3), ((0, 0, -1), 0),
+                                ((1, -1, 1), 3)])
+# row scales 6 and 1: phase 1 must weigh the scaled artificial by 1/6
+SCALED = LinearSystem(3, eq=[((Fraction(5, 2), 3, Fraction(-5, 2)),
+                              Fraction(-5, 6))],
+                      lt=[((-2, -4, -1), -2)])
+
+
+class TestPinnedWitnesses:
+    @pytest.mark.parametrize("sys, witness", [
+        (STRICT, (1, 1, 1)),
+        (DEGENERATE, (0, 0)),
+        (REDUNDANT_EQ, (2, 0, 1)),
+        (SCALED, (0, Fraction(20, 39), Fraction(37, 39))),
+    ])
+    def test_feasible(self, sys, witness):
+        got = lp_feasible(sys)
+        assert got == witness
+        assert all(type(v) is Fraction for v in got)
+
+    @pytest.mark.parametrize("sys, cost, optimum, witness", [
+        (DEGENERATE, (0, 1), 1, (0, 1)),
+        (REDUNDANT_EQ, (0, 0, 1), 3, (1, 1, 3)),
+    ])
+    def test_maximize(self, sys, cost, optimum, witness):
+        value, got = lp_maximize(sys, cost)
+        assert (value, got) == (optimum, witness)
+        assert type(value) is Fraction
+        assert all(type(v) is Fraction for v in got)

@@ -93,6 +93,12 @@ class TestComplexJson:
         with pytest.raises(InputError, match="subcomplex"):
             complex_from_json(data)
 
+    def test_overlapping_cells_rejected(self):
+        # [0, 2] and [1, 3] meet in [1, 2], a face of neither
+        data = {"vertices": [[0], [1], [2], [3]], "faces": [[0, 2], [1, 3]]}
+        with pytest.raises(InputError, match="do not form a complex"):
+            complex_from_json(data)
+
     @pytest.mark.parametrize("data", [
         {"faces": []},
         {"vertices": [[0]], "faces": [[]]},
