@@ -306,17 +306,19 @@ def _standard_form(system, margin):
 
     Columns: u_0..u_{n-1}, w_0..w_{n-1}, then with `margin` the shared
     strict margin eps, one slack per le row, and with `margin` one slack per
-    lt row and the slack of the cap eps <= 1.  Each constraint is scaled by
-    the lcm of its denominators; returns (rows, rhs, scales).
+    lt row and the slack of the cap eps <= 1.  Every constraint is scaled by
+    the one lcm of all denominators in the system; returns (rows, rhs).
     """
     n = system.n_vars
     first = 2 * n + (1 if margin else 0)
     n_le = len(system.le)
     width = first + n_le + (len(system.lt) + 1 if margin else 0)
-    rows, rhs, scales = [], [], []
+    blocks = system.eq + system.le + (system.lt if margin else ())
+    scale = lcm(*(f.denominator for coeffs, b in blocks
+                  for f in coeffs + (b,)))
+    rows, rhs = [], []
 
     def add(coeffs, b, *units):
-        scale = lcm(b.denominator, *(c.denominator for c in coeffs))
         row = [0] * width
         for j, c in enumerate(coeffs):
             if c:
@@ -326,7 +328,6 @@ def _standard_form(system, margin):
             row[col] = scale
         rows.append(row)
         rhs.append(b.numerator * (scale // b.denominator))
-        scales.append(scale)
 
     for coeffs, b in system.eq:
         add(coeffs, b)
@@ -336,7 +337,7 @@ def _standard_form(system, margin):
         for idx, (coeffs, b) in enumerate(system.lt):
             add(coeffs, b, 2 * n, first + n_le + idx)
         add((), Fraction(1), 2 * n, width - 1)
-    return rows, rhs, scales
+    return rows, rhs
 
 
 def _pivot(tableau, d, r, c):
@@ -392,13 +393,11 @@ def _run_simplex(tableau, basis, d, ncols):
         basis[leave] = entering
 
 
-def _simplex_max(rows, rhs, scales, cost):
+def _simplex_max(rows, rhs, cost):
     """Maximize cost . z subject to rows z = rhs, z >= 0 (two phase, exact).
 
-    All inputs are integers; row i was scaled by scales[i], so phase 1
-    weighs its artificial variable by 1 / scales[i], which keeps the pivot
-    path of the unscaled system.  Returns (value, z) as Fractions, or None
-    when infeasible.
+    All inputs are integers.  Returns (value, z) as Fractions, or None when
+    infeasible.
     """
     m = len(rows)
     n = len(cost)
@@ -407,14 +406,8 @@ def _simplex_max(rows, rhs, scales, cost):
         if b < 0:
             row, b = [-v for v in row], -b
         tableau.append(row + [1 if j == i else 0 for j in range(m)] + [b])
-    # phase 1: maximize -sum(artificial_i / scales[i]), scaled to integers
-    total = lcm(*scales)
-    obj = [0] * (n + m + 1)
-    for scale, row in zip(scales, tableau):
-        weight = total // scale
-        for j, v in enumerate(row):
-            if v:
-                obj[j] += weight * v
+    # phase 1: maximize -sum(artificial)
+    obj = [sum(col) for col in zip(*tableau)]
     obj[n:n + m] = [0] * m
     tableau.append(obj)
     basis = list(range(n, n + m))
@@ -455,10 +448,10 @@ def lp_feasible(system):
     positive.  Returns a rational point or None.
     """
     n = system.n_vars
-    rows, rhs, scales = _standard_form(system, margin=True)
+    rows, rhs = _standard_form(system, margin=True)
     cost = [0] * len(rows[0])
     cost[2 * n] = 1
-    result = _simplex_max(rows, rhs, scales, cost)
+    result = _simplex_max(rows, rhs, cost)
     if result is None:
         return None
     value, x = result
@@ -476,12 +469,14 @@ def lp_maximize(system, cost):
     if system.lt:
         raise ValueError("lp_maximize expects a closed system")
     n = system.n_vars
-    rows, rhs, scales = _standard_form(system, margin=False)
+    if len(cost) != n:
+        raise ValueError("cost length does not match n_vars")
+    rows, rhs = _standard_form(system, margin=False)
     cost = [Fraction(c) for c in cost]
     scale = lcm(*(c.denominator for c in cost))
     ints = [c.numerator * (scale // c.denominator) for c in cost]
     obj = ints + [-c for c in ints] + [0] * len(system.le)
-    result = _simplex_max(rows, rhs, scales, obj)
+    result = _simplex_max(rows, rhs, obj)
     if result is None:
         return None
     value, x = result

@@ -297,6 +297,7 @@ class LatticePolytope:
                              for c in range(len(cons))])
 
         walk(0, [rhs for _, rhs in cons])
+        del walk  # the closure refers to itself; free it without the cyclic GC
         result = tuple(out)
         self._points_cache[k] = result
         return result

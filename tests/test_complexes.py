@@ -139,7 +139,8 @@ class TestRelativeComplex:
 
     def test_invariant_holds_under_optimize_flag(self):
         # a pair that skips the constructor's subcomplex check: under
-        # python -O an assert would be gone and a count of -1 returned
+        # python -O an assert would be gone, and count_points would return
+        # 0 although the sub does not lie in C
         code = (
             "import sys\n"
             "from ehrhil.complexes import PolytopalComplex, RelativeComplex\n"

@@ -178,7 +178,7 @@ class TestLpFeasible:
         assert all(0 <= v <= 5 for v in x)
 
 
-# small rationals, so every row is scaled by the lcm of its denominators
+# small rationals, so the rows are scaled by the lcm of their denominators
 RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 2, 3)))
 
 
@@ -261,6 +261,11 @@ class TestLpMaximize:
         with pytest.raises(ArithmeticError):
             lp_maximize(LinearSystem(1, le=[((-1,), 0)]), (1,))
 
+    @pytest.mark.parametrize("cost", [(1,), (1, 0, 0)])
+    def test_cost_length_must_match(self, cost):
+        with pytest.raises(ValueError):
+            lp_maximize(LinearSystem(2, le=[((1, 1), 1)]), cost)
+
 
 _PIVOT = exact._pivot
 
@@ -304,7 +309,8 @@ REDUNDANT_EQ = LinearSystem(3, eq=[((1, 1, 0), 2), ((2, 2, 0), 4)],
                             le=[((-1, 0, 0), 0), ((0, -1, 0), 0),
                                 ((0, 0, 1), 3), ((0, 0, -1), 0),
                                 ((1, -1, 1), 3)])
-# row scales 6 and 1: phase 1 must weigh the scaled artificial by 1/6
+# denominators 6 on one row, 1 on the other: all rows share one scale, since
+# a scale per row would reweigh phase 1's artificials and change the path
 SCALED = LinearSystem(3, eq=[((Fraction(5, 2), 3, Fraction(-5, 2)),
                               Fraction(-5, 6))],
                       lt=[((-2, -4, -1), -2)])
