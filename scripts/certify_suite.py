@@ -13,55 +13,8 @@ import argparse
 import sys
 import time
 
-from ehrhil import (
-    Graph,
-    KINDS,
-    build_family,
-    complete_graph,
-    cycle_graph,
-    degree_bound,
-    hilbert_from_f,
-    interpolate,
-    oracle,
-    path_graph,
-)
-
-SUITE = {
-    "K2": complete_graph(2),
-    "K3": complete_graph(3),
-    "K4": complete_graph(4),
-    "P3": path_graph(3),
-    "C3": cycle_graph(3),
-    "C4": cycle_graph(4),
-    "digon": Graph(("a", "b"), (("a", "b"), ("a", "b"))),
-    "theta": Graph(("a", "b"), (("a", "b"), ("a", "b"), ("a", "b"))),
-    "K3_pendant": Graph(("a", "b", "c", "d"),
-                        (("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"))),
-    "loop": Graph(("a",), (("a", "a"),)),
-}
-
-
-def certify(name, kind, kmax, quiet):
-    g = SUITE[name]
-    d = degree_bound(kind, g)
-    top = d + 2 if kmax is None else max(kmax, d + 1)
-    ks = range(1, top + 1)
-    rel = build_family(kind, g).relative
-    f = rel.pulled_f_vector()
-    rows = [(k, oracle(kind, g, k), rel.count_points(k), hilbert_from_f(f, k))
-            for k in ks]
-    ok = all(a == b == c for _, a, b, c in rows)
-    poly = interpolate([(k, a) for k, a, _, _ in rows], d)
-    basis = "[" + ", ".join(str(c) for c in poly.binomial_basis) + "]"
-    if not quiet:
-        print(f"{name:<11} {kind:<11} {d:>6}  {basis:<21} "
-              f"{'ok' if ok else 'DISAGREE'}")
-    if not ok:
-        for k, a, b, c in rows:
-            if not a == b == c:
-                print(f"  k={k}: brute={a} lattice={b} hilbert={c}",
-                      file=sys.stderr)
-    return ok
+from ehrhil import KINDS, certify
+from ehrhil.graphs import SUITE
 
 
 def main(argv=None):
@@ -73,12 +26,21 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     start = time.monotonic()
-    print(f"{'graph':<11} {'kind':<11} degree  {'binomial basis':<21} agree")
+    if not args.quiet:
+        print(f"{'graph':<11} {'kind':<11} degree  {'binomial basis':<21} "
+              f"agree")
     failures = 0
-    for name in SUITE:
+    for name, g in SUITE.items():
         for kind in KINDS:
-            if not certify(name, kind, args.kmax, args.quiet):
+            kr = certify(kind, g, kmax=args.kmax)
+            if not args.quiet:
+                basis = "[" + ", ".join(
+                    str(c) for c in kr.polynomial.binomial_basis) + "]"
+                print(f"{name:<11} {kind:<11} {kr.degree:>6}  {basis:<21} "
+                      f"{'ok' if kr.agree else 'DISAGREE'}")
+            if not kr.agree:
                 failures += 1
+                print(f"  {name}: {kr.mismatch()}", file=sys.stderr)
     elapsed = time.monotonic() - start
     pairs = len(SUITE) * len(KINDS)
     if failures:

@@ -13,23 +13,10 @@ Run:  python3 scripts/order_invariance.py [--orders N] [--seed S]
 import argparse
 import random
 
-from ehrhil import (
-    Graph,
-    KINDS,
-    build_family,
-    complete_graph,
-    cycle_graph,
-    path_graph,
-    relative_f_vector,
-)
+from ehrhil import KINDS, build_family, relative_f_vector
+from ehrhil.graphs import SUITE
 
-GRAPHS = {
-    "K3": complete_graph(3),
-    "P3": path_graph(3),
-    "C4": cycle_graph(4),
-    "digon": Graph(("a", "b"), (("a", "b"), ("a", "b"))),
-    "theta": Graph(("a", "b"), (("a", "b"), ("a", "b"), ("a", "b"))),
-}
+GRAPHS = {name: SUITE[name] for name in ("K3", "P3", "C4", "digon", "theta")}
 
 
 def main(argv=None):

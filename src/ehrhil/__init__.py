@@ -9,13 +9,10 @@ from .complexes import (
 )
 from .constructions import (
     KINDS,
+    CheckFailure,
     build_family,
-    chromatic_complex,
+    certify,
     degree_bound,
-    int_flow_complex,
-    int_tension_complex,
-    mod_flow_complex,
-    mod_tension_complex,
     oracle,
 )
 from .exact import InvariantError
@@ -57,6 +54,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AbstractComplex",
     "BinomialPolynomial",
+    "CheckFailure",
     "GREVLEX",
     "GRLEX",
     "Graph",
@@ -69,8 +67,8 @@ __all__ = [
     "RelativeComplex",
     "RelativeSRIdeal",
     "build_family",
+    "certify",
     "chromatic_bf",
-    "chromatic_complex",
     "comb",
     "complete_graph",
     "cycle_basis",
@@ -82,16 +80,12 @@ __all__ = [
     "homogenize",
     "incidence_matrix",
     "int_flow_bf",
-    "int_flow_complex",
     "int_tension_bf",
-    "int_tension_complex",
     "interpolate",
     "minimal_nonfaces",
     "minimal_representatives",
     "mod_flow_bf",
-    "mod_flow_complex",
     "mod_tension_bf",
-    "mod_tension_complex",
     "oracle",
     "path_graph",
     "pull_complex",

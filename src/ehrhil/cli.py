@@ -16,11 +16,16 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from . import io
 from .complexes import NotCompressedError, relative_f_vector
-from .constructions import KINDS, build_family, degree_bound, oracle
+from .constructions import (
+    KINDS,
+    METHODS,
+    CheckFailure,
+    build_family,
+    certify,
+)
 from .normal_sr import (
     GREVLEX,
     GRLEX,
@@ -28,95 +33,14 @@ from .normal_sr import (
     hilbert_normal,
     homogenize,
 )
-from .polynomials import interpolate
 from .polytope import IntegralityError
-from .srideal import hilbert_from_f, realize_polynomial
-
-METHODS = ("brute", "geometric", "hilbert")
-
-
-class CheckFailure(RuntimeError):
-    """A cross-check between two counting routes did not hold."""
+from .srideal import realize_polynomial
 
 
 def _timed(fn):
     start = time.perf_counter_ns()
     value = fn()
     return value, (time.perf_counter_ns() - start) // 1_000_000
-
-
-@dataclass(frozen=True)
-class MethodRun:
-    method: str
-    values: tuple
-    ms: int
-
-
-@dataclass(frozen=True)
-class KindReport:
-    kind: str
-    degree: int
-    ks: tuple
-    polynomial: object
-    runs: tuple
-
-    @property
-    def agree(self):
-        return all(r.values == self.runs[0].values for r in self.runs)
-
-
-@dataclass(frozen=True)
-class RunReport:
-    graph: object
-    kinds: tuple
-
-    @property
-    def verdict(self):
-        return "PASS" if all(kr.agree for kr in self.kinds) else "FAIL"
-
-
-def _run_method(method, kind, g, ks):
-    if method == "brute":
-        def fn():
-            return tuple(oracle(kind, g, k) for k in ks)
-    elif method == "geometric":
-        def fn():
-            rel = build_family(kind, g).relative
-            return tuple(rel.count_points(k) for k in ks)
-    else:
-        def fn():
-            f = build_family(kind, g).relative.pulled_f_vector()
-            return tuple(hilbert_from_f(f, k) for k in ks)
-    values, ms = _timed(fn)
-    return MethodRun(method, values, ms)
-
-
-def _kind_report(kind, g, methods, kmax):
-    # at least degree+1 samples, or the interpolation is under-determined
-    d = degree_bound(kind, g)
-    top = d + 2 if kmax is None else max(kmax, d + 1)
-    ks = tuple(range(1, top + 1))
-    runs = tuple(_run_method(m, kind, g, ks) for m in methods)
-    try:
-        poly = interpolate(tuple(zip(ks, runs[0].values)), d)
-    except ValueError as exc:
-        raise CheckFailure(
-            f"{kind}: {runs[0].method} counts are not a polynomial of "
-            f"degree <= {d}; polynomiality of the counting function fails"
-        ) from exc
-    return KindReport(kind, d, ks, poly, runs)
-
-
-def _mismatch_message(kr):
-    base = kr.runs[0]
-    for other in kr.runs[1:]:
-        for k, a, b in zip(kr.ks, base.values, other.values):
-            if a != b:
-                return (
-                    f"{kr.kind}: {base.method}={a} but {other.method}={b} at "
-                    f"k={k}; the equality enumeration = lattice-point count "
-                    f"= Hilbert function fails")
-    return f"{kr.kind}: methods disagree"
 
 
 def _basis_str(poly):
@@ -130,10 +54,13 @@ def _print_table(headers, rows):
         print("  ".join(c.rjust(w) for c, w in zip(line, widths)))
 
 
-def _report_json(report):
+def _verdict(reports):
+    return "PASS" if all(kr.agree for kr in reports) else "FAIL"
+
+
+def _report_json(g, reports):
     return {
-        "graph": {"vertices": len(report.graph.vertices),
-                  "edges": len(report.graph.edges)},
+        "graph": {"vertices": len(g.vertices), "edges": len(g.edges)},
         "kinds": [
             {
                 "kind": kr.kind,
@@ -146,8 +73,8 @@ def _report_json(report):
                     for r in kr.runs],
                 "agree": kr.agree,
             }
-            for kr in report.kinds],
-        "verdict": report.verdict,
+            for kr in reports],
+        "verdict": _verdict(reports),
     }
 
 
@@ -160,10 +87,9 @@ def _graph_line(g):
 def cmd_poly(args):
     g = io.graph_from_json(io.read_json_file(args.graph))
     methods = METHODS if args.method == "all" else (args.method,)
-    report = RunReport(g, (_kind_report(args.kind, g, methods, args.kmax),))
-    kr = report.kinds[0]
+    kr = certify(args.kind, g, methods, args.kmax)
     if args.as_json:
-        print(json.dumps(_report_json(report), indent=2, sort_keys=True))
+        print(json.dumps(_report_json(g, [kr]), indent=2, sort_keys=True))
     else:
         print(f"{_graph_line(g)}; {kr.kind} polynomial, degree <= {kr.degree}")
         print(json.dumps(io.polynomial_to_json(kr.polynomial), sort_keys=True))
@@ -174,17 +100,17 @@ def cmd_poly(args):
         if len(kr.runs) > 1:
             print(f"agreement: {'ok' if kr.agree else 'FAILED'}")
     if not kr.agree:
-        print(f"check failed: {_mismatch_message(kr)}", file=sys.stderr)
+        print(f"check failed: {kr.mismatch()}", file=sys.stderr)
         return 1
     return 0
 
 
 def cmd_certify(args):
     g = io.graph_from_json(io.read_json_file(args.graph))
-    report = RunReport(
-        g, tuple(_kind_report(kind, g, METHODS, args.kmax) for kind in KINDS))
+    reports = [certify(kind, g, kmax=args.kmax) for kind in KINDS]
+    verdict = _verdict(reports)
     if args.as_json:
-        print(json.dumps(_report_json(report), indent=2, sort_keys=True))
+        print(json.dumps(_report_json(g, reports), indent=2, sort_keys=True))
     else:
         print(_graph_line(g))
         headers = ["kind", "degree", "binomial basis", "sampled k", "ms",
@@ -192,14 +118,13 @@ def cmd_certify(args):
         rows = [[kr.kind, str(kr.degree), _basis_str(kr.polynomial),
                  f"1..{kr.ks[-1]}", str(sum(r.ms for r in kr.runs)),
                  "ok" if kr.agree else "FAILED"]
-                for kr in report.kinds]
+                for kr in reports]
         _print_table(headers, rows)
-        print(f"verdict: {report.verdict}")
-    if report.verdict != "PASS":
-        for kr in report.kinds:
+        print(f"verdict: {verdict}")
+    if verdict != "PASS":
+        for kr in reports:
             if not kr.agree:
-                print(f"check failed: {_mismatch_message(kr)}",
-                      file=sys.stderr)
+                print(f"check failed: {kr.mismatch()}", file=sys.stderr)
         return 1
     return 0
 
@@ -358,8 +283,6 @@ def _build_parser():
     sp = add("triangulate", "pull a relative complex to simplices",
              cmd_triangulate)
     sp.add_argument("complex", metavar="complex.json")
-    sp.add_argument("--order", choices=("lex",), default="lex",
-                    help="pulling order on lattice points")
 
     sp = add("check-compressed",
              "test a polytope for unimodular pulling triangulations",

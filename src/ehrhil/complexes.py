@@ -237,13 +237,6 @@ class PolytopalComplex:
                     f"cells {list(p.vertices)} and {list(q.vertices)} "
                     f"do not meet in a common face")
 
-    def is_valid(self):
-        try:
-            self.validate()
-        except InvalidComplexError:
-            return False
-        return True
-
 
 class GeomSimplicialComplex:
     """Geometric simplicial complex given by its maximal simplices."""

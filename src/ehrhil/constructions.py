@@ -17,9 +17,14 @@ Candidate cells are kept only when their open part is nonempty (exact LP),
 then rebuilt from their inequality description so that fractional vertices
 are caught instead of silently rounded: the matrices involved are totally
 unimodular, and `from_inequalities` turns that argument into a check.
+
+`certify` checks one counting function three ways on one graph: brute-force
+enumeration, the lattice points of the relative complex, and the Hilbert
+function of its pulled triangulation must agree at every sampled k.
 """
 
 import itertools
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,7 +39,9 @@ from .graphs import (
     mod_flow_bf,
     mod_tension_bf,
 )
+from .polynomials import interpolate
 from .polytope import LatticePolytope
+from .srideal import hilbert_from_f
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,21 +202,77 @@ def build_family(kind, g):
     return CellFamily(kind, g, labels, relative)
 
 
-def chromatic_complex(g):
-    return build_family("chromatic", g).relative
+METHODS = ("brute", "geometric", "hilbert")
 
 
-def int_flow_complex(g):
-    return build_family("flow", g).relative
+class CheckFailure(RuntimeError):
+    """A cross-check between two counting routes did not hold."""
 
 
-def mod_flow_complex(g):
-    return build_family("modflow", g).relative
+@dataclass(frozen=True)
+class MethodRun:
+    method: str
+    values: tuple
+    ms: int
 
 
-def int_tension_complex(g):
-    return build_family("tension", g).relative
+@dataclass(frozen=True)
+class KindReport:
+    kind: str
+    degree: int
+    ks: tuple
+    polynomial: object
+    runs: tuple
+
+    @property
+    def agree(self):
+        return all(r.values == self.runs[0].values for r in self.runs)
+
+    def mismatch(self):
+        """Name the first broken equality: the two methods and the k."""
+        base = self.runs[0]
+        for other in self.runs[1:]:
+            for k, a, b in zip(self.ks, base.values, other.values):
+                if a != b:
+                    return (
+                        f"{self.kind}: {base.method}={a} but {other.method}="
+                        f"{b} at k={k}; the equality enumeration = "
+                        f"lattice-point count = Hilbert function fails")
+        return f"{self.kind}: methods disagree"
 
 
-def mod_tension_complex(g):
-    return build_family("modtension", g).relative
+def _method_values(method, kind, g, ks):
+    if method == "brute":
+        return tuple(oracle(kind, g, k) for k in ks)
+    rel = build_family(kind, g).relative
+    if method == "geometric":
+        return tuple(rel.count_points(k) for k in ks)
+    f = rel.pulled_f_vector()
+    return tuple(hilbert_from_f(f, k) for k in ks)
+
+
+def certify(kind, g, methods=METHODS, kmax=None):
+    """Count `kind` on g by each method at k = 1..top and interpolate.
+
+    top is degree+2 by default; a `kmax` below degree+1 is raised to it, or
+    the interpolation would be under-determined.  The polynomial comes from
+    the first method's values; CheckFailure is raised when they are not a
+    polynomial of degree at most the bound.
+    """
+    d = degree_bound(kind, g)
+    top = d + 2 if kmax is None else max(kmax, d + 1)
+    ks = tuple(range(1, top + 1))
+    runs = []
+    for method in methods:
+        start = time.perf_counter_ns()
+        values = _method_values(method, kind, g, ks)
+        ms = (time.perf_counter_ns() - start) // 1_000_000
+        runs.append(MethodRun(method, values, ms))
+    try:
+        poly = interpolate(tuple(zip(ks, runs[0].values)), d)
+    except ValueError as exc:
+        raise CheckFailure(
+            f"{kind}: {runs[0].method} counts are not a polynomial of "
+            f"degree <= {d}; polynomiality of the counting function fails"
+        ) from exc
+    return KindReport(kind, d, ks, poly, tuple(runs))

@@ -86,6 +86,22 @@ def path_graph(n):
     return Graph(tuple(range(n)), tuple((i, i + 1) for i in range(n - 1)))
 
 
+# The ten graphs every counting route must agree on: complete graphs, a
+# tree, cycles, parallel edges, a pendant edge and a loop.
+SUITE = {
+    "K2": complete_graph(2),
+    "K3": complete_graph(3),
+    "K4": complete_graph(4),
+    "P3": path_graph(3),
+    "C3": cycle_graph(3),
+    "C4": cycle_graph(4),
+    "digon": Graph((0, 1), ((0, 1), (0, 1))),
+    "theta": Graph((0, 1), ((0, 1), (0, 1), (0, 1))),
+    "K3_pendant": Graph((0, 1, 2, 3), ((0, 1), (1, 2), (2, 0), (2, 3))),
+    "loop": Graph((0,), ((0, 0),)),
+}
+
+
 def incidence_matrix(g):
     """Rows per vertex: +1 at its in-edges, -1 at its out-edges, loops zero."""
     idx = {v: i for i, v in enumerate(g.vertices)}

@@ -2,24 +2,9 @@
 
 import pytest
 
-from ehrhil.graphs import Graph, complete_graph, cycle_graph, path_graph
-
-
-def suite_graphs():
-    return {
-        "K2": complete_graph(2),
-        "K3": complete_graph(3),
-        "K4": complete_graph(4),
-        "P3": path_graph(3),
-        "C3": cycle_graph(3),
-        "C4": cycle_graph(4),
-        "digon": Graph((0, 1), ((0, 1), (0, 1))),
-        "theta": Graph((0, 1), ((0, 1), (0, 1), (0, 1))),
-        "K3_pendant": Graph((0, 1, 2, 3), ((0, 1), (1, 2), (2, 0), (2, 3))),
-        "loop": Graph((0,), ((0, 0),)),
-    }
+from ehrhil.graphs import SUITE
 
 
 @pytest.fixture(scope="session")
 def suite():
-    return suite_graphs()
+    return SUITE

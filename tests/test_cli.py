@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from ehrhil.cli import KindReport, MethodRun, _mismatch_message, main
+from ehrhil.cli import main
+from ehrhil.constructions import KindReport, MethodRun
 from ehrhil.polynomials import BinomialPolynomial
 
 K3 = {"vertices": ["a", "b", "c"],
@@ -198,7 +199,7 @@ class TestMismatchMessage:
             runs=(MethodRun("brute", (0, 0), 1),
                   MethodRun("geometric", (0, 1), 1)))
         assert not kr.agree
-        message = _mismatch_message(kr)
+        message = kr.mismatch()
         assert "k=2" in message
         assert "brute=0" in message and "geometric=1" in message
 

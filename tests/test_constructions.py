@@ -5,10 +5,7 @@ import pytest
 from ehrhil.constructions import (
     KINDS,
     build_family,
-    chromatic_complex,
     degree_bound,
-    int_flow_complex,
-    mod_flow_complex,
     oracle,
 )
 from ehrhil.graphs import Graph, complete_graph, cycle_graph, path_graph
@@ -27,18 +24,19 @@ SMALL = [K2, C3, P3, DIGON, THETA, LOOP, EDGELESS2]
 
 class TestCellInventory:
     def test_chromatic_k2_two_triangles(self):
-        rel = chromatic_complex(K2)
+        rel = build_family("chromatic", K2).relative
         cells = rel.complex.maximal_cells
         assert len(cells) == 2
         assert all(len(c.vertices) == 3 for c in cells)
 
     def test_chromatic_loop_empty(self):
-        rel = chromatic_complex(LOOP)
+        rel = build_family("chromatic", LOOP).relative
         assert rel.complex.is_empty
         assert rel.count_points(5) == 0
 
     def test_chromatic_digon_same_as_k2(self):
-        assert len(chromatic_complex(DIGON).complex.maximal_cells) == 2
+        rel = build_family("chromatic", DIGON).relative
+        assert len(rel.complex.maximal_cells) == 2
 
     def test_flow_c3_two_segments(self):
         fam = build_family("flow", C3)
@@ -46,13 +44,14 @@ class TestCellInventory:
         assert all(c.dim == 1 for c in fam.relative.complex.maximal_cells)
 
     def test_flow_digon_two_cells(self):
-        assert len(int_flow_complex(DIGON).complex.maximal_cells) == 2
+        rel = build_family("flow", DIGON).relative
+        assert len(rel.complex.maximal_cells) == 2
 
     def test_flow_tree_empty(self):
-        assert int_flow_complex(P3).complex.is_empty
+        assert build_family("flow", P3).relative.complex.is_empty
 
     def test_mod_flow_loop_full_segment(self):
-        rel = mod_flow_complex(LOOP)
+        rel = build_family("modflow", LOOP).relative
         assert len(rel.complex.maximal_cells) == 1
         assert [rel.count_points(k) for k in (2, 3, 4)] == [1, 2, 3]
 
@@ -94,12 +93,14 @@ class TestComplexStructure:
         for cell in build_family("flow", C3).relative.complex.maximal_cells:
             assert cell.is_two_level()
             assert cell.is_compressed(order_budget=6)
-        for cell in chromatic_complex(K2).complex.maximal_cells:
+        chromatic = build_family("chromatic", K2).relative
+        for cell in chromatic.complex.maximal_cells:
             assert cell.is_two_level()
             assert cell.is_compressed(order_budget=24)
 
     def test_chromatic_k2_f_vector(self):
-        assert chromatic_complex(K2).pulled_f_vector() == (0, 2, 2)
+        rel = build_family("chromatic", K2).relative
+        assert rel.pulled_f_vector() == (0, 2, 2)
 
     def test_degree_bounds(self):
         assert degree_bound("chromatic", C3) == 3

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ehrhil.constructions import chromatic_complex, int_flow_complex
+from ehrhil.constructions import build_family
 from ehrhil.graphs import Graph, complete_graph
 from ehrhil.io import (
     InputError,
@@ -64,14 +64,14 @@ class TestPolytopeJson:
 
 class TestComplexJson:
     def test_round_trip_counts(self):
-        rel = chromatic_complex(complete_graph(2))
+        rel = build_family("chromatic", complete_graph(2)).relative
         loaded = complex_from_json(complex_to_json(rel))
         for k in (1, 2, 3, 4):
             assert loaded.count_points(k) == rel.count_points(k)
 
     def test_round_trip_flow(self):
-        rel = int_flow_complex(Graph(("a", "b"),
-                                     (("a", "b"), ("b", "a"))))
+        g = Graph(("a", "b"), (("a", "b"), ("b", "a")))
+        rel = build_family("flow", g).relative
         loaded = complex_from_json(complex_to_json(rel))
         assert loaded.complex == rel.complex
         assert loaded.sub == rel.sub

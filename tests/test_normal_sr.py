@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ehrhil.complexes import PolytopalComplex, RelativeComplex
-from ehrhil.constructions import chromatic_complex, oracle
+from ehrhil.constructions import build_family, oracle
 from ehrhil.graphs import complete_graph
 from ehrhil.normal_sr import (
     GREVLEX,
@@ -184,8 +184,8 @@ class TestWitnesses:
 
 class TestAgainstGeometry:
     def test_matches_relative_counts(self):
-        cases = [segment_pair(), open_square_pair(),
-                 homogenize(chromatic_complex(complete_graph(2)))]
+        chromatic = build_family("chromatic", complete_graph(2)).relative
+        cases = [segment_pair(), open_square_pair(), homogenize(chromatic)]
         for rel in cases:
             for k in (1, 2, 3, 4):
                 expect = rel.count_points(k)
@@ -194,7 +194,7 @@ class TestAgainstGeometry:
 
     def test_chromatic_matches_oracle(self):
         g = complete_graph(2)
-        lifted = homogenize(chromatic_complex(g))
+        lifted = homogenize(build_family("chromatic", g).relative)
         for k in (1, 2, 3, 4):
             assert hilbert_normal(lifted, k) == oracle("chromatic", g, k)
 
