@@ -33,7 +33,7 @@ from .normal_sr import (
     hilbert_normal,
     homogenize,
 )
-from .polytope import IntegralityError
+from .polytope import IntegralityError, simplex_is_unimodular
 from .srideal import realize_polynomial
 
 
@@ -160,6 +160,12 @@ def cmd_triangulate(args):
         print(f"f-vector: {list(delta.f_vector())}")
         print(f"relative f-vector: {list(f_rel)}")
         print(json.dumps(doc, sort_keys=True))
+    bad = next((s for s in sorted(map(sorted, delta.maximal_simplices))
+                if not simplex_is_unimodular(s)), None)
+    if bad is not None:
+        print(f"warning: pulled simplex {[list(v) for v in bad]} is not "
+              f"unimodular, so the relative f-vector does not count "
+              f"lattice points", file=sys.stderr)
     return 0
 
 

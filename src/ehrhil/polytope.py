@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from fractions import Fraction
 from functools import cached_property
 
 from .exact import (
@@ -59,6 +58,73 @@ def simplex_is_unimodular(points):
         return True
     s, _, _ = smith_normal_form(rows)
     return all(s[i][i] == 1 for i in range(len(rows)))
+
+
+def _walk(cons, box, out=None):
+    """Integer points x of the box with a.x <= r for every row (a, r).
+
+    Depth first over the coordinates: each partial assignment is cut to the
+    interval that every row still allows, given the least value the later
+    coordinates can add, so the walk touches little more than the points.
+    Returns the number of points.  When `out` is a list the points are
+    appended to it in ascending lex order; otherwise the last coordinate
+    adds the length of its interval without visiting it.
+    """
+    n = len(box)
+    if n == 0:
+        inside = all(r >= 0 for _, r in cons)
+        if inside and out is not None:
+            out.append(())
+        return int(inside)
+    # per coordinate i: (row, a_i, least value of sum_{j>i} a_j x_j), split
+    # by the sign of a_i
+    pos, neg, zero = [None] * n, [None] * n, [None] * n
+    tail = [0] * len(cons)
+    for i in range(n - 1, -1, -1):
+        lo, hi = box[i]
+        pos[i] = [(c, a[i], tail[c]) for c, (a, _) in enumerate(cons)
+                  if a[i] > 0]
+        neg[i] = [(c, -a[i], tail[c]) for c, (a, _) in enumerate(cons)
+                  if a[i] < 0]
+        zero[i] = [(c, tail[c]) for c, (a, _) in enumerate(cons)
+                   if a[i] == 0]
+        for c, (a, _) in enumerate(cons):
+            tail[c] += min(a[i] * lo, a[i] * hi)
+    cols = [[a[i] for a, _ in cons] for i in range(n)]
+    last = n - 1
+    x = [0] * n
+
+    def walk(i, residual):
+        lo, hi = box[i]
+        for c, t in zero[i]:
+            if residual[c] < t:
+                return 0
+        for c, ai, t in pos[i]:
+            top = (residual[c] - t) // ai
+            if top < hi:
+                hi = top
+        for c, ai, t in neg[i]:
+            # a_i x_i <= residual - t with a_i = -ai < 0
+            bottom = -((residual[c] - t) // ai)
+            if bottom > lo:
+                lo = bottom
+        if lo > hi:
+            return 0
+        if i == last:
+            if out is not None:
+                prefix = tuple(x[:last])
+                out.extend(prefix + (v,) for v in range(lo, hi + 1))
+            return hi - lo + 1
+        col = cols[i]
+        total = 0
+        for v in range(lo, hi + 1):
+            x[i] = v
+            total += walk(i + 1, [r - a * v for r, a in zip(residual, col)])
+        return total
+
+    total = walk(0, [r for _, r in cons])
+    del walk  # the closure refers to itself; free it without the cyclic GC
+    return total
 
 
 class LatticePolytope:
@@ -244,63 +310,60 @@ class LatticePolytope:
 
     # -- lattice points --------------------------------------------------------
 
-    def lattice_points(self, k=1):
-        """Integer points of the k-th dilate, in ascending lex order.
+    def _constraints(self, k, face=None):
+        """Rows (a, r) meaning a.x <= r, and the box to walk over.
 
-        Depth first scan over the scaled bounding box; partial assignments
-        are pruned with per constraint interval bounds, so the walk touches
-        little more than the points themselves.
+        Without a face they cut out the k-th dilate.  With a face F, given
+        by its vertex set, they cut out the relative interior of k*F: tight
+        on the hull equalities and on the facets containing F, at least one
+        lattice step inside every other facet (a.x <= k*b - 1, the normals
+        being integral).  The box is the scaled bounding box of F.
         """
+        cons = []
+        for h, c in self.hull_equalities:
+            cons.append((h, k * c))
+            cons.append((tuple(-v for v in h), -k * c))
+        if face is None:
+            cons += [(a, k * b) for a, b in self.facets]
+            box = [(k * lo, k * hi) for lo, hi in self.bounding_box]
+            return cons, box
+        for (a, b), tight in zip(self.facets, self._facet_vertex_sets):
+            if face <= tight:
+                cons.append((a, k * b))
+                cons.append((tuple(-v for v in a), -k * b))
+            else:
+                cons.append((a, k * b - 1))
+        box = [(k * min(v[i] for v in face), k * max(v[i] for v in face))
+               for i in range(self.ambient_dim)]
+        return cons, box
+
+    def lattice_points(self, k=1):
+        """Integer points of the k-th dilate, in ascending lex order."""
         if k < 1:
             raise ValueError("dilation factor must be >= 1")
         cached = self._points_cache.get(k)
         if cached is not None:
             return cached
-        n = self.ambient_dim
-        cons = [(a, k * b) for a, b in self.facets]
-        for h, c in self.hull_equalities:
-            cons.append((h, k * c))
-            cons.append((tuple(-v for v in h), -k * c))
-        lo = [k * self.bounding_box[i][0] for i in range(n)]
-        hi = [k * self.bounding_box[i][1] for i in range(n)]
-        # suffix_min[c][i] = least possible value of sum_{j>=i} a_j x_j
-        suffix_min = []
-        for a, _ in cons:
-            row = [0] * (n + 1)
-            for i in range(n - 1, -1, -1):
-                row[i] = row[i + 1] + min(a[i] * lo[i], a[i] * hi[i])
-            suffix_min.append(row)
-
         out = []
-        x = [0] * n
-
-        def walk(i, residual):
-            if i == n:
-                out.append(tuple(x))
-                return
-            lo_i, hi_i = lo[i], hi[i]
-            for c, (a, _) in enumerate(cons):
-                rem = residual[c] - suffix_min[c][i + 1]
-                ai = a[i]
-                if ai > 0:
-                    hi_i = min(hi_i, rem // ai)
-                elif ai < 0:
-                    # ceil(rem / ai) with ai negative
-                    lo_i = max(lo_i, -(rem // (-ai)))
-                elif rem < 0:
-                    return
-                if lo_i > hi_i:
-                    return
-            for v in range(lo_i, hi_i + 1):
-                x[i] = v
-                walk(i + 1, [residual[c] - cons[c][0][i] * v
-                             for c in range(len(cons))])
-
-        walk(0, [rhs for _, rhs in cons])
-        del walk  # the closure refers to itself; free it without the cyclic GC
+        _walk(*self._constraints(k), out)
         result = tuple(out)
         self._points_cache[k] = result
         return result
+
+    def count_points(self, k=1, face=None):
+        """Number of integer points of the k-th dilate, without listing them.
+
+        With `face` (the vertex set of a face F, possibly the whole
+        polytope) the count is of the relative interior of k*F.  Unlike
+        lattice_points, nothing is cached.
+        """
+        if k < 1:
+            raise ValueError("dilation factor must be >= 1")
+        if face is not None:
+            face = frozenset(face)
+            if face not in self.face_vertex_sets:
+                raise ValueError(f"{sorted(face)} is not a face")
+        return _walk(*self._constraints(k, face))
 
     def interior_lattice_points(self, k=1):
         """Lattice points in the relative interior of the k-th dilate."""

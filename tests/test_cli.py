@@ -127,6 +127,25 @@ class TestComplexAndTriangulate:
         assert report["triangulation"]["faces"] == [[0, 1]]
         assert report["triangulation"]["sub_faces"] == [[0], [1]]
 
+    def test_non_unimodular_simplex_warned(self, tmp_path, capsys):
+        # [0, 2] has 3 lattice points, but f = [2, 1] counts 2 at k = 1
+        path = write(tmp_path, "seg.json", {
+            "vertices": [[0], [2]], "faces": [[0, 1]]})
+        assert main(["triangulate", path]) == 0
+        captured = capsys.readouterr()
+        assert "relative f-vector: [2, 1]" in captured.out
+        assert captured.err == (
+            "warning: pulled simplex [[0], [2]] is not unimodular, so the "
+            "relative f-vector does not count lattice points\n")
+
+    def test_unimodular_triangulation_is_quiet(self, k3_file, tmp_path,
+                                                capsys):
+        out = str(tmp_path / "k3flow.json")
+        assert main(["complex", "flow", k3_file, "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["triangulate", out, "--json"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_overlapping_cells_rejected(self, tmp_path, capsys):
         # the union [0, 3] has 4, 7, 10 points at k = 1, 2, 3; counting the
         # two segments as a complex would give 4, 6, 8

@@ -1,6 +1,5 @@
 """Complex validation, relative counting, complex-wide pulling."""
 
-import itertools
 import os
 import random
 import subprocess
@@ -23,7 +22,10 @@ from ehrhil.complexes import (
     relative_f_vector,
 )
 import ehrhil
+from ehrhil.constructions import KINDS, build_family, degree_bound
+from ehrhil.exact import InvariantError
 from ehrhil.polytope import LatticePolytope
+from ehrhil.srideal import realize_polynomial
 
 
 def poly(*pts):
@@ -159,6 +161,13 @@ class TestRelativeComplex:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("optimize 1 InvariantError")
 
+    def test_invariant_error_names_the_cell(self):
+        rel = object.__new__(RelativeComplex)
+        rel.complex = PolytopalComplex([poly((0,), (1,))])
+        rel.sub = PolytopalComplex([poly((2,), (3,))])
+        with pytest.raises(InvariantError, match=r"\[\(2,\), \(3,\)\]"):
+            rel.count_points(1)
+
     def test_relative_f_vector_open_square(self):
         cx = PolytopalComplex.generated_by([UNIT_SQUARE])
         sub = cx.faces_in_hyperplanes(
@@ -187,6 +196,41 @@ class TestRelativeComplex:
             _, gamma = rel.pulled_pair(order)
             direct = pull_complex(sub, order)
             assert gamma.maximal_simplices == direct.maximal_simplices
+
+
+def listed_count(rel, k):
+    """The count by listing: the points of k*C that are not in k*C'."""
+    return len(rel.complex.lattice_points(k) - rel.sub.lattice_points(k))
+
+
+class TestOpenFaceCount:
+    """count_points sums open faces; listing the points is the reference."""
+
+    def test_suite_pairs(self, suite):
+        for name, g in suite.items():
+            for kind in KINDS:
+                rel = build_family(kind, g).relative
+                for k in range(1, degree_bound(kind, g) + 3):
+                    assert rel.count_points(k) == listed_count(rel, k), \
+                        (name, kind, k)
+
+    @pytest.mark.parametrize("f", [(1,), (0, 1), (1, 2, 1), (0, 0, 6, 6),
+                                   (2, 0, 3), (0, 3, 0, 1)])
+    def test_realized_pairs(self, f):
+        rel = realize_polynomial(f)
+        for k in range(1, len(f) + 3):
+            assert rel.count_points(k) == listed_count(rel, k), k
+
+    def test_shared_faces_count_once(self):
+        # two squares and a triangle around shared edges and vertices,
+        # minus a boundary path: every face is owned by one cell
+        cx = PolytopalComplex.generated_by(
+            [UNIT_SQUARE, RIGHT_SQUARE, poly((0, 1), (1, 1), (1, 2))])
+        sub = cx.faces_in_hyperplanes([((0, 1), 0), ((1, 0), 2)])
+        for rel in (RelativeComplex(cx, sub),
+                    RelativeComplex(cx, PolytopalComplex([], ambient_dim=2))):
+            for k in range(1, 7):
+                assert rel.count_points(k) == listed_count(rel, k), k
 
 
 class TestPulling:

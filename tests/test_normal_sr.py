@@ -1,7 +1,5 @@
 """Term orders, homogenization, and witnessed monomial counting."""
 
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -100,6 +100,33 @@ class TestLatticePoints:
         assert REEVE.lattice_points(1) == REEVE.vertices
         assert REEVE.is_empty_simplex()
 
+    def test_count_open_faces(self):
+        # Ehrhart-Macdonald on the square: open square (k-1)^2, open edge
+        # k-1, vertex 1; the faces' counts add up to the closed (k+1)^2
+        edge = frozenset({(0, 0), (1, 0)})
+        for k in range(1, 5):
+            assert SQUARE.count_points(k) == (k + 1) ** 2
+            assert SQUARE.count_points(k, SQUARE.vertices) == (k - 1) ** 2
+            assert SQUARE.count_points(k, edge) == k - 1
+            assert SQUARE.count_points(k, [(1, 1)]) == 1
+            assert sum(SQUARE.count_points(k, vs)
+                       for vs in SQUARE.face_vertex_sets) == (k + 1) ** 2
+        # counting lists no points, so it leaves the point cache empty
+        square = LatticePolytope(SQUARE.vertices)
+        assert square.count_points(7) == 64
+        assert square._points_cache == {}
+
+    def test_count_points_in_ambient_dimension_zero(self):
+        point = LatticePolytope([()])
+        assert point.lattice_points(3) == ((),)
+        assert point.count_points(3) == point.count_points(3, [()]) == 1
+
+    def test_count_points_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            SQUARE.count_points(0)
+        with pytest.raises(ValueError, match="not a face"):
+            SQUARE.count_points(1, [(0, 0), (1, 1)])
+
 
 class TestFromInequalities:
     def unit_box_system(self, n):
@@ -234,6 +261,15 @@ class TestRandomized:
         hi = [k * b[1] for b in p.bounding_box]
         for cand in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
             assert (cand in listed) == in_hull(cand, p.vertices, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_polytopes())
+    def test_count_points_matches_listed_points(self, p):
+        for k in (1, 2, 3):
+            assert p.count_points(k) == len(p.lattice_points(k))
+            for vs in p.face_vertex_sets:
+                want = len(LatticePolytope(vs).interior_lattice_points(k))
+                assert p.count_points(k, vs) == want, (sorted(vs), k)
 
     @settings(max_examples=40, deadline=None)
     @given(small_polytopes(), st.randoms(use_true_random=False))
