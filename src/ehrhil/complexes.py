@@ -18,7 +18,7 @@ import itertools
 from functools import cached_property
 
 from .exact import InvariantError, LinearSystem, dot, lp_feasible
-from .polytope import simplex_is_unimodular
+from .polytope import affine_rank, simplex_is_unimodular
 
 
 class InvalidComplexError(ValueError):
@@ -138,7 +138,9 @@ class PolytopalComplex:
     """Finite polytopal complex, held by its maximal cells."""
 
     def __init__(self, cells, ambient_dim=None):
-        cells = sorted(cells, key=lambda c: c.vertices)
+        # one cell per vertex set, or the face table would own faces twice
+        cells = sorted({frozenset(c.vertices): c for c in cells}.values(),
+                       key=lambda c: c.vertices)
         dims = {c.ambient_dim for c in cells}
         if len(dims) > 1:
             raise ValueError("cells live in different ambient spaces")
@@ -183,20 +185,23 @@ class PolytopalComplex:
 
     @cached_property
     def all_faces(self):
-        """Every face of every cell, identified across cells by vertex set."""
+        """Vertex set of every face -> the first maximal cell that has it.
+
+        One face lies in another exactly when its vertex set does, so faces
+        are selected by key alone; owner.face(vs) builds one where it is read.
+        """
         faces = {}
         for cell in self.maximal_cells:
             for vs in cell.face_vertex_sets:
-                if vs not in faces:
-                    faces[vs] = cell.face(vs)
+                faces.setdefault(vs, cell)
         return faces
 
     def f_vector(self):
         if self.is_empty:
             return ()
         f = [0] * (self.dim + 1)
-        for poly in self.all_faces.values():
-            f[poly.dim] += 1
+        for vs in self.all_faces:
+            f[affine_rank(vs)] += 1
         return tuple(f)
 
     def lattice_points(self, k=1):
@@ -217,16 +222,15 @@ class PolytopalComplex:
             if cell.contains(point):
                 tight = _smallest_face_at(cell, point)
                 vs = tight if vs is None else vs & tight
-        return None if vs is None else self.all_faces[vs]
+        return None if vs is None else self.all_faces[vs].face(vs)
 
     def faces_in_hyperplanes(self, planes):
         """Subcomplex of all faces lying inside one of the given hyperplanes."""
-        selected = []
-        for vs, poly in self.all_faces.items():
-            if any(all(dot(a, v) == b for v in vs) for a, b in planes):
-                selected.append(poly)
-        return PolytopalComplex.generated_by(selected,
-                                             ambient_dim=self.ambient_dim)
+        selected = [vs for vs in self.all_faces
+                    if any(all(dot(a, v) == b for v in vs) for a, b in planes)]
+        kept = [vs for vs in selected if not any(vs < big for big in selected)]
+        return PolytopalComplex([self.all_faces[vs].face(vs) for vs in kept],
+                                ambient_dim=self.ambient_dim)
 
     def validate(self):
         """Raise InvalidComplexError unless all cells meet in common faces."""
@@ -338,25 +342,21 @@ class RelativeComplex:
         keeps, closed is True and faces lists the dropped ones, to subtract
         from the closed cell's count; otherwise faces lists the kept ones.
         """
-        faces = set()
-        for cell in self.complex.maximal_cells:
-            faces.update(cell.face_vertex_sets)
+        faces = self.complex.all_faces
         subs = [frozenset(cell.vertices) for cell in self.sub.maximal_cells]
         for vs in subs:
             if vs not in faces:
                 raise InvariantError(
                     f"C' cell {sorted(vs)} is not a face of C, so C' has "
                     f"lattice points outside C")
-        owned = set()
         plan = []
         for cell in self.complex.maximal_cells:
             kept, dropped = [], []
             for vs in cell.face_vertex_sets:
-                if vs in owned or any(vs <= s for s in subs):
-                    dropped.append(vs)
-                else:
+                if faces[vs] is cell and not any(vs <= s for s in subs):
                     kept.append(vs)
-            owned.update(cell.face_vertex_sets)
+                else:
+                    dropped.append(vs)
             if len(dropped) < len(kept):
                 plan.append((cell, True, dropped))
             else:
@@ -388,8 +388,6 @@ class RelativeComplex:
         under the same order: pulling a face is the restriction of pulling
         any cell around it.
         """
-        if order is None and not self.complex.is_empty:
-            order = sorted(self.complex.lattice_points(1))
         delta = pull_complex(self.complex, order, require_unimodular)
         sub_pts = [frozenset(c.lattice_points()) for c in self.sub.maximal_cells]
         gamma = GeomSimplicialComplex(

@@ -84,12 +84,14 @@ def polytopal_sr_membership(table, a, cx):
 
 
 def _require_normal_faces(cx):
-    for face in cx.all_faces.values():
-        bad = face.normality_counterexample()
+    # a point of kF, F a face of a cell P, is a sum of k points of P, and F
+    # is extreme in P, so all of them lie in F: normal cells have normal faces
+    for cell in cx.maximal_cells:
+        bad = cell.normality_counterexample()
         if bad is not None:
             k, z = bad
             raise NormalityError(
-                f"face {list(face.vertices)} is not normal: {z} in the "
+                f"cell {list(cell.vertices)} is not normal: {z} in the "
                 f"{k}-th dilate is not a sum of {k} lattice points")
 
 

@@ -216,11 +216,11 @@ class LatticePolytope:
             raise ValueError("from_inequalities expects a closed system")
         if len(box) != system.n_vars:
             raise ValueError("box arity mismatch")
-        pts = [cand
-               for cand in itertools.product(*(range(lo, hi + 1)
-                                               for lo, hi in box))
-               if all(dot(a, cand) == b for a, b in system.eq)
-               and all(dot(a, cand) <= b for a, b in system.le)]
+        rows = list(system.le)
+        for a, b in system.eq:
+            rows += [(a, b), (tuple(-c for c in a), -b)]
+        pts = []
+        _walk(rows, box, pts)
         if not pts:
             raise IntegralityError(
                 "region has no lattice points in the given box")

@@ -175,6 +175,25 @@ class TestCheckCompressed:
         assert "compressed: no" in captured.out
         assert "non-unimodular" in captured.err
 
+    def test_cube_minus_a_vertex_is_decided_not_sampled(self, tmp_path,
+                                                         capsys):
+        # the facet x+y+z <= 2 takes the values 0, 1, 2: width two
+        cube = [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+        path = write(tmp_path, "cut.json", {
+            "ambient_dim": 3, "vertices": cube[:-1]})
+        assert main(["check-compressed", path]) == 1
+        assert "two-level: no" in capsys.readouterr().out
+        assert main(["check-compressed", path, "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"two_level": False, "compressed": False}
+
+    @pytest.mark.parametrize("flag", ["--orders", "--seed"])
+    def test_sampling_options_are_gone(self, tmp_path, flag):
+        path = write(tmp_path, "sq.json", {
+            "ambient_dim": 2,
+            "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]]})
+        assert main(["check-compressed", path, flag, "5"]) == 2
+
 
 class TestHilbertNormal:
     def test_chromatic_complex_counts(self, k3_file, tmp_path, capsys):

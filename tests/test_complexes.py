@@ -23,7 +23,7 @@ from ehrhil.complexes import (
 )
 import ehrhil
 from ehrhil.constructions import KINDS, build_family, degree_bound
-from ehrhil.exact import InvariantError
+from ehrhil.exact import InvariantError, dot
 from ehrhil.polytope import LatticePolytope
 from ehrhil.srideal import realize_polynomial
 
@@ -114,6 +114,82 @@ class TestPolytopalComplex:
         assert boundary.f_vector() == (4, 4)
         corner = cx.faces_in_hyperplanes([((1, 1), 0)])
         assert corner.f_vector() == (1,)
+
+
+def reference_sub(cx, planes):
+    """C' the long way: every selected face built, maximal ones by hull."""
+    selected = [owner.face(vs) for vs, owner in cx.all_faces.items()
+                if any(all(dot(a, v) == b for v in vs) for a, b in planes)]
+    return PolytopalComplex.generated_by(selected, ambient_dim=cx.ambient_dim)
+
+
+@pytest.fixture(scope="module")
+def suite_builds(suite):
+    """Every suite pair built afresh: (name, kind, family, polytopes
+    constructed, [(complex, planes, sub) per faces_in_hyperplanes call])."""
+    init = LatticePolytope.__init__
+    select = PolytopalComplex.faces_in_hyperplanes
+    state = {}
+
+    def counting_init(self, points):
+        state["built"] += 1
+        init(self, points)
+
+    def recording_select(self, planes):
+        sub = select(self, planes)
+        state["calls"].append((self, planes, sub))
+        return sub
+
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LatticePolytope, "__init__", counting_init)
+        mp.setattr(PolytopalComplex, "faces_in_hyperplanes", recording_select)
+        for name, g in suite.items():
+            for kind in KINDS:
+                state.update(built=0, calls=[])
+                family = build_family.__wrapped__(kind, g)
+                out.append((name, kind, family, state["built"],
+                            state["calls"]))
+    return out
+
+
+class TestFaceTable:
+    def test_owner_is_the_first_cell_with_the_face(self):
+        cx = PolytopalComplex.generated_by([RIGHT_SQUARE, UNIT_SQUARE])
+        shared = frozenset({(1, 0), (1, 1)})
+        assert cx.all_faces[shared] is cx.maximal_cells[0] == UNIT_SQUARE
+        assert cx.all_faces[frozenset(RIGHT_SQUARE.vertices)] \
+            is cx.maximal_cells[1]
+
+    @pytest.mark.parametrize("cells, planes", [
+        ([UNIT_SQUARE], [((1, 0), 0), ((1, 0), 1), ((0, 1), 0), ((0, 1), 1)]),
+        ([UNIT_SQUARE], [((1, 1), 0)]),
+        ([UNIT_SQUARE], [((1, 0), 0), ((0, 1), 0)]),
+        ([UNIT_SQUARE], [((1, 0), 5)]),
+        ([UNIT_SQUARE, RIGHT_SQUARE], [((0, 1), 0), ((0, 1), 1), ((1, 0), 0)]),
+        ([UNIT_SQUARE, RIGHT_SQUARE, poly((0, 1), (1, 1), (1, 2))],
+         [((0, 1), 0), ((1, 0), 2)]),
+        ([UNIT_SQUARE, RIGHT_SQUARE], [((0, 0), 0)]),
+    ])
+    def test_square_selections_match_reference(self, cells, planes):
+        cx = PolytopalComplex.generated_by(cells)
+        assert cx.faces_in_hyperplanes(planes).maximal_cells \
+            == reference_sub(cx, planes).maximal_cells
+
+    def test_suite_selections_match_reference(self, suite_builds):
+        for name, kind, _, _, calls in suite_builds:
+            for cx, planes, sub in calls:
+                assert sub.maximal_cells \
+                    == reference_sub(cx, planes).maximal_cells, (name, kind)
+
+    def test_build_family_builds_only_the_sub_cells(self, suite_builds):
+        # one polytope per certified cell, plus one per maximal cell of C'
+        # that is a proper face; no other face polytope is constructed
+        for name, kind, family, built, _ in suite_builds:
+            rel = family.relative
+            faces = [c for c in rel.sub.maximal_cells
+                     if c not in rel.complex.maximal_cells]
+            assert built == len(family.labels) + len(faces), (name, kind)
 
 
 class TestRelativeComplex:
@@ -231,6 +307,12 @@ class TestOpenFaceCount:
                     RelativeComplex(cx, PolytopalComplex([], ambient_dim=2))):
             for k in range(1, 7):
                 assert rel.count_points(k) == listed_count(rel, k), k
+
+    def test_a_repeated_cell_counts_once(self):
+        cx = PolytopalComplex([UNIT_SQUARE, UNIT_SQUARE])
+        assert cx.maximal_cells == (UNIT_SQUARE,)
+        rel = RelativeComplex(cx, PolytopalComplex([], ambient_dim=2))
+        assert [rel.count_points(k) for k in (1, 2, 3)] == [4, 9, 16]
 
 
 class TestPulling:
