@@ -225,7 +225,33 @@ def rref(rows):
 
 
 def rational_rank(rows):
-    return len(rref(rows)[1])
+    """Rank over the rationals by fraction free Bareiss elimination.
+
+    A row with Fraction entries is first scaled by the lcm of its
+    denominators, which leaves the rank unchanged.  After that every entry
+    stays an integer minor of the scaled rows, so each division by the
+    previous pivot is exact.
+    """
+    a = []
+    for row in rows:
+        m = lcm(*(v.denominator for v in row))
+        a.append([int(v * m) for v in row])
+    rank, prev = 0, 1
+    for c in range(len(a[0]) if a else 0):
+        pivot_row = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if pivot_row is None:
+            continue
+        a[rank], a[pivot_row] = a[pivot_row], a[rank]
+        top = a[rank]
+        p = top[c]
+        for i in range(rank + 1, len(a)):
+            f = a[i][c]
+            a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
+        rank += 1
+        if rank == len(a):
+            break
+    return rank
 
 
 def rational_kernel(rows, ncols=None):

@@ -2,13 +2,16 @@
 
 A polytope is the convex hull of finitely many integer points.  Everything
 derived from it (affine hull, facets, faces, lattice points in dilates,
-triangulations) is computed over exact integers and rationals.
+triangulations) is computed over exact integers and rationals; ranks by
+fraction-free elimination.
 
-The facet description is recovered from the points directly: every subset
-of vertices of size dim that spans a hyperplane inside the affine hull is
-a candidate, and the candidates that support the polytope on one side
-survive.  Vertex counts stay small in this code base, so the subset scan
-is cheaper than being clever.
+The facet description of a polytope built from points is recovered from
+the points directly: every subset of vertices of size dim that spans a
+hyperplane inside the affine hull is a candidate, and the candidates that
+support the polytope on one side survive.  Vertex counts stay small in this
+code base, so the subset scan is cheaper than being clever.  A face is not
+rebuilt from its points: its vertices and facets are read off the face
+lattice of the polytope it belongs to, which pulling recurses through.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from functools import cached_property
 from .exact import (
     LinearSystem,
     canonical_direction,
+    det,
     dot,
     integer_kernel,
     lp_feasible,
@@ -48,14 +52,17 @@ def affine_rank(points):
 def simplex_is_unimodular(points):
     """Edge vectors form a basis of the lattice inside the affine hull.
 
-    Equivalent to all invariant factors of the edge matrix being 1, which
-    covers lower dimensional simplices in a larger ambient space too.
+    A full-dimensional simplex is unimodular when its edge determinant is
+    +-1.  In general all invariant factors of the edge matrix must be 1,
+    which covers lower dimensional simplices in a larger ambient space too.
     """
     pts = list(points)
     p0 = pts[0]
     rows = [[p[i] - p0[i] for i in range(len(p0))] for p in pts[1:]]
     if not rows:
         return True
+    if len(rows) == len(p0):
+        return abs(det(rows)) == 1
     s, _, _ = smith_normal_form(rows)
     return all(s[i][i] == 1 for i in range(len(rows)))
 
@@ -136,22 +143,26 @@ class LatticePolytope:
             raise ValueError("a lattice polytope needs at least one point")
         if len({len(p) for p in pts}) != 1:
             raise ValueError("points live in different ambient spaces")
-        self.ambient_dim = len(pts[0])
+        self._span(pts)
+        self.vertices = self._extract_vertices(pts)
+        self.facets, self._facet_vertex_sets = self._enumerate_facets()
+
+    # -- construction helpers ------------------------------------------------
+
+    def _span(self, pts):
+        """Affine hull of the sorted points, and empty caches."""
+        self.ambient_dim = n = len(pts[0])
         p0 = pts[0]
-        dirs = [[p[i] - p0[i] for i in range(self.ambient_dim)] for p in pts[1:]]
+        dirs = [[p[i] - p0[i] for i in range(n)] for p in pts[1:]]
         self.dim = rational_rank(dirs) if dirs else 0
         eqs = []
-        if self.dim < self.ambient_dim:
-            for a in integer_kernel(dirs, ncols=self.ambient_dim):
+        if self.dim < n:
+            for a in integer_kernel(dirs, ncols=n):
                 a = canonical_direction(reduce_content(a))
                 eqs.append((tuple(a), dot(a, p0)))
         self.hull_equalities = tuple(sorted(eqs))
-        self.vertices = self._extract_vertices(pts)
-        self.facets, self._facet_vertex_sets = self._enumerate_facets()
         self._face_cache = {}
         self._points_cache = {}
-
-    # -- construction helpers ------------------------------------------------
 
     def _extract_vertices(self, pts):
         if len(pts) <= self.dim + 1:
@@ -196,12 +207,13 @@ class LatticePolytope:
             if hi > b:
                 normal = [-c for c in normal]
             a = reduce_content(normal)
-            b = dot(a, s0)
-            if (a, b) not in found:
-                found[(a, b)] = frozenset(
-                    v for v in verts if dot(a, v) == b)
-        ordered = sorted(found)
-        return tuple(ordered), tuple(found[key] for key in ordered)
+            key = (a, dot(a, s0))
+            # below full dimension one facet has many normals: keep the least
+            tight = frozenset(v for v, x in zip(verts, values) if x == b)
+            if tight not in found or key < found[tight]:
+                found[tight] = key
+        ordered = sorted(found, key=found.__getitem__)
+        return tuple(found[t] for t in ordered), tuple(ordered)
 
     @classmethod
     def from_inequalities(cls, system, box):
@@ -301,9 +313,33 @@ class LatticePolytope:
         if got is None:
             if fs not in self.face_vertex_sets:
                 raise ValueError(f"{sorted(fs)} is not a face")
-            got = LatticePolytope(fs)
+            got = self._read_face(fs)
             self._face_cache[fs] = got
         return got
+
+    def _read_face(self, fs):
+        """The proper face with vertex set fs, read off this face lattice.
+
+        The vertices of self lying in a face are that face's vertices, so
+        no vertex LP is needed.  Every proper face G of F = conv(fs) is a
+        face of self, so some facet T of self holds G but not F; F's facets
+        are therefore the maximal sets fs & T short of fs, each cut out by
+        the least facet inequality of self that is tight on it.
+        """
+        face = LatticePolytope.__new__(LatticePolytope)
+        face.vertices = tuple(sorted(fs))
+        face._span(face.vertices)
+        cuts = {}
+        for ab, tight in zip(self.facets, self._facet_vertex_sets):
+            sub = fs & tight
+            if sub and sub != fs:
+                cuts.setdefault(sub, ab)
+        ordered = sorted((sub for sub in cuts
+                          if not any(sub < other for other in cuts)),
+                         key=cuts.__getitem__)
+        face.facets = tuple(cuts[sub] for sub in ordered)
+        face._facet_vertex_sets = tuple(ordered)
+        return face
 
     def facet_subpolytopes(self):
         return [self.face(fs) for fs in self._facet_vertex_sets]

@@ -176,8 +176,9 @@ def realize_polynomial(f):
                 v[axis] += 1
                 verts.append(tuple(v))
             cells.append(LatticePolytope(verts))
-    total = PolytopalComplex.generated_by(cells, ambient_dim=ambient)
-    boundary = PolytopalComplex.generated_by(
+    # disjoint simplices: no cell, and no facet, lies in another
+    total = PolytopalComplex(cells, ambient_dim=ambient)
+    boundary = PolytopalComplex(
         [face for cell in cells for face in cell.facet_subpolytopes()],
         ambient_dim=ambient)
     return RelativeComplex(total, boundary)

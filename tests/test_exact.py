@@ -17,6 +17,7 @@ from ehrhil.exact import (
     lp_maximize,
     mat_mul,
     rational_rank,
+    rref,
     smith_normal_form,
     solve_rational,
 )
@@ -119,6 +120,24 @@ class TestRationalSolve:
         for vec in kernel:
             for row in a:
                 assert sum(Fraction(c) * x for c, x in zip(row, vec)) == 0
+
+
+class TestRationalRank:
+    def test_examples(self):
+        assert rational_rank([]) == 0
+        assert rational_rank([[0, 0], [0, 0]]) == 0
+        assert rational_rank([[1, 2], [2, 4], [0, 1]]) == 2
+        assert rational_rank([[0, 1, 1], [0, 2, 2], [1, 0, 0]]) == 2
+        assert rational_rank([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(st.one_of(st.integers(-4, 4),
+                           st.fractions(-3, 3, max_denominator=4)),
+                 min_size=n, max_size=n),
+        max_size=5)))
+    def test_matches_rref(self, m):
+        assert rational_rank(m) == len(rref(m)[1])
 
 
 class TestIntegerKernel:

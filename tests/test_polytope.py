@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ehrhil.exact import LinearSystem, lp_feasible
+from ehrhil.constructions import KINDS, build_family
+from ehrhil.exact import LinearSystem, dot, lp_feasible, smith_normal_form
 from ehrhil.polytope import (
     IntegralityError,
     LatticePolytope,
@@ -165,6 +166,18 @@ class TestPredicates:
         assert not simplex_is_unimodular([(0, 0), (2, 0)])
         assert not simplex_is_unimodular(REEVE.vertices)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.tuples(*[st.integers(-2, 2)] * n), min_size=n + 1,
+        max_size=n + 1)))
+    def test_unimodular_determinant_matches_smith_form(self, pts):
+        # a full-dimensional simplex is decided by its determinant; the
+        # Smith form, which lower dimensional simplices still take, agrees
+        rows = [[p - q for p, q in zip(v, pts[0])] for v in pts[1:]]
+        s, _, _ = smith_normal_form(rows)
+        smith = all(s[i][i] == 1 for i in range(len(rows)))
+        assert simplex_is_unimodular(pts) == smith
+
     def test_two_level(self):
         assert SQUARE.is_two_level()
         assert CUBE.is_two_level()
@@ -242,6 +255,72 @@ def small_polytopes():
     return st.lists(
         st.tuples(boxes, boxes), min_size=2, max_size=6, unique=True,
     ).map(LatticePolytope)
+
+
+def small_solids():
+    bits = st.integers(0, 1)
+    return st.lists(
+        st.tuples(bits, bits, bits), min_size=4, max_size=8, unique=True,
+    ).map(LatticePolytope)
+
+
+def lifted(p):
+    """p carried into the plane x0 + x1 + x2 = 0 one dimension up, where
+    every facet has many integral normals."""
+    return LatticePolytope((x, y, -x - y, *rest) for x, y, *rest in p.vertices)
+
+
+def assert_face_is_rebuilt(face, vs):
+    """A face read off its parent equals the polytope rebuilt from vs.
+
+    Facet normals may differ: below full dimension they are unique only
+    modulo the hull equalities.  So the normals are checked for validity
+    and everything derived from them for equality.
+    """
+    ref = LatticePolytope(vs)
+    assert face.vertices == ref.vertices
+    assert face.dim == ref.dim
+    assert face.hull_equalities == ref.hull_equalities
+    assert len(set(face._facet_vertex_sets)) == len(face.facets)
+    assert set(face._facet_vertex_sets) == set(ref._facet_vertex_sets)
+    assert face.face_vertex_sets == ref.face_vertex_sets
+    for k in (1, 2, 3):
+        assert face.lattice_points(k) == ref.lattice_points(k), k
+    assert face.is_two_level() == ref.is_two_level()
+    for (a, b), tight in zip(face.facets, face._facet_vertex_sets):
+        values = [dot(a, v) for v in face.vertices]
+        assert max(values) <= b
+        assert {v for v, x in zip(face.vertices, values) if x == b} == tight
+
+
+class TestTrustedFaces:
+    # Each polytope is one of its own faces, so these also check that every
+    # facet is listed once.  The tension and modtension cells of K3_pendant
+    # are 3-dimensional in R^4, like the lifted solids, with quadrilateral
+    # facets reached by several normals.
+
+    def test_suite_cell_faces_match_rebuild(self, suite):
+        for name, g in suite.items():
+            for kind in KINDS:
+                cells = build_family(kind, g).relative.complex.maximal_cells
+                for cell in cells:
+                    for vs in cell.face_vertex_sets:
+                        assert_face_is_rebuilt(cell.face(vs), vs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(small_polytopes(), small_polytopes().map(lifted),
+                     small_solids().map(lifted)))
+    def test_faces_match_rebuild(self, p):
+        for vs in p.face_vertex_sets:
+            face = p.face(vs)
+            assert_face_is_rebuilt(face, vs)
+            # a face of a face is read off the face, not off p
+            for ws in face.face_vertex_sets:
+                sub, ref = face.face(ws), p.face(ws)
+                assert sub.vertices == ref.vertices
+                assert sub.hull_equalities == ref.hull_equalities
+                assert set(sub._facet_vertex_sets) \
+                    == set(ref._facet_vertex_sets)
 
 
 class TestRandomized:
