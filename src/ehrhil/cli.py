@@ -33,7 +33,7 @@ from .normal_sr import (
     hilbert_normal,
     homogenize,
 )
-from .polytope import IntegralityError, simplex_is_unimodular
+from .polytope import IntegralityError
 from .srideal import realize_polynomial
 
 
@@ -160,8 +160,7 @@ def cmd_triangulate(args):
         print(f"f-vector: {list(delta.f_vector())}")
         print(f"relative f-vector: {list(f_rel)}")
         print(json.dumps(doc, sort_keys=True))
-    bad = next((s for s in sorted(map(sorted, delta.maximal_simplices))
-                if not simplex_is_unimodular(s)), None)
+    bad = delta.first_non_unimodular()
     if bad is not None:
         print(f"warning: pulled simplex {[list(v) for v in bad]} is not "
               f"unimodular, so the relative f-vector does not count "

@@ -242,12 +242,16 @@ class PolytopalComplex:
 
 
 class GeomSimplicialComplex:
-    """Geometric simplicial complex given by its maximal simplices."""
+    """Geometric simplicial complex given by its maximal simplices.
+
+    Unchecked: no given simplex may lie inside another.  A pulling of a
+    valid complex meets this, since a simplex pulled from a maximal cell P
+    has dimension dim P, and if it lay inside a simplex of another cell Q,
+    P cap Q would be a face of P of full dimension, so P a face of Q.
+    """
 
     def __init__(self, simplices):
-        cells = {frozenset(s) for s in simplices}
-        self.maximal_simplices = frozenset(
-            s for s in cells if not any(s < t for t in cells))
+        self.maximal_simplices = frozenset(map(frozenset, simplices))
 
     @cached_property
     def faces(self):
@@ -270,14 +274,18 @@ class GeomSimplicialComplex:
             f[len(s) - 1] += 1
         return tuple(f)
 
+    def first_non_unimodular(self):
+        """Least non-unimodular maximal simplex as a sorted list, or None."""
+        return next((s for s in sorted(map(sorted, self.maximal_simplices))
+                     if not simplex_is_unimodular(s)), None)
 
-def pull_complex(cx, order=None, require_unimodular=False):
+
+def pull_complex(cx, order=None):
     """Pulling triangulation of a whole complex under one global point order.
 
     Triangulating each cell with the same order is consistent across shared
     faces because pulling a face equals the restriction of pulling the cell.
-    With require_unimodular, a non-unimodular maximal simplex raises
-    NotCompressedError instead of silently producing a wrong f-vector.
+    The order may hold points outside the complex; only their ranks matter.
     """
     pts = cx.lattice_points(1)
     if order is None:
@@ -286,14 +294,8 @@ def pull_complex(cx, order=None, require_unimodular=False):
     missing = pts - rank.keys()
     if missing:
         raise ValueError(f"order is missing lattice points: {sorted(missing)}")
-    simplices = []
-    for cell in cx.maximal_cells:
-        for s in cell.pull_maximal_simplices(rank):
-            if require_unimodular and not simplex_is_unimodular(s):
-                raise NotCompressedError(
-                    f"pulled simplex {list(s)} is not unimodular")
-            simplices.append(s)
-    return GeomSimplicialComplex(simplices)
+    return GeomSimplicialComplex(s for cell in cx.maximal_cells
+                                 for s in cell.pull_maximal_simplices(rank))
 
 
 def pull_polytope(poly, order=None):
@@ -380,19 +382,14 @@ class RelativeComplex:
             total += cell.count_points(k) - part if closed else part
         return total
 
-    def pulled_pair(self, order=None, require_unimodular=False):
-        """Triangulate C, then carve out the simplices lying inside C'.
+    def pulled_pair(self, order=None):
+        """Pullings (Delta, Gamma) of C and of C' under the same order.
 
-        A simplex lies in a face of C' exactly when all its vertices do
-        (faces are convex), so the carved-out part equals the pulling of C'
-        under the same order: pulling a face is the restriction of pulling
-        any cell around it.
+        Pulling a face is the restriction of pulling any cell around it, so
+        Gamma is the part of Delta lying inside C'; relative_f_vector checks
+        that Gamma is a subcomplex of Delta.
         """
-        delta = pull_complex(self.complex, order, require_unimodular)
-        sub_pts = [frozenset(c.lattice_points()) for c in self.sub.maximal_cells]
-        gamma = GeomSimplicialComplex(
-            s for s in delta.faces if any(s <= pts for pts in sub_pts))
-        return delta, gamma
+        return pull_complex(self.complex, order), pull_complex(self.sub, order)
 
     def pulled_f_vector(self, order=None):
         """Relative f-vector of the pulled pair; demands unimodular cells.
@@ -400,5 +397,8 @@ class RelativeComplex:
         This is the vector feeding the binomial count sum_i f_i C(k-1, i),
         which only counts points when every open simplex is unimodular.
         """
-        delta, gamma = self.pulled_pair(order, require_unimodular=True)
+        delta, gamma = self.pulled_pair(order)
+        bad = delta.first_non_unimodular()
+        if bad is not None:
+            raise NotCompressedError(f"pulled simplex {bad} is not unimodular")
         return relative_f_vector(delta, gamma)

@@ -59,7 +59,9 @@ def _unit(n, i):
 
 
 def _assemble(cells, ambient, planes):
-    total = PolytopalComplex.generated_by(cells, ambient_dim=ambient)
+    # each cell closes a distinct nonempty open region (a sign vector, box
+    # or slice), so none lies in another and all of them are maximal
+    total = PolytopalComplex(cells, ambient_dim=ambient)
     return RelativeComplex(total, total.faces_in_hyperplanes(planes))
 
 

@@ -185,6 +185,7 @@ def _guard(states):
 
 def _count(rows, values, n, modulus=None):
     """Count vectors in values^n orthogonal to all rows (mod the modulus)."""
+    _guard(len(values) ** n)
     if modulus is None:
         ok = lambda s: s == 0
     else:
@@ -212,21 +213,17 @@ def chromatic_bf(g, k):
 def int_flow_bf(g, k):
     """Nowhere-zero integral flows with |values| < k."""
     _check_k(k)
-    ne = len(g.edges)
-    _guard((2 * k - 1) ** ne)
     rows = [row for row in incidence_matrix(g) if any(row)]
     values = [v for v in range(-k + 1, k) if v]
-    return _count(rows, values, ne)
+    return _count(rows, values, len(g.edges))
 
 
 @lru_cache(maxsize=None)
 def mod_flow_bf(g, k):
     """Nowhere-zero flows with values in Z_k."""
     _check_k(k)
-    ne = len(g.edges)
-    _guard((2 * k - 1) ** ne)
     rows = [row for row in incidence_matrix(g) if any(row)]
-    return _count(rows, range(1, k), ne, modulus=k)
+    return _count(rows, range(1, k), len(g.edges), modulus=k)
 
 
 @lru_cache(maxsize=None)
@@ -237,16 +234,12 @@ def int_tension_bf(g, k):
     cycle basis suffices by linearity.
     """
     _check_k(k)
-    ne = len(g.edges)
-    _guard((2 * k - 1) ** ne)
     values = [v for v in range(-k + 1, k) if v]
-    return _count(cycle_basis(g), values, ne)
+    return _count(cycle_basis(g), values, len(g.edges))
 
 
 @lru_cache(maxsize=None)
 def mod_tension_bf(g, k):
     """Nowhere-zero tensions with values in Z_k."""
     _check_k(k)
-    ne = len(g.edges)
-    _guard((2 * k - 1) ** ne)
-    return _count(cycle_basis(g), range(1, k), ne, modulus=k)
+    return _count(cycle_basis(g), range(1, k), len(g.edges), modulus=k)

@@ -138,7 +138,12 @@ class LatticePolytope:
     """Convex hull of integer points, with cached combinatorial structure."""
 
     def __init__(self, points):
-        pts = sorted({tuple(int(c) for c in p) for p in points})
+        pts = set()
+        for p in points:
+            if (q := tuple(map(int, p))) != tuple(p):
+                raise ValueError(f"{tuple(p)} is not a lattice point")
+            pts.add(q)
+        pts = sorted(pts)
         if not pts:
             raise ValueError("a lattice polytope needs at least one point")
         if len({len(p) for p in pts}) != 1:

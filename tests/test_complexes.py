@@ -255,20 +255,37 @@ class TestRelativeComplex:
         assert rel.count_points(3) == 0
         assert rel.pulled_f_vector() == ()
 
-    def test_carved_gamma_matches_pulling_the_subcomplex(self):
-        # simplices of the triangulation of C with all vertices inside C'
-        # are exactly the triangulation of C' under the same order
+    def test_carved_gamma_matches_pulling_the_subcomplex(self, suite):
+        # pulling C' equals the old carve: the faces of Delta with all their
+        # vertices among the lattice points of one cell of C'
         cx = PolytopalComplex.generated_by([UNIT_SQUARE, RIGHT_SQUARE])
         sub = cx.faces_in_hyperplanes(
             [((0, 1), 0), ((0, 1), 1), ((1, 0), 0)])
-        rel = RelativeComplex(cx, sub)
-        pts = sorted(cx.lattice_points(1))
-        for seed in range(6):
-            order = list(pts)
-            random.Random(seed).shuffle(order)
-            _, gamma = rel.pulled_pair(order)
-            direct = pull_complex(sub, order)
-            assert gamma.maximal_simplices == direct.maximal_simplices
+        cases = [RelativeComplex(cx, sub)] + [
+            build_family(kind, g).relative
+            for g in suite.values() for kind in KINDS]
+        for rel in cases:
+            pts = sorted(rel.complex.lattice_points(1))
+            for seed in range(3):
+                order = list(pts)
+                random.Random(seed).shuffle(order)
+                delta, gamma = rel.pulled_pair(order)
+                assert gamma.maximal_simplices == carved_gamma(rel, delta)
+
+    def test_pulled_f_vector_checks_gamma_inside_delta(self):
+        # pulling C' apart from C makes Gamma inside Delta a real check
+        rel = object.__new__(RelativeComplex)
+        rel.complex = PolytopalComplex([poly((0,), (1,))])
+        rel.sub = PolytopalComplex([poly((2,), (3,))])
+        with pytest.raises(ValueError, match="not a subcomplex"):
+            rel.pulled_f_vector()
+
+
+def carved_gamma(rel, delta):
+    """Maximal faces of delta lying inside some cell of rel.sub."""
+    sub_pts = [frozenset(c.lattice_points()) for c in rel.sub.maximal_cells]
+    inside = {s for s in delta.faces if any(s <= pts for pts in sub_pts)}
+    return frozenset(s for s in inside if not any(s < t for t in inside))
 
 
 def listed_count(rel, k):
@@ -326,12 +343,23 @@ class TestPulling:
 
     def test_not_compressed_raises(self):
         cx = PolytopalComplex.generated_by([poly((0,), (2,))])
-        with pytest.raises(NotCompressedError):
-            pull_complex(cx, require_unimodular=True)
+        rel = RelativeComplex(cx, PolytopalComplex([], ambient_dim=1))
+        assert pull_complex(cx).first_non_unimodular() == [(0,), (2,)]
+        with pytest.raises(NotCompressedError, match=r"\[\(0,\), \(2,\)\]"):
+            rel.pulled_f_vector()
         # an order pulling from the middle splits into unit cells instead
-        tri = pull_complex(cx, order=[(1,), (0,), (2,)], require_unimodular=True)
+        order = [(1,), (0,), (2,)]
+        tri = pull_complex(cx, order=order)
+        assert tri.first_non_unimodular() is None
         assert tri.maximal_simplices == frozenset(
             {frozenset({(0,), (1,)}), frozenset({(1,), (2,)})})
+        assert rel.pulled_f_vector(order) == (3, 2)
+
+    def test_first_non_unimodular_is_the_least_in_sorted_order(self):
+        tri = GeomSimplicialComplex([((0, 0), (1, 0), (0, 1)),
+                                     ((5, 0), (7, 0), (5, 1)),
+                                     ((2, 0), (4, 0), (2, 1))])
+        assert tri.first_non_unimodular() == [(2, 0), (2, 1), (4, 0)]
 
     def test_order_must_cover(self):
         cx = PolytopalComplex.generated_by([UNIT_SQUARE])

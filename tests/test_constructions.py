@@ -2,6 +2,7 @@
 
 import pytest
 
+from ehrhil.complexes import PolytopalComplex
 from ehrhil.constructions import (
     KINDS,
     build_family,
@@ -88,6 +89,17 @@ class TestComplexStructure:
     def test_validates(self, kind, suite):
         for g in suite.values():
             build_family(kind, g).relative.complex.validate()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_kept_cells_are_distinct_and_maximal(self, kind, suite):
+        # generated_by's containment scan is the reference for assembly
+        for name, g in suite.items():
+            family = build_family(kind, g)
+            cx = family.relative.complex
+            reference = PolytopalComplex.generated_by(
+                cx.maximal_cells, ambient_dim=cx.ambient_dim)
+            assert cx.maximal_cells == reference.maximal_cells, name
+            assert len(cx.maximal_cells) == len(family.labels), name
 
     def test_cells_two_level_and_compressed(self):
         for cell in build_family("flow", C3).relative.complex.maximal_cells:

@@ -193,6 +193,27 @@ class TestOracleHygiene:
         with pytest.raises(ValueError, match="enumeration space"):
             int_flow_bf(fat, 2)
 
+    def test_budget_counts_the_walked_states(self, monkeypatch):
+        # integral oracles walk 2k-2 values per edge, modular ones k-1
+        for fn in (int_flow_bf, mod_flow_bf, int_tension_bf, mod_tension_bf):
+            fn.cache_clear()  # a cached count would skip the guard
+        six = Graph((0, 1), ((0, 1),) * 6)
+        budget = "ehrhil.graphs._STATE_BUDGET"
+        monkeypatch.setattr(budget, 10)
+        with pytest.raises(ValueError, match=r" 13841287201 states "):
+            mod_flow_bf(six, 50)
+        with pytest.raises(ValueError, match=r" 12230590464 states "):
+            int_tension_bf(six, 25)
+        monkeypatch.setattr(budget, 64)
+        assert mod_flow_bf(six, 3) == 22
+        assert mod_tension_bf(six, 3) == 2
+        for fn in (int_flow_bf, int_tension_bf):
+            with pytest.raises(ValueError, match=r" 4096 states "):
+                fn(six, 3)
+        monkeypatch.setattr(budget, 4096)
+        assert int_flow_bf(six, 3) == 430
+        assert int_tension_bf(six, 3) == 4
+
     @settings(max_examples=40, deadline=None)
     @given(graphs(), st.integers(2, 3), st.data())
     def test_orientation_invariance(self, g, k, data):

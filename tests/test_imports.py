@@ -1,9 +1,12 @@
-"""Every imported name is used: an AST scan of the library, scripts and tests.
+"""AST scans of the sources: unused imports, and `assert` in the library.
 
 A name counts as used when it appears as an identifier anywhere in the
 importing file (a bare name, or the root of an attribute chain).  Package
 ``__init__.py`` files re-export their imports and ``from __future__``
 imports switch on language features, so both are exempt.
+
+The library and scripts raise typed errors instead of asserting, because
+``python -O`` strips assert statements; tests may assert.
 """
 
 import ast
@@ -17,6 +20,10 @@ SOURCES = sorted(
     for folder in ("src/ehrhil", "scripts", "tests")
     for path in (ROOT / folder).rglob("*.py")
     if path.name != "__init__.py")
+LIBRARY = sorted(
+    path
+    for folder in ("src/ehrhil", "scripts")
+    for path in (ROOT / folder).rglob("*.py"))
 
 
 def unused_imports(source):
@@ -53,3 +60,23 @@ def test_sources_found():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def assert_lines(source):
+    """Line of every assert statement in the module."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+def test_scan_finds_an_assert():
+    source = ("def f(x):\n"
+              "    if x:\n"
+              "        assert x > 0, 'positive'\n"
+              "    return 'assert'\n")
+    assert assert_lines(source) == [3]
+
+
+@pytest.mark.parametrize("path", LIBRARY,
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_assert_in_library(path):
+    assert assert_lines(path.read_text()) == []

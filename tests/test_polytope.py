@@ -56,6 +56,16 @@ class TestBasicStructure:
         assert len(seg.facets) == 2
         assert seg.is_two_level()
 
+    def test_fractional_coordinates_rejected(self):
+        # int() would round these to (0, 0) instead of refusing them
+        with pytest.raises(ValueError, match=r"\(Fraction\(1, 2\), 0\)"):
+            LatticePolytope([(Fraction(1, 2), 0), (1, 0), (0, 1)])
+        with pytest.raises(ValueError, match=r"\(0\.9, 0\.2\)"):
+            LatticePolytope([(0.9, 0.2), (1, 0), (0, 1)])
+        integral = LatticePolytope([(Fraction(2, 2), 0), (0, 0), (0, 1)])
+        assert integral == TRIANGLE
+        assert all(type(c) is int for v in integral.vertices for c in v)
+
     def test_point(self):
         pt = LatticePolytope([(3, -2)])
         assert pt.dim == 0

@@ -128,7 +128,7 @@ class TestFormulaAgainstEnumeration:
 
     def test_three_routes_agree(self):
         for rel in self.cases():
-            delta, gamma = rel.pulled_pair(require_unimodular=True)
+            delta, gamma = rel.pulled_pair()
             ideal = RelativeSRIdeal(comb(delta), comb(gamma))
             f = rel.pulled_f_vector()
             for k in range(1, 5):
