@@ -180,21 +180,25 @@ _SPECS = {
 KINDS = tuple(_SPECS)
 
 
+def _spec(kind):
+    if kind not in _SPECS:
+        raise ValueError(f"unknown kind {kind!r}, expected one of {KINDS}")
+    return _SPECS[kind]
+
+
 def degree_bound(kind, g):
     """Degree of the counting polynomial; also the cell dimension."""
-    return _SPECS[kind][2](g)
+    return _spec(kind)[2](g)
 
 
 def oracle(kind, g, k):
     """The brute-force count the construction must reproduce."""
-    return _SPECS[kind][1](g, k)
+    return _spec(kind)[1](g, k)
 
 
 @lru_cache(maxsize=None)
 def build_family(kind, g):
-    if kind not in _SPECS:
-        raise ValueError(f"unknown kind {kind!r}, expected one of {KINDS}")
-    builder, _, bound = _SPECS[kind]
+    builder, _, bound = _spec(kind)
     labels, relative = builder(g)
     expected = bound(g)
     for cell in relative.complex.maximal_cells:
@@ -261,6 +265,9 @@ def certify(kind, g, methods=METHODS, kmax=None):
     the first method's values; CheckFailure is raised when they are not a
     polynomial of degree at most the bound.
     """
+    if not methods or any(m not in METHODS for m in methods):
+        raise ValueError(f"methods {tuple(methods)!r}: expected a nonempty "
+                         f"selection of {METHODS}")
     d = degree_bound(kind, g)
     top = d + 2 if kmax is None else max(kmax, d + 1)
     ks = tuple(range(1, top + 1))

@@ -1,8 +1,10 @@
 """Exact integer and rational linear algebra.
 
 Everything downstream of this module (polytopes, complexes, monomial
-counting) is decided, never approximated: arbitrary precision integers and
-`fractions.Fraction` only, no floating point anywhere.
+counting) is decided, never approximated: no floating point anywhere.  The
+matrices, systems and costs this module takes are integral, since the cells
+are cut out by integer rows; each entry point checks once that every entry
+is an `int` and raises ValueError naming the first that is not.
 
 Matrices are plain lists of lists in row major order; vectors are lists or
 tuples.  The structured pieces are `LinearSystem` (a block of equalities,
@@ -13,16 +15,15 @@ independent elimination based feasibility test used to cross check them.
 Both LP entry points share one two phase simplex with Bland's rule.  It
 keeps an integer tableau T and one common denominator d > 0, the rational
 tableau being T / d, and pivots fraction free (Edmonds 1967, Bareiss 1968):
-every entry stays, up to sign, a minor of the scaled input, so each
-division is exact and Fractions appear only in the returned optimum and
-witness.
+every entry stays, up to sign, a minor of the input, so each division is
+exact and Fractions appear only in the returned optimum and witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 class InvariantError(RuntimeError):
@@ -34,6 +35,22 @@ class InvariantError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # integer matrices
+
+
+def _int_matrix(rows, what="matrix"):
+    """List copy of an int matrix; ValueError names the first other entry.
+
+    int() would truncate a Fraction or float, and a bool is no coefficient.
+    """
+    out = []
+    for i, row in enumerate(rows):
+        row = list(row)
+        for j, v in enumerate(row):
+            if type(v) is not int:
+                raise ValueError(
+                    f"{what} entry [{i}][{j}] is {v!r}, not an int")
+        out.append(row)
+    return out
 
 
 def identity_matrix(n):
@@ -53,19 +70,13 @@ def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def content(vec):
-    g = 0
-    for v in vec:
-        g = gcd(g, abs(int(v)))
-    return g
-
-
 def reduce_content(vec):
-    """Divide an integer vector by its content, keeping the direction."""
-    g = content(vec)
-    if g == 0:
-        return tuple(int(v) for v in vec)
-    return tuple(int(v) // g for v in vec)
+    """Divide an integer vector by its content, keeping the direction.
+
+    math.gcd raises TypeError on a Fraction or float instead of truncating.
+    """
+    g = gcd(*vec)
+    return tuple(v // g for v in vec) if g else tuple(vec)
 
 
 def canonical_direction(vec):
@@ -77,27 +88,40 @@ def canonical_direction(vec):
     return red
 
 
-def det(m):
-    """Exact integer determinant by fraction free Bareiss elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [[int(v) for v in row] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            a[k], a[pivot_row] = a[pivot_row], a[k]
+def _bareiss(m):
+    """Fraction-free elimination with row swaps: (rank, signed last pivot).
+
+    Every entry stays a minor of the input (Bareiss 1968), so each division
+    is exact; a square matrix of full rank skips no column, so its signed
+    last pivot is its determinant.
+    """
+    a = _int_matrix(m)
+    rank, prev, sign = 0, 1, 1
+    for c in range(len(a[0]) if a else 0):
+        pivot_row = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != rank:
+            a[rank], a[pivot_row] = a[pivot_row], a[rank]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+        top = a[rank]
+        p = top[c]
+        for i in range(rank + 1, len(a)):
+            f = a[i][c]
+            a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
+        rank += 1
+        if rank == len(a):
+            break
+    return rank, sign * prev
+
+
+def det(m):
+    """Exact determinant of a square integer matrix."""
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("det needs a square matrix")
+    rank, last = _bareiss(m)
+    return last if rank == len(m) else 0
 
 
 def smith_normal_form(m):
@@ -108,7 +132,7 @@ def smith_normal_form(m):
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    a = [[int(v) for v in row] for row in m]
+    a = _int_matrix(m)
     left = identity_matrix(rows)
     right = identity_matrix(cols)
 
@@ -225,33 +249,8 @@ def rref(rows):
 
 
 def rational_rank(rows):
-    """Rank over the rationals by fraction free Bareiss elimination.
-
-    A row with Fraction entries is first scaled by the lcm of its
-    denominators, which leaves the rank unchanged.  After that every entry
-    stays an integer minor of the scaled rows, so each division by the
-    previous pivot is exact.
-    """
-    a = []
-    for row in rows:
-        m = lcm(*(v.denominator for v in row))
-        a.append([int(v * m) for v in row])
-    rank, prev = 0, 1
-    for c in range(len(a[0]) if a else 0):
-        pivot_row = next((i for i in range(rank, len(a)) if a[i][c]), None)
-        if pivot_row is None:
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        top = a[rank]
-        p = top[c]
-        for i in range(rank + 1, len(a)):
-            f = a[i][c]
-            a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], top)]
-        prev = p
-        rank += 1
-        if rank == len(a):
-            break
-    return rank
+    """Rank over the rationals of an integer matrix: the pivot count."""
+    return _bareiss(rows)[0]
 
 
 def rational_kernel(rows, ncols=None):
@@ -302,19 +301,17 @@ def solve_rational(a, b, ncols=None):
 # linear systems and exact feasibility
 
 
-def _norm_block(block, n_vars):
-    out = []
-    for coeffs, rhs in block:
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != n_vars:
-            raise ValueError("constraint arity does not match n_vars")
-        out.append((coeffs, Fraction(rhs)))
-    return tuple(out)
+def _norm_block(block, n_vars, name):
+    rows = _int_matrix((tuple(coeffs) + (rhs,) for coeffs, rhs in block),
+                       name)
+    if any(len(row) != n_vars + 1 for row in rows):
+        raise ValueError("constraint arity does not match n_vars")
+    return tuple((tuple(row[:-1]), row[-1]) for row in rows)
 
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """A x = b, C x <= d, E x < f over exact rationals."""
+    """A x = b, C x <= d, E x < f; (coefficients, rhs) pairs of ints."""
 
     n_vars: int
     eq: tuple = ()
@@ -322,9 +319,9 @@ class LinearSystem:
     lt: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "eq", _norm_block(self.eq, self.n_vars))
-        object.__setattr__(self, "le", _norm_block(self.le, self.n_vars))
-        object.__setattr__(self, "lt", _norm_block(self.lt, self.n_vars))
+        for name in ("eq", "le", "lt"):
+            block = _norm_block(getattr(self, name), self.n_vars, name)
+            object.__setattr__(self, name, block)
 
 
 def _standard_form(system, margin):
@@ -332,28 +329,20 @@ def _standard_form(system, margin):
 
     Columns: u_0..u_{n-1}, w_0..w_{n-1}, then with `margin` the shared
     strict margin eps, one slack per le row, and with `margin` one slack per
-    lt row and the slack of the cap eps <= 1.  Every constraint is scaled by
-    the one lcm of all denominators in the system; returns (rows, rhs).
+    lt row and the slack of the cap eps <= 1.  Returns (rows, rhs).
     """
     n = system.n_vars
     first = 2 * n + (1 if margin else 0)
     n_le = len(system.le)
     width = first + n_le + (len(system.lt) + 1 if margin else 0)
-    blocks = system.eq + system.le + (system.lt if margin else ())
-    scale = lcm(*(f.denominator for coeffs, b in blocks
-                  for f in coeffs + (b,)))
     rows, rhs = [], []
 
     def add(coeffs, b, *units):
-        row = [0] * width
-        for j, c in enumerate(coeffs):
-            if c:
-                row[j] = v = c.numerator * (scale // c.denominator)
-                row[n + j] = -v
+        row = [*coeffs, *(-c for c in coeffs)] + [0] * (width - 2 * n)
         for col in units:
-            row[col] = scale
+            row[col] = 1
         rows.append(row)
-        rhs.append(b.numerator * (scale // b.denominator))
+        rhs.append(b)
 
     for coeffs, b in system.eq:
         add(coeffs, b)
@@ -362,7 +351,7 @@ def _standard_form(system, margin):
     if margin:
         for idx, (coeffs, b) in enumerate(system.lt):
             add(coeffs, b, 2 * n, first + n_le + idx)
-        add((), Fraction(1), 2 * n, width - 1)
+        add((0,) * n, 1, 2 * n, width - 1)
     return rows, rhs
 
 
@@ -432,8 +421,8 @@ def _simplex_max(rows, rhs, cost):
         if b < 0:
             row, b = [-v for v in row], -b
         tableau.append(row + [1 if j == i else 0 for j in range(m)] + [b])
-    # phase 1: maximize -sum(artificial)
-    obj = [sum(col) for col in zip(*tableau)]
+    # phase 1: maximize -sum(artificial); a system without rows has none
+    obj = [sum(col) for col in zip(*tableau)] or [0] * (n + 1)
     obj[n:n + m] = [0] * m
     tableau.append(obj)
     basis = list(range(n, n + m))
@@ -467,7 +456,7 @@ def _simplex_max(rows, rhs, cost):
 
 
 def lp_feasible(system):
-    """Exact witness for a mixed weak/strict rational system, or None.
+    """Exact witness for a mixed weak/strict integer system, or None.
 
     Strict inequalities are handled by maximizing a shared margin eps
     (capped at 1): the system is strictly feasible iff the optimum is
@@ -489,24 +478,23 @@ def lp_feasible(system):
 def lp_maximize(system, cost):
     """Maximize cost . x over a closed system (eq and le rows only).
 
-    Returns (optimum, witness) with Fraction entries, or None when the
-    system is infeasible.  Propagates ArithmeticError when unbounded.
+    `cost` is a sequence of ints.  Returns (optimum, witness) with Fraction
+    entries, or None when the system is infeasible.  Propagates
+    ArithmeticError when unbounded.
     """
     if system.lt:
         raise ValueError("lp_maximize expects a closed system")
     n = system.n_vars
+    (cost,) = _int_matrix([cost], "cost")
     if len(cost) != n:
         raise ValueError("cost length does not match n_vars")
     rows, rhs = _standard_form(system, margin=False)
-    cost = [Fraction(c) for c in cost]
-    scale = lcm(*(c.denominator for c in cost))
-    ints = [c.numerator * (scale // c.denominator) for c in cost]
-    obj = ints + [-c for c in ints] + [0] * len(system.le)
+    obj = cost + [-c for c in cost] + [0] * len(system.le)
     result = _simplex_max(rows, rhs, obj)
     if result is None:
         return None
     value, x = result
-    return value / scale, tuple(x[j] - x[n + j] for j in range(n))
+    return value, tuple(x[j] - x[n + j] for j in range(n))
 
 
 def fourier_motzkin_feasible(system):
@@ -518,13 +506,8 @@ def fourier_motzkin_feasible(system):
     cons = set()
 
     def add(coeffs, rhs, strict):
-        data = tuple(Fraction(c) for c in coeffs) + (Fraction(rhs),)
-        scale = lcm(*(f.denominator for f in data))
-        ints = [int(f * scale) for f in data]
-        g = content(ints)
-        if g:
-            ints = [v // g for v in ints]
-        cons.add((tuple(ints[:-1]), ints[-1], strict))
+        ints = reduce_content(coeffs + (rhs,))
+        cons.add((ints[:-1], ints[-1], strict))
 
     for coeffs, b in system.eq:
         add(coeffs, b, False)

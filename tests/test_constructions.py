@@ -1,11 +1,17 @@
 """Geometric counting complexes against the enumeration oracles."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from test_graphs import graphs
 
 from ehrhil.complexes import PolytopalComplex
 from ehrhil.constructions import (
     KINDS,
+    METHODS,
     build_family,
+    certify,
     degree_bound,
     oracle,
 )
@@ -142,3 +148,22 @@ class TestReorientation:
                 b = build_family(kind, h).relative
                 for k in (1, 2, 3):
                     assert a.count_points(k) == b.count_points(k)
+
+
+class TestCertify:
+    # three edges at most: four loops alone take seconds on flow
+    @settings(max_examples=30, deadline=None)
+    @given(graphs(max_edges=3))
+    def test_three_routes_agree_on_drawn_multigraphs(self, g):
+        for kind in KINDS:
+            report = certify(kind, g)
+            assert report.agree, report.mismatch()
+
+    @pytest.mark.parametrize("methods", [("foo",), (), ("brute", "Hilbert")])
+    def test_bad_methods_rejected(self, methods):
+        with pytest.raises(ValueError, match=re.escape(repr(METHODS))):
+            certify("flow", K2, methods=methods)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="'chromatic', 'flow'"):
+            certify("colouring", K2)

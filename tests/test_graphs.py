@@ -34,9 +34,10 @@ LOOPLESS = [g for g in SUITE if not g.has_loop()]
 
 
 @st.composite
-def graphs(draw):
+def graphs(draw, max_edges=5):
+    """Multigraphs on up to 4 vertices: loops, parallel edges, components."""
     n = draw(st.integers(1, 4))
-    m = draw(st.integers(0, 5))
+    m = draw(st.integers(0, max_edges))
     edges = tuple(
         (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
         for _ in range(m))

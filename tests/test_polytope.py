@@ -27,7 +27,7 @@ def in_hull(point, vertices, k=1):
     """Independent membership test: is point/k a convex combination?"""
     m = len(vertices)
     n = len(point)
-    eq = [(tuple(v[c] for v in vertices), Fraction(point[c], k)) for c in range(n)]
+    eq = [(tuple(k * v[c] for v in vertices), point[c]) for c in range(n)]
     eq.append(((1,) * m, 1))
     le = [(tuple(-1 if j == t else 0 for j in range(m)), 0) for t in range(m)]
     return lp_feasible(LinearSystem(m, eq=eq, le=le)) is not None
