@@ -149,7 +149,7 @@ def cmd_complex(args):
 def cmd_triangulate(args):
     rel = io.complex_from_json(io.read_json_file(args.complex))
     delta, gamma = rel.pulled_pair()
-    doc = _simplicial_to_json(delta, gamma)
+    doc = io.cells_to_json(delta.maximal_simplices, gamma.maximal_simplices)
     f_rel = relative_f_vector(delta, gamma)
     if args.as_json:
         print(json.dumps({"triangulation": doc,
@@ -166,21 +166,6 @@ def cmd_triangulate(args):
               f"unimodular, so the relative f-vector does not count "
               f"lattice points", file=sys.stderr)
     return 0
-
-
-def _simplicial_to_json(delta, gamma):
-    table = sorted({v for s in delta.maximal_simplices for v in s})
-    index = {v: i for i, v in enumerate(table)}
-
-    def rows(cx):
-        return sorted(sorted(index[v] for v in s)
-                      for s in cx.maximal_simplices)
-
-    out = {"vertices": [list(v) for v in table], "faces": rows(delta)}
-    sub = rows(gamma)
-    if sub:
-        out["sub_faces"] = sub
-    return out
 
 
 def cmd_check_compressed(args):

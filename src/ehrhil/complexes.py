@@ -92,10 +92,11 @@ def _relint_point(eq, le):
     return tuple(sum(w[j] for w in witnesses) / m for j in range(n))
 
 
-def _smallest_face_at(poly, z):
+def _smallest_face_at(poly, z, k):
+    """Vertex set of the smallest face of poly holding z/k."""
     vs = frozenset(poly.vertices)
     for (a, b), tight in zip(poly.facets, poly._facet_vertex_sets):
-        if dot(a, z) == b:
+        if dot(a, z) == k * b:
             vs &= tight
     return vs
 
@@ -114,7 +115,7 @@ def _lp_face_check(p, q):
     z = _relint_point(eq, le)
     if z is None:
         return True
-    return _smallest_face_at(p, z) == _smallest_face_at(q, z)
+    return _smallest_face_at(p, z, 1) == _smallest_face_at(q, z, 1)
 
 
 def meet_in_common_face(p, q):
@@ -210,17 +211,19 @@ class PolytopalComplex:
             pts.update(cell.lattice_points(k))
         return pts
 
-    def minimal_face_at(self, point):
-        """Smallest face containing the point, or None when it lies outside.
+    def minimal_face_at(self, z, k):
+        """Smallest face containing z/k, or None when it lies outside.
 
-        Faces containing a common point are closed under intersection, so
-        intersecting the tightest face of every cell around the point gives
-        the unique minimal one; the point is in its relative interior.
+        The integer point z is tested against the k-th dilates, so no
+        rational point is formed.  Faces containing a common point are
+        closed under intersection, so intersecting the tightest face of
+        every cell around the point gives the unique minimal one; the point
+        is in its relative interior.
         """
         vs = None
         for cell in self.maximal_cells:
-            if cell.contains(point):
-                tight = _smallest_face_at(cell, point)
+            if cell.contains(z, k):
+                tight = _smallest_face_at(cell, z, k)
                 vs = tight if vs is None else vs & tight
         return None if vs is None else self.all_faces[vs].face(vs)
 

@@ -13,10 +13,12 @@ point count of a relative complex:
   tension      as flow, with the cycle space in place of the flow space
   modtension   as modflow, with cycle sums in place of vertex balances
 
-Candidate cells are kept only when their open part is nonempty (exact LP),
-then rebuilt from their inequality description so that fractional vertices
-are caught instead of silently rounded: the matrices involved are totally
-unimodular, and `from_inequalities` turns that argument into a check.
+Each construction generates candidate cells from one matrix (incidence
+rows or the cycle basis), and one loop serves all five.  A candidate is
+kept only when its open part is nonempty (exact LP), then rebuilt from its
+inequality description so that fractional vertices are caught instead of
+silently rounded: the matrices involved are totally unimodular, and
+`from_inequalities` turns that argument into a check.
 
 `certify` checks one counting function three ways on one graph: brute-force
 enumeration, the lattice points of the relative complex, and the Hilbert
@@ -48,8 +50,6 @@ from .srideal import hilbert_from_f
 class CellFamily:
     """A construction's kept candidates and the relative complex they form."""
 
-    kind: str
-    graph: object
     labels: tuple
     relative: RelativeComplex
 
@@ -58,122 +58,82 @@ def _unit(n, i):
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def _assemble(cells, ambient, planes):
+def _cells(n, candidates, planes):
+    """Kept labels and the relative complex (C, C') of the candidates.
+
+    A candidate (label, eq, rows, box) stands for the open region where
+    the equations eq hold, strictly inside the box and strictly below the
+    rows.  It is kept when that region holds a point; its closure is then
+    certified as a lattice polytope.  C' is the part of C lying in the
+    hyperplanes `planes`.
+    """
+    labels, cells = [], []
+    for label, eq, rows, box in candidates:
+        strict = []
+        for i, (lo, hi) in enumerate(box):
+            strict.append((tuple(-x for x in _unit(n, i)), -lo))
+            strict.append((_unit(n, i), hi))
+        strict += rows
+        if lp_feasible(LinearSystem(n, eq=eq, lt=strict)) is None:
+            continue
+        labels.append(label)
+        cells.append(LatticePolytope.from_inequalities(
+            LinearSystem(n, eq=eq, le=strict), box))
     # each cell closes a distinct nonempty open region (a sign vector, box
     # or slice), so none lies in another and all of them are maximal
-    total = PolytopalComplex(cells, ambient_dim=ambient)
-    return RelativeComplex(total, total.faces_in_hyperplanes(planes))
+    total = PolytopalComplex(cells, ambient_dim=n)
+    return tuple(labels), RelativeComplex(
+        total, total.faces_in_hyperplanes(planes))
 
 
-def _build_chromatic(g):
-    nv = len(g.vertices)
-    if g.has_loop():
-        empty = PolytopalComplex([], ambient_dim=nv)
-        return (), RelativeComplex(empty, empty)
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    edge_rows = [tuple((j == idx[h]) - (j == idx[t]) for j in range(nv))
-                 for t, h in g.edges]
-    bounds = []
-    for v in range(nv):
-        bounds.append((tuple(-x for x in _unit(nv, v)), 0))
-        bounds.append((_unit(nv, v), 1))
-    labels, cells = [], []
-    for sigma in itertools.product((1, -1), repeat=len(g.edges)):
-        rows = [(tuple(-s * x for x in row), 0)
-                for s, row in zip(sigma, edge_rows)]
-        if lp_feasible(LinearSystem(nv, lt=bounds + rows)) is None:
-            continue
-        cell = LatticePolytope.from_inequalities(
-            LinearSystem(nv, le=bounds + rows), [(0, 1)] * nv)
-        labels.append(sigma)
-        cells.append(cell)
-    planes = [(row, 0) for row in edge_rows]
-    planes += [(_unit(nv, v), 1) for v in range(nv)]
-    return tuple(labels), _assemble(cells, nv, planes)
+def _chromatic(g, incidence):
+    """Sign vectors of x_head - x_tail over the open unit cube."""
+    n = len(g.vertices)
+    edges = list(zip(*incidence))  # column e of the incidence matrix
+    planes = [(row, 0) for row in edges] + [(_unit(n, v), 1) for v in range(n)]
+    # a loop admits no proper colouring: no candidate, so no LP
+    signs = () if g.has_loop() else itertools.product(
+        (1, -1), repeat=len(edges))
+    return n, ((sigma, (), [(tuple(-s * x for x in row), 0)
+                            for s, row in zip(sigma, edges)], [(0, 1)] * n)
+               for sigma in signs), planes
 
 
-def _interval_cells(g, matrix):
+def _boxes(g, matrix):
     """Unit boxes a + [0,1]^E meeting the solution space of `matrix` openly."""
-    ne = len(g.edges)
-    eq = [(row, 0) for row in matrix]
-    labels, cells = [], []
-    for a in itertools.product((-1, 0), repeat=ne):
-        strict = []
-        for e, lo in enumerate(a):
-            strict.append((tuple(-x for x in _unit(ne, e)), -lo))
-            strict.append((_unit(ne, e), lo + 1))
-        if lp_feasible(LinearSystem(ne, eq=eq, lt=strict)) is None:
-            continue
-        cell = LatticePolytope.from_inequalities(
-            LinearSystem(ne, eq=eq, le=strict),
-            [(lo, lo + 1) for lo in a])
-        labels.append(a)
-        cells.append(cell)
-    planes = [(_unit(ne, e), c) for e in range(ne) for c in (-1, 0, 1)]
-    return tuple(labels), _assemble(cells, ne, planes)
+    n = len(g.edges)
+    # the zero row of an isolated vertex constrains nothing
+    eq = [(row, 0) for row in matrix if any(row)]
+    planes = [(_unit(n, e), c) for e in range(n) for c in (-1, 0, 1)]
+    return n, ((a, eq, [], [(lo, lo + 1) for lo in a])
+               for a in itertools.product((-1, 0), repeat=n)), planes
 
 
-def _slice_cells(g, matrix, ranges):
-    """Unit cube slices {matrix . y = b} with nonempty open part."""
-    ne = len(g.edges)
-    strict = []
-    box = []
-    for e in range(ne):
-        strict.append((tuple(-x for x in _unit(ne, e)), 0))
-        strict.append((_unit(ne, e), 1))
-        box.append((0, 1))
-    labels, cells = [], []
-    for b in itertools.product(*(range(lo, hi + 1) for lo, hi in ranges)):
-        eq = [(row, rhs) for row, rhs in zip(matrix, b)]
-        if lp_feasible(LinearSystem(ne, eq=eq, lt=strict)) is None:
-            continue
-        cell = LatticePolytope.from_inequalities(
-            LinearSystem(ne, eq=eq, le=strict), box)
-        labels.append(b)
-        cells.append(cell)
-    planes = [(_unit(ne, e), c) for e in range(ne) for c in (0, 1)]
-    return tuple(labels), _assemble(cells, ne, planes)
+def _slices(g, matrix):
+    """Unit cube slices {matrix . y = b} with nonempty open part.
+
+    On the cube a row's value lies between the sum of its negative entries
+    and the sum of its positive ones, which bounds every right-hand side b.
+    """
+    n = len(g.edges)
+    ranges = [range(sum(x for x in row if x < 0),
+                    sum(x for x in row if x > 0) + 1) for row in matrix]
+    planes = [(_unit(n, e), c) for e in range(n) for c in (0, 1)]
+    return n, ((b, list(zip(matrix, b)), [], [(0, 1)] * n)
+               for b in itertools.product(*ranges)), planes
 
 
-def _build_int_flow(g):
-    rows = [row for row in incidence_matrix(g) if any(row)]
-    return _interval_cells(g, rows)
-
-
-def _build_int_tension(g):
-    return _interval_cells(g, list(cycle_basis(g)))
-
-
-def _build_mod_flow(g):
-    # vertex balances of points in the open cube stay within these degrees
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    indeg = [0] * len(g.vertices)
-    outdeg = [0] * len(g.vertices)
-    for t, h in g.edges:
-        if t != h:
-            indeg[idx[h]] += 1
-            outdeg[idx[t]] += 1
-    ranges = [(-o, i) for o, i in zip(outdeg, indeg)]
-    return _slice_cells(g, incidence_matrix(g), ranges)
-
-
-def _build_mod_tension(g):
-    basis = cycle_basis(g)
-    ranges = [(-sum(x == -1 for x in c), sum(x == 1 for x in c))
-              for c in basis]
-    return _slice_cells(g, basis, ranges)
-
-
+# kind: (candidate generator, the matrix it is fed, oracle, degree)
 _SPECS = {
-    "chromatic": (_build_chromatic, chromatic_bf,
+    "chromatic": (_chromatic, incidence_matrix, chromatic_bf,
                   lambda g: len(g.vertices)),
-    "flow": (_build_int_flow, int_flow_bf,
+    "flow": (_boxes, incidence_matrix, int_flow_bf,
              lambda g: g.cyclomatic_number()),
-    "modflow": (_build_mod_flow, mod_flow_bf,
+    "modflow": (_slices, incidence_matrix, mod_flow_bf,
                 lambda g: g.cyclomatic_number()),
-    "tension": (_build_int_tension, int_tension_bf,
+    "tension": (_boxes, cycle_basis, int_tension_bf,
                 lambda g: g.tension_rank()),
-    "modtension": (_build_mod_tension, mod_tension_bf,
+    "modtension": (_slices, cycle_basis, mod_tension_bf,
                    lambda g: g.tension_rank()),
 }
 
@@ -188,24 +148,24 @@ def _spec(kind):
 
 def degree_bound(kind, g):
     """Degree of the counting polynomial; also the cell dimension."""
-    return _spec(kind)[2](g)
+    return _spec(kind)[3](g)
 
 
 def oracle(kind, g, k):
     """The brute-force count the construction must reproduce."""
-    return _spec(kind)[1](g, k)
+    return _spec(kind)[2](g, k)
 
 
 @lru_cache(maxsize=None)
 def build_family(kind, g):
-    builder, _, bound = _spec(kind)
-    labels, relative = builder(g)
+    generator, matrix, _, bound = _spec(kind)
+    labels, relative = _cells(*generator(g, matrix(g)))
     expected = bound(g)
     for cell in relative.complex.maximal_cells:
         if cell.dim != expected:
             raise InvariantError(
                 f"{kind} cell of dimension {cell.dim}, expected {expected}")
-    return CellFamily(kind, g, labels, relative)
+    return CellFamily(labels, relative)
 
 
 METHODS = ("brute", "geometric", "hilbert")

@@ -104,20 +104,28 @@ def polytope_from_json(data):
 
 # -- relative complexes -------------------------------------------------------
 
-def complex_to_json(rel):
-    """Vertex table plus the maximal cells of C and of C' as index lists."""
-    table = sorted({v for c in rel.complex.maximal_cells for v in c.vertices}
-                   | {v for c in rel.sub.maximal_cells for v in c.vertices})
+def cells_to_json(cells, sub_cells):
+    """Vertex table plus two collections of cells as sorted index lists.
+
+    A cell is a collection of lattice points (the vertices of a polytope or
+    of a simplex); "sub_faces" is written only when sub_cells is nonempty.
+    """
+    table = sorted({v for c in (*cells, *sub_cells) for v in c})
     index = {v: i for i, v in enumerate(table)}
 
-    def rows(cx):
-        return sorted(sorted(index[v] for v in c.vertices)
-                      for c in cx.maximal_cells)
+    def rows(cs):
+        return sorted(sorted(index[v] for v in c) for c in cs)
 
-    out = {"vertices": [list(v) for v in table], "faces": rows(rel.complex)}
-    if not rel.sub.is_empty:
-        out["sub_faces"] = rows(rel.sub)
+    out = {"vertices": [list(v) for v in table], "faces": rows(cells)}
+    if sub_cells:
+        out["sub_faces"] = rows(sub_cells)
     return out
+
+
+def complex_to_json(rel):
+    """The maximal cells of C and of C' by cells_to_json."""
+    return cells_to_json([c.vertices for c in rel.complex.maximal_cells],
+                         [c.vertices for c in rel.sub.maximal_cells])
 
 
 def _cells_from_rows(rows, table, what):

@@ -14,7 +14,6 @@ point-variable table is all there is, no ring arithmetic happens anywhere.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .complexes import PolytopalComplex, RelativeComplex
 from .exact import InvariantError, LinearSystem, lp_feasible
@@ -162,7 +161,7 @@ def minimal_representatives(rel, k, order=GREVLEX):
     for z in targets:
         if z[-1] != k:
             raise InvariantError(f"{z} is not at height {k}")
-        face = cx.minimal_face_at(tuple(Fraction(c, k) for c in z))
+        face = cx.minimal_face_at(z, k)
         sol = _minimal_representation(sorted(face.lattice_points()), z, order)
         if sol is None:
             raise NormalityError(

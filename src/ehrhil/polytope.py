@@ -430,18 +430,16 @@ class LatticePolytope:
                 return False
         return True
 
-    def normality_counterexample(self, k_max=None):
+    def normality_counterexample(self):
         """First (k, point) where k-fold sums of height-1 points fall short.
 
         Checking degrees up to max(2, dim - 1) decides normality: beyond
         dim - 1 the dilate points are always sums of lower ones.  Returns
         None when the polytope is normal.
         """
-        if k_max is None:
-            k_max = max(2, self.dim - 1)
         base = set(self.lattice_points(1))
         level = base
-        for k in range(2, k_max + 1):
+        for k in range(2, max(2, self.dim - 1) + 1):
             sums = {tuple(p[i] + q[i] for i in range(self.ambient_dim))
                     for p in level for q in base}
             target = self.lattice_points(k)
@@ -451,8 +449,8 @@ class LatticePolytope:
             level = set(target)
         return None
 
-    def is_normal(self, k_max=None):
-        return self.normality_counterexample(k_max) is None
+    def is_normal(self):
+        return self.normality_counterexample() is None
 
     # -- pulling triangulations --------------------------------------------------
 
@@ -464,7 +462,11 @@ class LatticePolytope:
         lowest lattice point v is coned over the pulling of every facet that
         misses v.
         """
-        pts = self.lattice_points()
+        return self._pull(rank, self.lattice_points())
+
+    def _pull(self, rank, pts):
+        # a facet's lattice points are the points p of pts with a.p == b, so
+        # one walk of this polytope's box serves the whole recursion
         if self.is_simplex() and len(pts) == len(self.vertices):
             return [self.vertices]
         v = min(pts, key=rank.__getitem__)
@@ -472,7 +474,8 @@ class LatticePolytope:
         for (a, b), tight in zip(self.facets, self._facet_vertex_sets):
             if dot(a, v) == b:
                 continue
-            for cell in self.face(tight).pull_maximal_simplices(rank):
+            on = [p for p in pts if dot(a, p) == b]
+            for cell in self.face(tight)._pull(rank, on):
                 cells.append(tuple(sorted({*cell, v})))
         return cells
 

@@ -1,11 +1,13 @@
 """Geometric counting complexes against the enumeration oracles."""
 
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from test_graphs import graphs
 
+from ehrhil import constructions, polytope
 from ehrhil.complexes import PolytopalComplex
 from ehrhil.constructions import (
     KINDS,
@@ -126,6 +128,35 @@ class TestComplexStructure:
         assert degree_bound("modflow", THETA) == 2
         assert degree_bound("tension", P3) == 2
         assert degree_bound("modtension", LOOP) == 0
+
+
+class TestLPCounts:
+    def test_suite_builds_make_the_pinned_lp_calls(self, suite, monkeypatch):
+        # filter LPs in the candidate loop, certify LPs in
+        # from_inequalities, vertex LPs in the vertex extraction
+        calls = Counter()
+
+        def counting(module, name, tag):
+            fn = getattr(module, name)
+
+            def counted(*args):
+                calls[tag] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(constructions, "lp_feasible", "filter")
+        counting(polytope, "lp_feasible", "vertex")
+        counting(polytope, "lp_maximize", "certify")
+        build_family.cache_clear()
+        try:
+            cells = sum(len(build_family(kind, g).relative.complex
+                            .maximal_cells)
+                        for g in suite.values() for kind in KINDS)
+        finally:
+            build_family.cache_clear()
+        assert dict(calls) == {"filter": 996, "certify": 1434, "vertex": 246}
+        assert cells == 216
 
 
 class TestHilbertRoute:

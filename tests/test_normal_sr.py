@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from ehrhil.complexes import PolytopalComplex, RelativeComplex
 from ehrhil.constructions import build_family, oracle
+from ehrhil.exact import dot
 from ehrhil.graphs import complete_graph
 from ehrhil.normal_sr import (
     GREVLEX,
@@ -195,6 +196,30 @@ class TestAgainstGeometry:
         lifted = homogenize(build_family("chromatic", g).relative)
         for k in (1, 2, 3, 4):
             assert hilbert_normal(lifted, k) == oracle("chromatic", g, k)
+
+
+class TestMinimalFace:
+    @pytest.mark.parametrize("name, kind", [
+        ("K3", "chromatic"), ("theta", "flow"), ("C4", "modtension"),
+        ("C4", "tension")])
+    def test_target_lies_in_the_relative_interior(self, name, kind, suite):
+        # the face containing z/k in its relative interior is unique, so
+        # this pins minimal_face_at without forming a rational point
+        rel = homogenize(build_family(kind, suite[name]).relative)
+        seen = 0
+        for k in (1, 2, 3):
+            targets = rel.complex.lattice_points(k) - rel.sub.lattice_points(k)
+            seen += len(targets)
+            for z in targets:
+                face = rel.complex.minimal_face_at(z, k)
+                assert face.contains(z, k), (z, k)
+                assert all(dot(a, z) < k * b for a, b in face.facets), (z, k)
+        assert seen
+
+    def test_outside_point(self):
+        rel = segment_pair()
+        assert rel.complex.minimal_face_at((3, 1), 1) is None
+        assert rel.complex.minimal_face_at((2, 1), 1).vertices == ((2, 1),)
 
 
 class TestNormalityRejection:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ehrhil.polytope as polytope_module
 from ehrhil.constructions import KINDS, build_family
 from ehrhil.exact import LinearSystem, dot, lp_feasible, smith_normal_form
 from ehrhil.polytope import (
@@ -258,6 +259,29 @@ class TestPulling:
             restricted = {f for f in all_faces
                           if all(facet.contains(p) for p in f)}
             assert sub_faces == restricted
+
+    @pytest.mark.parametrize("points", [
+        [(0, 0), (2, 0), (0, 2)],
+        [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)],
+        list(itertools.product((0, 1, 2), repeat=3)),
+    ])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_one_walk_per_pulling(self, points, reverse, monkeypatch):
+        # the faces the recursion visits take their points from the
+        # polytope's own list instead of walking their boxes again
+        box = sorted(itertools.product(range(3), repeat=len(points[0])),
+                     reverse=reverse)
+        rank = {p: i for i, p in enumerate(box)}
+        walks = []
+        walk = polytope_module._walk
+
+        def counting_walk(*args):
+            walks.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(polytope_module, "_walk", counting_walk)
+        LatticePolytope(points).pull_maximal_simplices(rank)
+        assert len(walks) == 1
 
 
 def small_polytopes():
