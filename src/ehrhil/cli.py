@@ -315,16 +315,11 @@ def main(argv=None):
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except CheckFailure as exc:
+    except (CheckFailure, NormalityError, IntegralityError,
+            NotCompressedError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except (NormalityError, IntegralityError, NotCompressedError) as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 1
-    except io.InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # io.InputError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

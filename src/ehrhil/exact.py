@@ -7,10 +7,15 @@ are cut out by integer rows; each entry point checks once that every entry
 is an `int` and raises ValueError naming the first that is not.
 
 Matrices are plain lists of lists in row major order; vectors are lists or
-tuples.  The structured pieces are `LinearSystem` (a block of equalities,
-weak inequalities and strict inequalities), the LP entry points
-`lp_feasible` and `lp_maximize`, and `fourier_motzkin_feasible`, an
-independent elimination based feasibility test used to cross check them.
+tuples.  One integer elimination, `column_echelon`, brings a matrix to
+column echelon form by unimodular column operations; `det`,
+`rational_rank` and `integer_kernel` read their answers off it.  `rref`,
+`rational_kernel` and `solve_rational` eliminate over Fraction and serve
+the tests as independent references.  The structured pieces are
+`LinearSystem` (a block of equalities, weak inequalities and strict
+inequalities), the LP entry points `lp_feasible` and `lp_maximize`, and
+`fourier_motzkin_feasible`, an independent elimination based feasibility
+test used to cross check them.
 
 Both LP entry points share one two phase simplex with Bland's rule.  It
 keeps an integer tableau T and one common denominator d > 0, the rational
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 
 class InvariantError(RuntimeError):
@@ -57,15 +62,6 @@ def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    if not a:
-        return []
-    inner = len(b)
-    cols = len(b[0]) if b else 0
-    return [[sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)]
-            for row in a]
-
-
 def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
@@ -88,130 +84,65 @@ def canonical_direction(vec):
     return red
 
 
-def _bareiss(m):
-    """Fraction-free elimination with row swaps: (rank, signed last pivot).
+def column_echelon(m, ncols):
+    """Unimodular column reduction of an integer matrix: (pivots, sign, u).
 
-    Every entry stays a minor of the input (Bareiss 1968), so each division
-    is exact; a square matrix of full rank skips no column, so its signed
-    last pivot is its determinant.
+    Row by row, Euclid's algorithm on the columns past the earlier pivots
+    (swap the least nonzero entry to the pivot seat, reduce the others by
+    it, repeat) leaves one nonzero entry, the row's pivot, or none.  This is
+    the Hermite normal form without its off-diagonal reduction (Cohen 1993,
+    section 2.4).  `u` holds the columns of a unimodular matrix U, and
+    sign = det U.  In m U the pivots sit on a staircase in the first
+    len(pivots) columns, with zeros above them, and the other columns are
+    zero.
     """
     a = _int_matrix(m)
-    rank, prev, sign = 0, 1, 1
-    for c in range(len(a[0]) if a else 0):
-        pivot_row = next((i for i in range(rank, len(a)) if a[i][c]), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != rank:
-            a[rank], a[pivot_row] = a[pivot_row], a[rank]
-            sign = -sign
-        top = a[rank]
-        p = top[c]
-        for i in range(rank + 1, len(a)):
-            f = a[i][c]
-            a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], top)]
-        prev = p
-        rank += 1
-        if rank == len(a):
-            break
-    return rank, sign * prev
+    cols = [[row[j] for row in a] + [int(i == j) for i in range(ncols)]
+            for j in range(ncols)]
+    pivots, sign = [], 1
+    for i in range(len(a)):
+        r = len(pivots)
+        while True:
+            live = [j for j in range(r, ncols) if cols[j][i]]
+            if not live:
+                break
+            j = min(live, key=lambda j: abs(cols[j][i]))
+            if j != r:
+                cols[r], cols[j] = cols[j], cols[r]
+                sign = -sign
+            if len(live) == 1:
+                pivots.append(cols[r][i])
+                break
+            piv = cols[r]
+            p = piv[i]
+            for j in range(r + 1, ncols):
+                q = cols[j][i] // p
+                if q:
+                    cols[j] = [x - q * y for x, y in zip(cols[j], piv)]
+    return pivots, sign, [col[len(a):] for col in cols]
 
 
 def det(m):
     """Exact determinant of a square integer matrix."""
     if any(len(row) != len(m) for row in m):
         raise ValueError("det needs a square matrix")
-    rank, last = _bareiss(m)
-    return last if rank == len(m) else 0
+    pivots, sign, _ = column_echelon(m, len(m))
+    return sign * prod(pivots) if len(pivots) == len(m) else 0
 
 
-def smith_normal_form(m):
-    """Diagonalize an integer matrix by unimodular row and column operations.
-
-    Returns (s, left, right) with left * m * right == s, s diagonal with
-    non-negative entries d0 | d1 | ... and |det(left)| = |det(right)| = 1.
-    """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a = _int_matrix(m)
-    left = identity_matrix(rows)
-    right = identity_matrix(cols)
-
-    def row_sub(i, j, q):
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        left[i] = [x - q * y for x, y in zip(left[i], left[j])]
-
-    def col_sub(i, j, q):
-        for r in a:
-            r[i] -= q * r[j]
-        for r in right:
-            r[i] -= q * r[j]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in right:
-            r[i], r[j] = r[j], r[i]
-
-    def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        left[i] = [-x for x in left[i]]
-
-    for t in range(min(rows, cols)):
-        while True:
-            # move the submatrix entry of least magnitude to the pivot seat
-            best = None
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    if a[i][j] != 0 and (best is None
-                                         or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                break
-            if best[0] != t:
-                row_swap(t, best[0])
-            if best[1] != t:
-                col_swap(t, best[1])
-            p = a[t][t]
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    row_sub(i, t, a[i][t] // p)
-                    if a[i][t]:
-                        dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    col_sub(j, t, a[t][j] // p)
-                    if a[t][j]:
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide the rest of the submatrix for the chain d0 | d1 | ...
-            bad = next((i for i in range(t + 1, rows)
-                        for j in range(t + 1, cols) if a[i][j] % p), None)
-            if bad is None:
-                break
-            row_sub(t, bad, -1)
-        if t < rows and t < cols and a[t][t] < 0:
-            row_neg(t)
-    return a, left, right
+def rational_rank(rows):
+    """Rank over the rationals of an integer matrix: the pivot count."""
+    return len(column_echelon(rows, len(rows[0]) if rows else 0)[0])
 
 
 def integer_kernel(m, ncols=None):
-    """Lattice basis of {z integer : m z = 0} via the Smith form."""
+    """Lattice basis of {z integer : m z = 0}: U's columns past the pivots."""
     if ncols is None:
         if not m:
             raise ValueError("ncols required for a matrix with no rows")
         ncols = len(m[0])
-    if not m:
-        return [tuple(row) for row in identity_matrix(ncols)]
-    s, _left, right = smith_normal_form(m)
-    rows = len(s)
-    free = [j for j in range(ncols) if j >= rows or s[j][j] == 0]
-    return [tuple(right[i][j] for i in range(ncols)) for j in free]
+    pivots, _, u = column_echelon(m, ncols)
+    return [tuple(col) for col in u[len(pivots):]]
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +177,6 @@ def rref(rows):
         if r == len(a):
             break
     return a, pivots
-
-
-def rational_rank(rows):
-    """Rank over the rationals of an integer matrix: the pivot count."""
-    return _bareiss(rows)[0]
 
 
 def rational_kernel(rows, ncols=None):

@@ -2,8 +2,8 @@
 
 A polytope is the convex hull of finitely many integer points.  Everything
 derived from it (affine hull, facets, faces, lattice points in dilates,
-triangulations) is computed over exact integers and rationals; ranks by
-fraction-free elimination.
+triangulations) is computed over exact integers and rationals; ranks,
+kernel lattices and unimodularity by one unimodular column reduction.
 
 The facet description of a polytope built from points is recovered from
 the points directly: every subset of vertices of size dim that spans a
@@ -24,14 +24,13 @@ from functools import cached_property
 from .exact import (
     LinearSystem,
     canonical_direction,
-    det,
+    column_echelon,
     dot,
     integer_kernel,
     lp_feasible,
     lp_maximize,
     rational_rank,
     reduce_content,
-    smith_normal_form,
 )
 
 
@@ -46,25 +45,21 @@ def affine_rank(points):
         return -1
     p0 = pts[0]
     dirs = [[p[i] - p0[i] for i in range(len(p0))] for p in pts[1:]]
-    return rational_rank(dirs) if dirs else 0
+    return rational_rank(dirs)
 
 
 def simplex_is_unimodular(points):
     """Edge vectors form a basis of the lattice inside the affine hull.
 
-    A full-dimensional simplex is unimodular when its edge determinant is
-    +-1.  In general all invariant factors of the edge matrix must be 1,
-    which covers lower dimensional simplices in a larger ambient space too.
+    That holds when the edge rows are independent and the gcd of their
+    maximal minors is 1.  A unimodular column reduction keeps that gcd,
+    which is then the product of the pivots, so every pivot must be +-1.
     """
     pts = list(points)
     p0 = pts[0]
     rows = [[p[i] - p0[i] for i in range(len(p0))] for p in pts[1:]]
-    if not rows:
-        return True
-    if len(rows) == len(p0):
-        return abs(det(rows)) == 1
-    s, _, _ = smith_normal_form(rows)
-    return all(s[i][i] == 1 for i in range(len(rows)))
+    pivots, _, _ = column_echelon(rows, len(p0))
+    return len(pivots) == len(rows) and all(abs(p) == 1 for p in pivots)
 
 
 def _walk(cons, box, out=None):
@@ -159,13 +154,10 @@ class LatticePolytope:
         self.ambient_dim = n = len(pts[0])
         p0 = pts[0]
         dirs = [[p[i] - p0[i] for i in range(n)] for p in pts[1:]]
-        self.dim = rational_rank(dirs) if dirs else 0
-        eqs = []
-        if self.dim < n:
-            for a in integer_kernel(dirs, ncols=n):
-                a = canonical_direction(reduce_content(a))
-                eqs.append((tuple(a), dot(a, p0)))
-        self.hull_equalities = tuple(sorted(eqs))
+        pivots, _, u = column_echelon(dirs, n)
+        self.dim = len(pivots)
+        self.hull_equalities = tuple(sorted(
+            (a, dot(a, p0)) for a in map(canonical_direction, u[self.dim:])))
         self._face_cache = {}
         self._points_cache = {}
 
@@ -195,13 +187,12 @@ class LatticePolytope:
         for sub in itertools.combinations(verts, self.dim):
             s0 = sub[0]
             rows = [[q[i] - s0[i] for i in range(n)] for q in sub[1:]]
-            if rows and rational_rank(rows) != self.dim - 1:
+            # one elimination gives the rank and the kernel lattice
+            pivots, _, u = column_echelon(rows, n)
+            if len(pivots) != self.dim - 1:
                 continue
-            normal = None
-            for cand in integer_kernel(rows, ncols=n):
-                if len({dot(cand, v) for v in verts}) > 1:
-                    normal = cand
-                    break
+            normal = next((cand for cand in u[len(pivots):]
+                           if len({dot(cand, v) for v in verts}) > 1), None)
             if normal is None:
                 continue
             b = dot(normal, s0)

@@ -1,4 +1,9 @@
-"""Exact linear algebra: Smith form, rational solving, feasibility."""
+"""Exact linear algebra: the column echelon, rational solving, feasibility.
+
+The references here (Leibniz determinants, minor gcds, `rref`) share no
+code with `column_echelon`, which `det`, `rational_rank` and
+`integer_kernel` wrap.
+"""
 
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -10,31 +15,17 @@ from hypothesis import given, settings, strategies as st
 from ehrhil import exact
 from ehrhil.exact import (
     LinearSystem,
+    column_echelon,
     det,
     fourier_motzkin_feasible,
     integer_kernel,
     lp_feasible,
     lp_maximize,
-    mat_mul,
     rational_rank,
     reduce_content,
     rref,
-    smith_normal_form,
     solve_rational,
 )
-
-
-def minors_gcd(m, size):
-    """gcd of all size x size minors, the classical invariant behind the
-    Smith diagonal: d_1 * ... * d_k = gcd of k x k minors."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    g = 0
-    for ri in combinations(range(rows), size):
-        for ci in combinations(range(cols), size):
-            sub = [[m[i][j] for j in ci] for i in ri]
-            g = gcd(g, abs(det(sub)))
-    return g
 
 
 def leibniz(m):
@@ -47,9 +38,46 @@ def leibniz(m):
     return total
 
 
+def minors_gcd(m, size):
+    """gcd of all size x size minors, each by Leibniz; the product of the
+    first `size` invariant factors of m."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    g = 0
+    for ri in combinations(range(rows), size):
+        for ci in combinations(range(cols), size):
+            sub = [[m[i][j] for j in ci] for i in ri]
+            g = gcd(g, abs(leibniz(sub)))
+    return g
+
+
 SQUARE_MATRICES = st.integers(0, 4).flatmap(lambda n: st.lists(
     st.lists(st.integers(-5, 5), min_size=n, max_size=n),
     min_size=n, max_size=n))
+
+
+# (n, m): an integer matrix with n columns and up to three rows
+MATRICES = st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=3)))
+
+
+class TestColumnEchelon:
+    @settings(max_examples=150, deadline=None)
+    @given(MATRICES)
+    def test_unimodular_reduction(self, n_m):
+        n, m = n_m
+        pivots, sign, u = column_echelon(m, n)
+        assert leibniz([list(row) for row in zip(*u)]) == sign in (1, -1)
+        # m U, column j being m times the j-th column of U
+        mu = [[sum(c * v for c, v in zip(row, col)) for col in u] for row in m]
+        r = 0
+        for row in mu:
+            # zero past the pivots so far; a pivot opens the next column
+            if r < n and row[r]:
+                assert row[r] == pivots[r]
+                r += 1
+            assert not any(row[r:])
+        assert r == len(pivots) == len(rref(m)[1])
 
 
 class TestDet:
@@ -75,7 +103,7 @@ NOT_INTS = {"fraction_half": Fraction(1, 2), "fraction_two": Fraction(2),
 ENTRY_POINTS = {
     "det": lambda v: det([[1, v], [0, 1]]),
     "rational_rank": lambda v: rational_rank([[1, v]]),
-    "smith_normal_form": lambda v: smith_normal_form([[1, v]]),
+    "integer_kernel": lambda v: integer_kernel([[1, v]]),
     "eq": lambda v: LinearSystem(1, eq=[((1,), v)]),
     "le": lambda v: LinearSystem(1, le=[((1,), v)]),
     "lt": lambda v: LinearSystem(1, lt=[((1,), v)]),
@@ -101,53 +129,6 @@ class TestIntegerInput:
     def test_reduce_content_refuses(self, value):
         with pytest.raises(TypeError):
             reduce_content((NOT_INTS[value], 1))
-
-
-class TestSmithNormalForm:
-    def test_identity(self):
-        s, left, right = smith_normal_form([[1, 0], [0, 1]])
-        assert s == [[1, 0], [0, 1]]
-
-    def test_diag_2_3(self):
-        m = [[2, 0], [0, 3]]
-        s, left, right = smith_normal_form(m)
-        assert [s[0][0], s[1][1]] == [1, 6]
-        assert mat_mul(mat_mul(left, m), right) == s
-        # invariant factors from gcds of minors, computed independently
-        assert minors_gcd(m, 1) == 1
-        assert minors_gcd(m, 2) == 6
-
-    def test_zero_matrix(self):
-        s, _, _ = smith_normal_form([[0, 0], [0, 0]])
-        assert s == [[0, 0], [0, 0]]
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=4),
-                    min_size=1, max_size=3).filter(
-                        lambda rows: len({len(r) for r in rows}) == 1))
-    def test_reconstruction(self, m):
-        s, left, right = smith_normal_form(m)
-        assert mat_mul(mat_mul(left, m), right) == s
-        assert abs(det(left)) == 1
-        assert abs(det(right)) == 1
-        diag = [s[i][i] for i in range(min(len(s), len(s[0])))]
-        assert all(d >= 0 for d in diag)
-        for a, b in zip(diag, diag[1:]):
-            if a:
-                assert b % a == 0
-            else:
-                assert b == 0
-        for i, row in enumerate(s):
-            for j, v in enumerate(row):
-                if i != j:
-                    assert v == 0
-        # diagonal entries match the minor gcd ladder
-        prod = 1
-        for k, d in enumerate(diag, start=1):
-            prod *= d
-            assert prod == minors_gcd(m, k)
-            if d == 0:
-                break
 
 
 class TestRationalSolve:
@@ -227,6 +208,19 @@ class TestIntegerKernel:
             for row in m:
                 assert sum(c * v for c, v in zip(row, vec)) == 0
         assert len(basis) == n - rational_rank(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(MATRICES)
+    def test_saturated_lattice_basis(self, n_m):
+        # a basis of the whole kernel lattice, not of a sublattice: its
+        # maximal minors have gcd 1 (an empty basis has the empty minor 1)
+        n, m = n_m
+        basis = integer_kernel(m, ncols=n)
+        for vec in basis:
+            for row in m:
+                assert sum(c * v for c, v in zip(row, vec)) == 0
+        assert len(basis) == n - len(rref(m)[1])
+        assert minors_gcd(basis, len(basis)) == 1
 
 
 class TestLpFeasible:

@@ -1,15 +1,22 @@
-"""AST scans of the sources: unused imports, and `assert` in the library.
+"""AST scans of the sources: unused imports, dead definitions, and `assert`
+in the library.
 
 A name counts as used when it appears as an identifier anywhere in the
 importing file (a bare name, or the root of an attribute chain).  Package
 ``__init__.py`` files re-export their imports and ``from __future__``
 imports switch on language features, so both are exempt.
 
+Every top-level function and class of the library must be named somewhere
+outside its own definition, in the library, the scripts, the tests or the
+benchmark; a reference implementation that tests check a fast path against
+counts as named.
+
 The library and scripts raise typed errors instead of asserting, because
 ``python -O`` strips assert statements; tests may assert.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -20,6 +27,10 @@ SOURCES = sorted(
     for folder in ("src/ehrhil", "scripts", "tests")
     for path in (ROOT / folder).rglob("*.py")
     if path.name != "__init__.py")
+EVERY_SOURCE = sorted(
+    path
+    for folder in ("src/ehrhil", "scripts", "tests", "perfbench")
+    for path in (ROOT / folder).rglob("*.py"))
 LIBRARY = sorted(
     path
     for folder in ("src/ehrhil", "scripts")
@@ -80,3 +91,57 @@ def test_scan_finds_an_assert():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_assert_in_library(path):
     assert assert_lines(path.read_text()) == []
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def mentioned(node):
+    """Names a piece of syntax refers to: identifiers, attributes, imported
+    names, and string constants, since ``getattr`` and the benchmark's
+    tracer look attributes up by name."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.update(sub.name.split("."))
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.add(sub.value)
+    return names
+
+
+def dead_definitions(sources, library):
+    """(file, line, name) of each top-level function or class of the files
+    in `library` that no file of `sources` (file -> source) names outside
+    the definition itself."""
+    namers = defaultdict(set)  # name -> (file, top-level def or None)
+    defs = []
+    for label, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = stmt.name if isinstance(stmt, DEFINITIONS) else None
+            if own and label in library:
+                defs.append((label, stmt.lineno, own))
+            for name in mentioned(stmt):
+                namers[name].add((label, own))
+    return [(label, line, name) for label, line, name in defs
+            if not namers[name] - {(label, name)}]
+
+
+def test_scan_finds_a_dead_definition():
+    lib = ("def used():\n    return 1\n"
+           "def recursive(n):\n    return recursive(n - 1)\n"
+           "def by_string():\n    pass\n"
+           "class Dead:\n    pass\n")
+    other = "from lib import used\ngetattr(lib, 'by_string')()\n"
+    assert dead_definitions({"lib": lib, "other": other}, {"lib"}) == [
+        ("lib", 3, "recursive"), ("lib", 7, "Dead")]
+
+
+def test_no_dead_definitions():
+    sources = {str(path.relative_to(ROOT)): path.read_text()
+               for path in EVERY_SOURCE}
+    library = {label for label in sources if label.startswith("src/")}
+    assert dead_definitions(sources, library) == []

@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 import ehrhil.polytope as polytope_module
 from ehrhil.constructions import KINDS, build_family
-from ehrhil.exact import LinearSystem, dot, lp_feasible, smith_normal_form
+from ehrhil.exact import LinearSystem, dot, lp_feasible
 from ehrhil.polytope import (
     IntegralityError,
     LatticePolytope,
     affine_rank,
     simplex_is_unimodular,
 )
+from test_exact import minors_gcd
 
 SQUARE = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
 CUBE = LatticePolytope(itertools.product((0, 1), repeat=3))
@@ -176,18 +177,19 @@ class TestPredicates:
         assert simplex_is_unimodular([(0, 0), (1, 1)])
         assert not simplex_is_unimodular([(0, 0), (2, 0)])
         assert not simplex_is_unimodular(REEVE.vertices)
+        # more points than a simplex has
+        assert not simplex_is_unimodular([(0, 0), (1, 0), (0, 1), (1, 1)])
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda n: st.lists(
         st.tuples(*[st.integers(-2, 2)] * n), min_size=n + 1,
         max_size=n + 1)))
     def test_unimodular_determinant_matches_smith_form(self, pts):
-        # a full-dimensional simplex is decided by its determinant; the
-        # Smith form, which lower dimensional simplices still take, agrees
+        # the edge rows span the hull lattice exactly when every Smith
+        # invariant factor is 1, that is when the gcd of their maximal
+        # minors is 1; the minors are Leibniz sums, not eliminations
         rows = [[p - q for p, q in zip(v, pts[0])] for v in pts[1:]]
-        s, _, _ = smith_normal_form(rows)
-        smith = all(s[i][i] == 1 for i in range(len(rows)))
-        assert simplex_is_unimodular(pts) == smith
+        assert simplex_is_unimodular(pts) == (minors_gcd(rows, len(rows)) == 1)
 
     def test_two_level(self):
         assert SQUARE.is_two_level()
