@@ -45,7 +45,6 @@ from .srideal import (
     comb,
     hilbert_by_enumeration,
     hilbert_from_f,
-    minimal_nonfaces,
     realize_polynomial,
 )
 
@@ -82,7 +81,6 @@ __all__ = [
     "int_flow_bf",
     "int_tension_bf",
     "interpolate",
-    "minimal_nonfaces",
     "minimal_representatives",
     "mod_flow_bf",
     "mod_tension_bf",

@@ -22,7 +22,11 @@ silently rounded: the matrices involved are totally unimodular, and
 
 `certify` checks one counting function three ways on one graph: brute-force
 enumeration, the lattice points of the relative complex, and the Hilbert
-function of its pulled triangulation must agree at every sampled k.
+function of its pulled triangulation must agree at every sampled k.  Before
+pulling, every maximal cell must be two-level (width one on each facet).
+Two-level lattice polytopes are exactly the compressed ones (Sullivant
+2006, Thm 2.4): every pulling triangulation of them is unimodular, so the
+Hilbert route gives one f-vector whatever the pulling order.
 """
 
 import itertools
@@ -213,6 +217,13 @@ def _method_values(method, kind, g, ks):
     rel = build_family(kind, g).relative
     if method == "geometric":
         return tuple(rel.count_points(k) for k in ks)
+    # two-level cells are compressed: any pulling order gives this f-vector
+    for cell in rel.complex.maximal_cells:
+        if not cell.is_two_level():
+            raise CheckFailure(
+                f"{kind}: cell {list(cell.vertices)} is not two-level, so not "
+                f"compressed; the Hilbert route could depend on the pulling "
+                f"order")
     f = rel.pulled_f_vector()
     return tuple(hilbert_from_f(f, k) for k in ks)
 

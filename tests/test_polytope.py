@@ -110,8 +110,8 @@ class TestLatticePoints:
         assert seg.lattice_points(3) == tuple((i, i) for i in range(7))
 
     def test_reeve_is_empty(self):
+        assert REEVE.is_simplex()
         assert REEVE.lattice_points(1) == REEVE.vertices
-        assert REEVE.is_empty_simplex()
 
     def test_count_open_faces(self):
         # Ehrhart-Macdonald on the square: open square (k-1)^2, open edge
@@ -206,13 +206,10 @@ class TestPredicates:
 
     def test_reeve_not_normal(self):
         assert REEVE.normality_counterexample() == (2, (1, 1, 1))
-        assert not REEVE.is_normal()
 
     def test_normal_examples(self):
-        assert SQUARE.is_normal()
-        assert CUBE.is_normal()
-        assert TRIANGLE.is_normal()
-        assert SEGMENT2.is_normal()
+        for p in (SQUARE, CUBE, TRIANGLE, SEGMENT2):
+            assert p.normality_counterexample() is None
 
 
 class TestPulling:

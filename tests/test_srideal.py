@@ -13,13 +13,11 @@ from ehrhil.srideal import (
     comb,
     hilbert_by_enumeration,
     hilbert_from_f,
-    minimal_nonfaces,
     realize_polynomial,
 )
 
 FULL = AbstractComplex.from_maximal("abc", ["abc"])
 BOUNDARY = AbstractComplex.from_maximal("abc", ["ab", "bc", "ac"])
-TWO_EDGES = AbstractComplex.from_maximal("abcd", ["ab", "cd"])
 
 
 class TestAbstractComplex:
@@ -45,18 +43,6 @@ class TestAbstractComplex:
     def test_comb_of_triangle(self):
         tri = realize_polynomial((0, 0, 1)).pulled_pair()[0]
         assert comb(tri).f_vector() == (3, 3, 1)
-
-
-class TestMinimalNonfaces:
-    def test_full_simplex(self):
-        assert minimal_nonfaces(FULL) == []
-
-    def test_triangle_boundary(self):
-        assert minimal_nonfaces(BOUNDARY) == [frozenset("abc")]
-
-    def test_two_disjoint_edges(self):
-        assert sorted(map(sorted, minimal_nonfaces(TWO_EDGES))) == [
-            ["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]]
 
 
 class TestHilbertFromF:
