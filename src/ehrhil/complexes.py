@@ -229,9 +229,13 @@ class PolytopalComplex:
 
     def faces_in_hyperplanes(self, planes):
         """Subcomplex of all faces lying inside one of the given hyperplanes."""
-        selected = [vs for vs in self.all_faces
-                    if any(all(dot(a, v) == b for v in vs) for a, b in planes)]
-        kept = [vs for vs in selected if not any(vs < big for big in selected)]
+        # largest first, so a strict superset comes earlier; a face inside a
+        # kept one lies in its plane and is skipped, the rest are maximal
+        kept = []
+        for vs in sorted(self.all_faces, key=len, reverse=True):
+            if not any(vs < big for big in kept) and any(
+                    all(dot(a, v) == b for v in vs) for a, b in planes):
+                kept.append(vs)
         return PolytopalComplex([self.all_faces[vs].face(vs) for vs in kept],
                                 ambient_dim=self.ambient_dim)
 

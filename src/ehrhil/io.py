@@ -60,9 +60,10 @@ def graph_from_json(data):
     if not isinstance(data["edges"], list):
         raise InputError("graph edges must be a list")
     for e in data["edges"]:
-        if not isinstance(e, dict) or set(e) != {"tail", "head"}:
-            raise InputError(
-                'each edge must be an object {"tail": ..., "head": ...}')
+        if (not isinstance(e, dict) or set(e) != {"tail", "head"}
+                or not all(isinstance(v, str) for v in e.values())):
+            raise InputError(f'edge {e!r} is not an object '
+                             '{"tail": ..., "head": ...} of vertex names')
         edges.append((e["tail"], e["head"]))
     try:
         return Graph(tuple(vertices), tuple(edges))

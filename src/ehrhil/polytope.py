@@ -401,18 +401,13 @@ class LatticePolytope:
 
     # -- lattice geometry predicates -------------------------------------------
 
-    def lattice_spacing(self, functional):
-        """Gap between consecutive values of a functional on the hull lattice."""
-        rows = [list(h) for h, _ in self.hull_equalities]
-        g = 0
-        for z in integer_kernel(rows, ncols=self.ambient_dim):
-            g = math.gcd(g, abs(dot(functional, z)))
-        return g
-
     def is_two_level(self):
         """Each facet normal takes exactly two consecutive lattice values."""
-        for (a, b), _ in zip(self.facets, self._facet_vertex_sets):
-            g = self.lattice_spacing(a)
+        # a normal's gap on the hull lattice: the gcd of its values on a basis
+        basis = integer_kernel([list(h) for h, _ in self.hull_equalities],
+                               ncols=self.ambient_dim)
+        for a, b in self.facets:
+            g = math.gcd(*(dot(a, z) for z in basis))
             if sorted({dot(a, v) for v in self.vertices}) != [b - g, b]:
                 return False
         return True

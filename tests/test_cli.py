@@ -53,6 +53,12 @@ class TestCertify:
         assert main(["certify", path]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_edge_endpoint_not_a_name(self, tmp_path, capsys):
+        path = write(tmp_path, "bad.json", {
+            "vertices": ["a", "b"], "edges": [{"tail": ["a"], "head": "b"}]})
+        assert main(["certify", path]) == 2
+        assert "edge {'tail': ['a'], 'head': 'b'}" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["certify", "/nonexistent/graph.json"]) == 2
 

@@ -24,6 +24,7 @@ from ehrhil.complexes import (
 import ehrhil
 from ehrhil.constructions import KINDS, build_family, degree_bound
 from ehrhil.exact import InvariantError, dot
+from ehrhil.graphs import cycle_graph
 from ehrhil.polytope import LatticePolytope
 from ehrhil.srideal import realize_polynomial
 
@@ -125,8 +126,9 @@ def reference_sub(cx, planes):
 
 @pytest.fixture(scope="module")
 def suite_builds(suite):
-    """Every suite pair built afresh: (name, kind, family, polytopes
-    constructed, [(complex, planes, sub) per faces_in_hyperplanes call])."""
+    """Every suite pair, and C5 in all kinds, built afresh: (name, kind,
+    family, polytopes constructed, [(complex, planes, sub) per
+    faces_in_hyperplanes call])."""
     init = LatticePolytope.__init__
     select = PolytopalComplex.faces_in_hyperplanes
     state = {}
@@ -144,7 +146,7 @@ def suite_builds(suite):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(LatticePolytope, "__init__", counting_init)
         mp.setattr(PolytopalComplex, "faces_in_hyperplanes", recording_select)
-        for name, g in suite.items():
+        for name, g in {**suite, "C5": cycle_graph(5)}.items():
             for kind in KINDS:
                 state.update(built=0, calls=[])
                 family = build_family.__wrapped__(kind, g)
@@ -170,6 +172,11 @@ class TestFaceTable:
         ([UNIT_SQUARE, RIGHT_SQUARE, poly((0, 1), (1, 1), (1, 2))],
          [((0, 1), 0), ((1, 0), 2)]),
         ([UNIT_SQUARE, RIGHT_SQUARE], [((0, 0), 0)]),
+        # planes that cut a cell: a diagonal, two opposite corners, and a
+        # diagonal of one square next to an edge shared by both
+        ([UNIT_SQUARE], [((1, -1), 0)]),
+        ([UNIT_SQUARE], [((1, 1), 1)]),
+        ([UNIT_SQUARE, RIGHT_SQUARE], [((1, -1), 1), ((0, 1), 1)]),
     ])
     def test_square_selections_match_reference(self, cells, planes):
         cx = PolytopalComplex.generated_by(cells)

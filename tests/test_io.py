@@ -34,6 +34,8 @@ class TestGraphJson:
         {"vertices": ["a"], "edges": [{"tail": "a"}]},
         {"vertices": ["a"], "edges": [{"tail": "a", "head": "z"}]},
         {"vertices": ["a", "a"], "edges": []},
+        {"vertices": ["a", "b"], "edges": [{"tail": ["a"], "head": "b"}]},
+        {"vertices": ["a", "b"], "edges": [{"tail": "a", "head": {"v": "b"}}]},
     ])
     def test_rejects(self, data):
         with pytest.raises(InputError):

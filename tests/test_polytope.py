@@ -198,6 +198,22 @@ class TestPredicates:
         assert not SEGMENT2.is_two_level()
         assert not CROSS.is_two_level()  # diagonal facets jump by 2
 
+    def test_two_level_reads_the_hull_lattice_once(self, monkeypatch):
+        kernel = polytope_module.integer_kernel
+        calls = []
+
+        def counting_kernel(*args, **kwargs):
+            calls.append(args)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(polytope_module, "integer_kernel", counting_kernel)
+        # full-dimensional with 6 facets, and a square in 3-space with 4
+        flat = LatticePolytope([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
+        for p in (CUBE, flat):
+            calls.clear()
+            assert p.is_two_level()
+            assert len(calls) == 1, len(p.facets)
+
     def test_empty_polytope(self):
         assert SQUARE.is_empty_polytope()
         assert CUBE.is_empty_polytope()
