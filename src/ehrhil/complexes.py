@@ -37,8 +37,8 @@ def _separating_reduction(p, q):
     """Shrink the pair along a hyperplane that has p and q on opposite sides.
 
     Returns ("disjoint", None), ("pair", (fp, fq)) with fp, fq faces and
-    fp cap fq == p cap q, or None when no usable hyperplane exists among
-    the facets and hull equalities of either side.
+    fp cap fq == p cap q, or None when no facet hyperplane of either side
+    has the other side weakly beyond it; _lp_face_check decides those.
     """
     for a_poly, b_poly, swap in ((p, q, False), (q, p, True)):
         for (a, b), tight in zip(a_poly.facets, a_poly._facet_vertex_sets):
@@ -52,20 +52,6 @@ def _separating_reduction(p, q):
                 fa = a_poly.face(tight)
                 fb = b_poly.face(other)
                 return "pair", ((fb, fa) if swap else (fa, fb))
-    for a_poly, b_poly, swap in ((p, q, False), (q, p, True)):
-        for h, c in a_poly.hull_equalities:
-            vals = [dot(h, w) for w in b_poly.vertices]
-            mn, mx = min(vals), max(vals)
-            if mn > c or mx < c:
-                return "disjoint", None
-            # the plane must support b_poly without swallowing it, or the
-            # recursion would not shrink
-            if (mn == c) != (mx == c):
-                level = c
-                other = frozenset(w for w, v in zip(b_poly.vertices, vals)
-                                  if v == level)
-                fb = b_poly.face(other)
-                return "pair", ((fb, a_poly) if swap else (a_poly, fb))
     return None
 
 
@@ -155,17 +141,19 @@ class PolytopalComplex:
 
     @classmethod
     def generated_by(cls, polytopes, ambient_dim=None):
-        """Complex of all faces of the given polytopes (maximal ones kept)."""
+        """Complex of all faces of the given polytopes (maximal ones kept).
+
+        Largest vertex sets first, so a polytope's strict supersets come
+        earlier; a face of a face is a face, so one pass that drops every
+        polytope that is a face of one already kept leaves the maximal
+        cells.  A polytope lying inside another without being its face is
+        kept, and validate() refuses the pair.
+        """
         unique = {frozenset(p.vertices): p for p in polytopes}
-        polys = list(unique.values())
         kept = []
-        for p in polys:
-            # after the dedupe, mutual containment cannot happen
-            contained = any(
-                q is not p and all(q.contains(v) for v in p.vertices)
-                for q in polys)
-            if not contained:
-                kept.append(p)
+        for vs in sorted(unique, key=len, reverse=True):
+            if not any(vs in q.face_vertex_sets for q in kept):
+                kept.append(unique[vs])
         return cls(kept, ambient_dim=ambient_dim)
 
     def __eq__(self, other):

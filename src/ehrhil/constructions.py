@@ -30,6 +30,7 @@ Hilbert route gives one f-vector whatever the pulling order.
 """
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,6 +38,7 @@ from functools import lru_cache
 from .complexes import PolytopalComplex, RelativeComplex
 from .exact import InvariantError, LinearSystem, lp_feasible
 from .graphs import (
+    CACHE_SIZE,
     chromatic_bf,
     cycle_basis,
     incidence_matrix,
@@ -48,6 +50,11 @@ from .graphs import (
 from .polynomials import interpolate
 from .polytope import LatticePolytope
 from .srideal import hilbert_from_f
+
+# refuse constructions beyond 2^16 candidate cells, one exact LP each:
+# K6 chromatic (2^15) and K3,3 modflow (4,096) pass, K7 chromatic (2^21)
+# would take hours
+_CANDIDATE_BUDGET = 2 ** 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,11 +103,12 @@ def _chromatic(g, incidence):
     edges = list(zip(*incidence))  # column e of the incidence matrix
     planes = [(row, 0) for row in edges] + [(_unit(n, v), 1) for v in range(n)]
     # a loop admits no proper colouring: no candidate, so no LP
-    signs = () if g.has_loop() else itertools.product(
-        (1, -1), repeat=len(edges))
-    return n, ((sigma, (), [(tuple(-s * x for x in row), 0)
-                            for s, row in zip(sigma, edges)], [(0, 1)] * n)
-               for sigma in signs), planes
+    count = 0 if g.has_loop() else 2 ** len(edges)
+    signs = itertools.product((1, -1), repeat=len(edges)) if count else ()
+    return n, count, ((sigma, (), [(tuple(-s * x for x in row), 0)
+                                   for s, row in zip(sigma, edges)],
+                       [(0, 1)] * n)
+                      for sigma in signs), planes
 
 
 def _boxes(g, matrix):
@@ -109,8 +117,8 @@ def _boxes(g, matrix):
     # the zero row of an isolated vertex constrains nothing
     eq = [(row, 0) for row in matrix if any(row)]
     planes = [(_unit(n, e), c) for e in range(n) for c in (-1, 0, 1)]
-    return n, ((a, eq, [], [(lo, lo + 1) for lo in a])
-               for a in itertools.product((-1, 0), repeat=n)), planes
+    return n, 2 ** n, ((a, eq, [], [(lo, lo + 1) for lo in a])
+                       for a in itertools.product((-1, 0), repeat=n)), planes
 
 
 def _slices(g, matrix):
@@ -123,8 +131,9 @@ def _slices(g, matrix):
     ranges = [range(sum(x for x in row if x < 0),
                     sum(x for x in row if x > 0) + 1) for row in matrix]
     planes = [(_unit(n, e), c) for e in range(n) for c in (0, 1)]
-    return n, ((b, list(zip(matrix, b)), [], [(0, 1)] * n)
-               for b in itertools.product(*ranges)), planes
+    return n, math.prod(map(len, ranges)), (
+        (b, list(zip(matrix, b)), [], [(0, 1)] * n)
+        for b in itertools.product(*ranges)), planes
 
 
 # kind: (candidate generator, the matrix it is fed, oracle, degree)
@@ -160,10 +169,19 @@ def oracle(kind, g, k):
     return _spec(kind)[2](g, k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def build_family(kind, g):
+    """Cells of the `kind` construction on g, and the relative complex.
+
+    The candidates are counted before the first LP; beyond the budget a
+    ValueError names the kind and the count instead of running for hours.
+    """
     generator, matrix, _, bound = _spec(kind)
-    labels, relative = _cells(*generator(g, matrix(g)))
+    n, count, candidates, planes = generator(g, matrix(g))
+    if count > _CANDIDATE_BUDGET:
+        raise ValueError(f"{kind}: {count} candidate cells exceed the "
+                         f"budget of {_CANDIDATE_BUDGET}")
+    labels, relative = _cells(n, candidates, planes)
     expected = bound(g)
     for cell in relative.complex.maximal_cells:
         if cell.dim != expected:

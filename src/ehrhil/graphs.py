@@ -16,6 +16,11 @@ from .exact import InvariantError
 # refuse blind enumeration beyond 2^34 states
 _STATE_BUDGET = 2 ** 34
 
+# entries per memoized function: far above the graphs a test session or
+# the suite script certifies, so they still hit, while a long-lived
+# process cannot grow without bound
+CACHE_SIZE = 1024
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -113,7 +118,7 @@ def incidence_matrix(g):
     return tuple(map(tuple, rows))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def cycle_basis(g):
     """Fundamental cycles of a spanning forest, one unit vector per loop.
 
@@ -195,7 +200,7 @@ def _count(rows, values, n, modulus=None):
         for vec in itertools.product(values, repeat=n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def chromatic_bf(g, k):
     """Proper vertex colorings with k colors, by enumerating all of them."""
     _check_k(k)
@@ -209,7 +214,7 @@ def chromatic_bf(g, k):
         for col in itertools.product(range(k), repeat=len(g.vertices)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def int_flow_bf(g, k):
     """Nowhere-zero integral flows with |values| < k."""
     _check_k(k)
@@ -218,7 +223,7 @@ def int_flow_bf(g, k):
     return _count(rows, values, len(g.edges))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def mod_flow_bf(g, k):
     """Nowhere-zero flows with values in Z_k."""
     _check_k(k)
@@ -226,7 +231,7 @@ def mod_flow_bf(g, k):
     return _count(rows, range(1, k), len(g.edges), modulus=k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def int_tension_bf(g, k):
     """Nowhere-zero integral tensions with |values| < k.
 
@@ -238,7 +243,7 @@ def int_tension_bf(g, k):
     return _count(cycle_basis(g), values, len(g.edges))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def mod_tension_bf(g, k):
     """Nowhere-zero tensions with values in Z_k."""
     _check_k(k)

@@ -162,6 +162,13 @@ class TestComplexAndTriangulate:
         assert "do not form a complex" in captured.err
         assert "f-vector" not in captured.out
 
+    def test_nested_cells_rejected(self, tmp_path, capsys):
+        # [1, 2] lies inside [0, 3] but is not its face
+        path = write(tmp_path, "nested.json", {
+            "vertices": [[0], [1], [2], [3]], "faces": [[0, 3], [1, 2]]})
+        assert main(["triangulate", path]) == 2
+        assert "do not form a complex" in capsys.readouterr().err
+
 
 class TestCheckCompressed:
     def test_unit_square(self, tmp_path, capsys):

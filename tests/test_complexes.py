@@ -1,5 +1,6 @@
 """Complex validation, relative counting, complex-wide pulling."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -90,6 +91,21 @@ class TestPolytopalComplex:
         cx = PolytopalComplex.generated_by([UNIT_SQUARE, edge, UNIT_SQUARE])
         assert cx.maximal_cells == (UNIT_SQUARE,)
 
+    def test_generated_by_drops_a_face_of_a_dropped_face(self):
+        cube = LatticePolytope(list(itertools.product((0, 1), repeat=3)))
+        square = poly((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))
+        edge = poly((0, 0, 0), (1, 0, 0))
+        cx = PolytopalComplex.generated_by([edge, square, cube])
+        assert cx.maximal_cells == (cube,)
+
+    def test_generated_by_keeps_a_cell_inside_another(self):
+        # not a face, so kept for validate() to refuse
+        outer, inner = poly((0,), (3,)), poly((1,), (2,))
+        cx = PolytopalComplex.generated_by([outer, inner])
+        assert cx.maximal_cells == (outer, inner)
+        with pytest.raises(InvalidComplexError):
+            cx.validate()
+
     def test_invalid_complex_raises(self):
         cx = PolytopalComplex([poly((0, 0), (2, 2)), poly((0, 2), (2, 0))])
         with pytest.raises(InvalidComplexError):
@@ -118,7 +134,8 @@ class TestPolytopalComplex:
 
 
 def reference_sub(cx, planes):
-    """C' the long way: every selected face built, maximal ones by hull."""
+    """C' the long way: every selected face built, then reduced to the
+    maximal ones by generated_by."""
     selected = [owner.face(vs) for vs, owner in cx.all_faces.items()
                 if any(all(dot(a, v) == b for v in vs) for a, b in planes)]
     return PolytopalComplex.generated_by(selected, ambient_dim=cx.ambient_dim)
@@ -188,6 +205,18 @@ class TestFaceTable:
             for cx, planes, sub in calls:
                 assert sub.maximal_cells \
                     == reference_sub(cx, planes).maximal_cells, (name, kind)
+
+    def test_generated_by_recovers_the_cells_from_all_faces(self, suite):
+        rng = random.Random(13)
+        for name, g in suite.items():
+            for kind in KINDS:
+                cx = build_family(kind, g).relative.complex
+                polys = list(cx.maximal_cells) + [
+                    owner.face(vs) for vs, owner in cx.all_faces.items()]
+                rng.shuffle(polys)
+                got = PolytopalComplex.generated_by(
+                    polys, ambient_dim=cx.ambient_dim)
+                assert got.maximal_cells == cx.maximal_cells, (name, kind)
 
     def test_build_family_builds_only_the_sub_cells(self, suite_builds):
         # one polytope built from points per certified cell; the cells of C'

@@ -78,6 +78,17 @@ class TestCellInventory:
         with pytest.raises(ValueError):
             build_family("spanning-trees", K2)
 
+    def test_candidate_budget_stops_before_any_lp(self, monkeypatch):
+        # K8 chromatic has 2^28 sign vectors, each one exact LP
+        def no_lp(*args):
+            raise AssertionError("an LP ran before the budget check")
+
+        monkeypatch.setattr(constructions, "lp_feasible", no_lp)
+        with pytest.raises(ValueError,
+                           match=r"chromatic: 268435456 candidate cells "
+                                 r"exceed the budget of 65536"):
+            build_family("chromatic", complete_graph(8))
+
 
 class TestOracleAgreement:
     @pytest.mark.parametrize("kind", KINDS)
@@ -103,7 +114,7 @@ class TestComplexStructure:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_kept_cells_are_distinct_and_maximal(self, kind, suite):
-        # generated_by's containment scan is the reference for assembly
+        # generated_by's face-lattice pass is the reference for assembly
         for name, g in suite.items():
             family = build_family(kind, g)
             cx = family.relative.complex

@@ -99,6 +99,19 @@ class TestComplexJson:
             complex_from_json(data)
 
     @pytest.mark.parametrize("data", [
+        # a segment inside a segment, sharing no endpoint or one
+        {"vertices": [[0], [1], [2], [3]], "faces": [[0, 3], [1, 2]]},
+        {"vertices": [[0], [1], [2], [3]], "faces": [[0, 3], [0, 1]]},
+        # half the square, cut along a diagonal that is no face
+        {"vertices": [[0, 0], [1, 0], [0, 1], [1, 1]],
+         "faces": [[0, 1, 2, 3], [0, 1, 2]]},
+    ])
+    def test_nested_cells_rejected(self, data):
+        # the inner cell lies in the outer one but is not its face
+        with pytest.raises(InputError, match="do not form a complex"):
+            complex_from_json(data)
+
+    @pytest.mark.parametrize("data", [
         {"faces": []},
         {"vertices": [[0]], "faces": [[]]},
         {"vertices": [[0]], "faces": [[1]]},
