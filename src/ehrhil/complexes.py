@@ -9,7 +9,9 @@ Validation checks that all cells meet in common faces.  It is enough to
 check maximal cells pairwise: if P cap Q is a common face R for maximal
 P, Q, then for any faces F of P and G of Q the set F cap G equals
 (F cap R) cap (G cap R), an intersection of two faces of the polytope R,
-hence a face of R contained in F and G, hence a face of each.
+hence a face of R contained in F and G, hence a face of each.  A pair is
+first shrunk along facet hyperplanes, with no LP; what remains is decided
+from the shared vertices with at most one LP (`_lp_face_check`).
 """
 
 from __future__ import annotations
@@ -55,29 +57,6 @@ def _separating_reduction(p, q):
     return None
 
 
-def _relint_point(eq, le):
-    """Relative interior point of {eq, le} or None when infeasible.
-
-    One LP per inequality decides whether it can hold strictly; averaging
-    the strict witnesses gives a point that is strict wherever possible.
-    """
-    n = len(eq[0][0]) if eq else len(le[0][0])
-    base = LinearSystem(n, eq=eq, le=le)
-    anchor = lp_feasible(base)
-    if anchor is None:
-        return None
-    witnesses = []
-    for i in range(len(le)):
-        w = lp_feasible(LinearSystem(n, eq=eq, le=le[:i] + le[i + 1:],
-                                     lt=[le[i]]))
-        if w is not None:
-            witnesses.append(w)
-    if not witnesses:
-        return anchor
-    m = len(witnesses)
-    return tuple(sum(w[j] for w in witnesses) / m for j in range(n))
-
-
 def _smallest_face_at(poly, z, k):
     """Vertex set of the smallest face of poly holding z/k."""
     vs = frozenset(poly.vertices)
@@ -88,20 +67,30 @@ def _smallest_face_at(poly, z, k):
 
 
 def _lp_face_check(p, q):
-    """Decide `p cap q is a common face` from a relative interior point.
+    """Decide `p cap q is a common face` with at most one LP.
 
-    With z in relint(p cap q), the intersection is a common face exactly
-    when the smallest face of p containing z and the smallest face of q
-    containing z have the same vertex set.
+    A common face F has exactly the shared vertices S as its vertices: a
+    face's vertices are vertices of both polytopes, and a shared vertex lies
+    in F.  So with S empty the pair must be disjoint; otherwise S must be a
+    face of both, and p cap q must not leave it.  The sum c of p's facet
+    normals through S peaks on p exactly at conv(S), so p cap q leaves S
+    exactly when it holds a point strictly below that peak.
     """
+    shared = frozenset(p.vertices) & frozenset(q.vertices)
     eq = list(p.hull_equalities) + list(q.hull_equalities)
     le = list(p.facets) + list(q.facets)
-    if not eq and not le:
-        raise ValueError("unconstrained pair")
-    z = _relint_point(eq, le)
-    if z is None:
+    if not shared:
+        return lp_feasible(LinearSystem(p.ambient_dim, eq=eq, le=le)) is None
+    if shared not in p.face_vertex_sets or shared not in q.face_vertex_sets:
+        return False
+    if shared == frozenset(p.vertices):
         return True
-    return _smallest_face_at(p, z, 1) == _smallest_face_at(q, z, 1)
+    through = [ab for ab, tight in zip(p.facets, p._facet_vertex_sets)
+               if shared <= tight]
+    c = tuple(map(sum, zip(*(a for a, _ in through))))
+    peak = sum(b for _, b in through)
+    return lp_feasible(LinearSystem(p.ambient_dim, eq=eq, le=le,
+                                    lt=[(c, peak)])) is None
 
 
 def meet_in_common_face(p, q):

@@ -169,20 +169,21 @@ def oracle(kind, g, k):
     return _spec(kind)[2](g, k)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def build_family(kind, g):
-    """Cells of the `kind` construction on g, and the relative complex.
-
-    The candidates are counted before the first LP; beyond the budget a
-    ValueError names the kind and the count instead of running for hours.
-    """
-    generator, matrix, _, bound = _spec(kind)
+def _candidates(kind, g):
+    """(n, candidates, planes) of `kind` on g, refused beyond the budget."""
+    generator, matrix, _, _ = _spec(kind)
     n, count, candidates, planes = generator(g, matrix(g))
     if count > _CANDIDATE_BUDGET:
         raise ValueError(f"{kind}: {count} candidate cells exceed the "
                          f"budget of {_CANDIDATE_BUDGET}")
-    labels, relative = _cells(n, candidates, planes)
-    expected = bound(g)
+    return n, candidates, planes
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def build_family(kind, g):
+    """Cells of the `kind` construction on g, and the relative complex."""
+    labels, relative = _cells(*_candidates(kind, g))
+    expected = degree_bound(kind, g)
     for cell in relative.complex.maximal_cells:
         if cell.dim != expected:
             raise InvariantError(
@@ -257,6 +258,8 @@ def certify(kind, g, methods=METHODS, kmax=None):
     if not methods or any(m not in METHODS for m in methods):
         raise ValueError(f"methods {tuple(methods)!r}: expected a nonempty "
                          f"selection of {METHODS}")
+    if {"geometric", "hilbert"} & set(methods):
+        _candidates(kind, g)  # refuse an oversized build before any method
     d = degree_bound(kind, g)
     top = d + 2 if kmax is None else max(kmax, d + 1)
     ks = tuple(range(1, top + 1))

@@ -21,7 +21,9 @@ Both LP entry points share one two phase simplex with Bland's rule.  It
 keeps an integer tableau T and one common denominator d > 0, the rational
 tableau being T / d, and pivots fraction free (Edmonds 1967, Bareiss 1968):
 every entry stays, up to sign, a minor of the input, so each division is
-exact and Fractions appear only in the returned optimum and witness.
+exact and Fractions appear only in the returned optimum and witness.  A
+closed system is decided by phase 1 alone; only strict rows add the shared
+margin eps, which phase 2 then maximizes.
 """
 
 from __future__ import annotations
@@ -254,17 +256,17 @@ class LinearSystem:
             object.__setattr__(self, name, block)
 
 
-def _standard_form(system, margin):
+def _standard_form(system):
     """Integer rows of A z = b, z >= 0 for `system`, with x = u - w.
 
-    Columns: u_0..u_{n-1}, w_0..w_{n-1}, then with `margin` the shared
-    strict margin eps, one slack per le row, and with `margin` one slack per
-    lt row and the slack of the cap eps <= 1.  Returns (rows, rhs).
+    Columns: u_0..u_{n-1}, w_0..w_{n-1}, the strict margin eps when there
+    are lt rows, one slack per le row, then one slack per lt row and the
+    slack of the cap eps <= 1.  Returns (rows, rhs).
     """
     n = system.n_vars
-    first = 2 * n + (1 if margin else 0)
+    first = 2 * n + bool(system.lt)
     n_le = len(system.le)
-    width = first + n_le + (len(system.lt) + 1 if margin else 0)
+    width = first + n_le + (len(system.lt) + 1 if system.lt else 0)
     rows, rhs = [], []
 
     def add(coeffs, b, *units):
@@ -278,7 +280,7 @@ def _standard_form(system, margin):
         add(coeffs, b)
     for idx, (coeffs, b) in enumerate(system.le):
         add(coeffs, b, first + idx)
-    if margin:
+    if system.lt:
         for idx, (coeffs, b) in enumerate(system.lt):
             add(coeffs, b, 2 * n, first + n_le + idx)
         add((0,) * n, 1, 2 * n, width - 1)
@@ -388,14 +390,15 @@ def _simplex_max(rows, rhs, cost):
 def lp_feasible(system):
     """Exact witness for a mixed weak/strict integer system, or None.
 
-    Strict inequalities are handled by maximizing a shared margin eps
-    (capped at 1): the system is strictly feasible iff the optimum is
-    positive.  Returns a rational point or None.
+    A closed system needs phase 1 alone.  Strict rows share a margin eps
+    (capped at 1), which is maximized: the system is strictly feasible iff
+    the optimum is positive.  Returns a rational point or None.
     """
     n = system.n_vars
-    rows, rhs = _standard_form(system, margin=True)
-    cost = [0] * len(rows[0])
-    cost[2 * n] = 1
+    rows, rhs = _standard_form(system)
+    cost = [0] * (len(rows[0]) if rows else 2 * n)
+    if system.lt:
+        cost[2 * n] = 1
     result = _simplex_max(rows, rhs, cost)
     if result is None:
         return None
@@ -418,7 +421,7 @@ def lp_maximize(system, cost):
     (cost,) = _int_matrix([cost], "cost")
     if len(cost) != n:
         raise ValueError("cost length does not match n_vars")
-    rows, rhs = _standard_form(system, margin=False)
+    rows, rhs = _standard_form(system)
     obj = cost + [-c for c in cost] + [0] * len(system.le)
     result = _simplex_max(rows, rhs, obj)
     if result is None:

@@ -24,7 +24,7 @@ from ehrhil.complexes import (
 )
 import ehrhil
 from ehrhil.constructions import KINDS, build_family, degree_bound
-from ehrhil.exact import InvariantError, dot
+from ehrhil.exact import InvariantError, dot, lp_feasible, solve_rational
 from ehrhil.graphs import cycle_graph
 from ehrhil.polytope import LatticePolytope
 from ehrhil.srideal import realize_polynomial
@@ -76,6 +76,61 @@ class TestMeetInCommonFace:
     def test_reduction_agrees_with_lp(self, pts_a, pts_b):
         a, b = LatticePolytope(pts_a), LatticePolytope(pts_b)
         assert meet_in_common_face(a, b) == _lp_face_check(a, b)
+
+
+def intersection_vertices(p, q):
+    """Vertices of p cap q, found as its feasible basic solutions."""
+    n = p.ambient_dim
+    eq = list(p.hull_equalities) + list(q.hull_equalities)
+    le = list(p.facets) + list(q.facets)
+    found = set()
+    for size in range(n + 1):
+        for tight in itertools.combinations(le, size):
+            rows = eq + list(tight)
+            sol = solve_rational([a for a, _ in rows], [b for _, b in rows], n)
+            if sol is None or sol[1]:
+                continue
+            x = sol[0]
+            if (all(dot(a, x) == b for a, b in eq)
+                    and all(dot(a, x) <= b for a, b in le)):
+                found.add(x)
+    return found
+
+
+POINT_SETS = st.integers(2, 3).flatmap(lambda n: st.tuples(*[st.lists(
+    st.tuples(*[st.integers(0, 2)] * n),
+    min_size=1, max_size=5, unique=True)] * 2))
+
+
+class TestLpFaceCheck:
+    # the shared vertices are the diagonal of the square, not a face; the
+    # segment shares only (0, 0) with the square but runs along its edge;
+    # an edge of the square shares all its vertices, and they are a face
+    @pytest.mark.parametrize("p, q, common, lps", [
+        (UNIT_SQUARE, poly((0, 0), (1, 1), (2, 0)), False, 0),
+        (poly((0, 0), (2, 0)), UNIT_SQUARE, False, 1),
+        (poly((0, 0), (1, 0)), UNIT_SQUARE, True, 0),
+    ], ids=["diagonal_not_a_face", "overlap_past_a_vertex", "edge_of_square"])
+    def test_lp_calls(self, p, q, common, lps, monkeypatch):
+        calls = []
+
+        def counted(system):
+            calls.append(system)
+            return lp_feasible(system)
+
+        monkeypatch.setattr(ehrhil.complexes, "lp_feasible", counted)
+        assert _lp_face_check(p, q) == common
+        assert len(calls) == lps
+
+    @settings(max_examples=150, deadline=None)
+    @given(POINT_SETS)
+    def test_against_intersection_vertices(self, point_sets):
+        p, q = (LatticePolytope(pts) for pts in point_sets)
+        shared = frozenset(p.vertices) & frozenset(q.vertices)
+        common = intersection_vertices(p, q) == shared and (
+            not shared or (shared in p.face_vertex_sets
+                           and shared in q.face_vertex_sets))
+        assert _lp_face_check(p, q) == common
 
 
 class TestPolytopalComplex:

@@ -222,6 +222,17 @@ class TestCertify:
                 f"compressed")):
             certify("flow", K2)
 
+    def test_budget_refused_before_any_method(self, monkeypatch):
+        # brute force runs first and took 13 s on K7 before the refusal
+        def no_oracle(*args):
+            raise AssertionError("an oracle ran before the budget check")
+
+        monkeypatch.setattr(constructions, "oracle", no_oracle)
+        with pytest.raises(ValueError,
+                           match=r"chromatic: 2097152 candidate cells "
+                                 r"exceed the budget of 65536"):
+            certify("chromatic", complete_graph(7))
+
     @pytest.mark.parametrize("methods", [("foo",), (), ("brute", "Hilbert")])
     def test_bad_methods_rejected(self, methods):
         with pytest.raises(ValueError, match=re.escape(repr(METHODS))):

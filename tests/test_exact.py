@@ -397,8 +397,9 @@ class TestFractionFree:
 
 
 # Witnesses the Fraction-tableau simplex returned; the integer tableau must
-# follow the same Bland pivot path.  _relint_point averages witnesses, so
-# another path (another optimal vertex) would move the points it computes.
+# follow the same Bland pivot path.  The library reads only whether a
+# witness exists, so these pins guard the path itself: another path would
+# end at another vertex.
 STRICT = LinearSystem(3, eq=[((1, 1, 1), 3)],
                       lt=[((-1, 0, 0), 0), ((0, -1, 0), 0),
                           ((0, 0, -1), 0), ((1, -1, 0), 1)])
@@ -430,3 +431,24 @@ class TestPinnedWitnesses:
         assert (value, got) == (optimum, witness)
         assert type(value) is Fraction
         assert all(type(v) is Fraction for v in got)
+
+
+class TestClosedSystems:
+    """A system without strict rows has nothing to maximize: lp_feasible
+    runs phase 1 alone, pivot for pivot as lp_maximize with a zero cost."""
+
+    @pytest.mark.parametrize("sys", [DEGENERATE, REDUNDANT_EQ],
+                             ids=["degenerate", "redundant_eq"])
+    def test_phase_one_alone(self, sys, monkeypatch):
+        pivots = []
+
+        def counted(*args):
+            pivots.append(args[2:])
+            return _PIVOT(*args)
+
+        monkeypatch.setattr(exact, "_pivot", counted)
+        witness = lp_feasible(sys)
+        feasible_pivots, pivots[:] = len(pivots), []
+        _, point = lp_maximize(sys, (0,) * sys.n_vars)
+        assert feasible_pivots == len(pivots)
+        assert witness == point

@@ -6,10 +6,11 @@ importing file (a bare name, or the root of an attribute chain).  Package
 ``__init__.py`` files re-export their imports and ``from __future__``
 imports switch on language features, so both are exempt.
 
-Every top-level function and class of the library must be named somewhere
-outside its own definition, in the library, the scripts, the tests or the
-benchmark; a reference implementation that tests check a fast path against
-counts as named.
+Every top-level function and class of the library, and every method of
+its classes other than a dunder, must be named somewhere outside its own
+definition, in the library, the scripts, the tests or the benchmark; a
+reference implementation that tests check a fast path against counts as
+named.
 
 The library and scripts raise typed errors instead of asserting, because
 ``python -O`` strips assert statements; tests may assert.
@@ -93,7 +94,8 @@ def test_no_assert_in_library(path):
     assert assert_lines(path.read_text()) == []
 
 
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = FUNCTIONS + (ast.ClassDef,)
 
 
 def mentioned(node):
@@ -114,20 +116,35 @@ def mentioned(node):
 
 
 def dead_definitions(sources, library):
-    """(file, line, name) of each top-level function or class of the files
-    in `library` that no file of `sources` (file -> source) names outside
-    the definition itself."""
-    namers = defaultdict(set)  # name -> (file, top-level def or None)
+    """(file, line, name) of each top-level function or class, and each
+    method other than a dunder, of the files in `library` that no file of
+    `sources` (file -> source) names outside the definition itself."""
+    namers = defaultdict(set)  # name -> (file, owner) of each mention
     defs = []
     for label, source in sources.items():
         for stmt in ast.parse(source).body:
-            own = stmt.name if isinstance(stmt, DEFINITIONS) else None
+            own = (stmt.name,) if isinstance(stmt, DEFINITIONS) else ()
             if own and label in library:
                 defs.append((label, stmt.lineno, own))
-            for name in mentioned(stmt):
-                namers[name].add((label, own))
-    return [(label, line, name) for label, line, name in defs
-            if not namers[name] - {(label, name)}]
+            parts = [(own, stmt)]
+            if isinstance(stmt, ast.ClassDef):
+                # a method is owned by (class, method), the rest by the class
+                parts = [(own, node) for node in
+                         stmt.decorator_list + stmt.bases + stmt.keywords]
+                for sub in stmt.body:
+                    if not isinstance(sub, FUNCTIONS):
+                        parts.append((own, sub))
+                        continue
+                    parts.append((own + (sub.name,), sub))
+                    dunder = sub.name[:2] == sub.name[-2:] == "__"
+                    if label in library and not dunder:
+                        defs.append((label, sub.lineno, own + (sub.name,)))
+            for owner, node in parts:
+                for name in mentioned(node):
+                    namers[name].add((label, owner))
+    return [(label, line, own[-1]) for label, line, own in defs
+            if all(other == label and owner[:len(own)] == own
+                   for other, owner in namers[own[-1]])]
 
 
 def test_scan_finds_a_dead_definition():
@@ -138,6 +155,18 @@ def test_scan_finds_a_dead_definition():
     other = "from lib import used\ngetattr(lib, 'by_string')()\n"
     assert dead_definitions({"lib": lib, "other": other}, {"lib"}) == [
         ("lib", 3, "recursive"), ("lib", 7, "Dead")]
+
+
+def test_scan_finds_a_dead_method():
+    lib = ("class Shape:\n"
+           "    def __init__(self):\n        self.area = self._measure()\n"
+           "    def _measure(self):\n        return Shape.unit\n"
+           "    def grow(self, n):\n        return self.grow(n - 1)\n"
+           "    def unit(self):\n        return 1\n"
+           "    def shrink(self):\n        return 0\n")
+    other = "from lib import Shape\n"
+    assert dead_definitions({"lib": lib, "other": other}, {"lib"}) == [
+        ("lib", 6, "grow"), ("lib", 10, "shrink")]
 
 
 def test_no_dead_definitions():
