@@ -3,8 +3,8 @@
 from .complexes import (
     PolytopalComplex,
     RelativeComplex,
+    SimplicialComplex,
     pull_complex,
-    pull_polytope,
     relative_f_vector,
 )
 from .constructions import (
@@ -40,9 +40,7 @@ from .normal_sr import (
 from .polynomials import BinomialPolynomial, interpolate
 from .polytope import IntegralityError, LatticePolytope
 from .srideal import (
-    AbstractComplex,
     RelativeSRIdeal,
-    comb,
     hilbert_by_enumeration,
     hilbert_from_f,
     realize_polynomial,
@@ -51,7 +49,6 @@ from .srideal import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbstractComplex",
     "BinomialPolynomial",
     "CheckFailure",
     "GREVLEX",
@@ -65,10 +62,10 @@ __all__ = [
     "PolytopalComplex",
     "RelativeComplex",
     "RelativeSRIdeal",
+    "SimplicialComplex",
     "build_family",
     "certify",
     "chromatic_bf",
-    "comb",
     "complete_graph",
     "cycle_basis",
     "cycle_graph",
@@ -87,7 +84,6 @@ __all__ = [
     "oracle",
     "path_graph",
     "pull_complex",
-    "pull_polytope",
     "realize_polynomial",
     "relative_f_vector",
 ]

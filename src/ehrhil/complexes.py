@@ -20,7 +20,7 @@ import itertools
 from functools import cached_property
 
 from .exact import InvariantError, LinearSystem, dot, lp_feasible
-from .polytope import affine_rank, simplex_is_unimodular
+from .polytope import simplex_is_unimodular
 
 
 class InvalidComplexError(ValueError):
@@ -174,14 +174,6 @@ class PolytopalComplex:
                 faces.setdefault(vs, cell)
         return faces
 
-    def f_vector(self):
-        if self.is_empty:
-            return ()
-        f = [0] * (self.dim + 1)
-        for vs in self.all_faces:
-            f[affine_rank(vs)] += 1
-        return tuple(f)
-
     def lattice_points(self, k=1):
         pts = set()
         for cell in self.maximal_cells:
@@ -225,8 +217,14 @@ class PolytopalComplex:
                     f"do not meet in a common face")
 
 
-class GeomSimplicialComplex:
-    """Geometric simplicial complex given by its maximal simplices.
+class SimplicialComplex:
+    """Simplicial complex given by its maximal simplices as vertex sets.
+
+    The pulled triangulation and the complex behind a relative
+    Stanley-Reisner ideal are this one object; `ground` gives the ideal its
+    variables.  `faces` holds every subset of a maximal simplex, the empty
+    face included, so the complex with no simplices and the complex whose
+    only face is the empty one stay distinct.
 
     Unchecked: no given simplex may lie inside another.  A pulling of a
     valid complex meets this, since a simplex pulled from a maximal cell P
@@ -237,25 +235,36 @@ class GeomSimplicialComplex:
     def __init__(self, simplices):
         self.maximal_simplices = frozenset(map(frozenset, simplices))
 
+    def __eq__(self, other):
+        return (isinstance(other, SimplicialComplex)
+                and self.maximal_simplices == other.maximal_simplices)
+
+    def __hash__(self):
+        return hash(self.maximal_simplices)
+
     @cached_property
     def faces(self):
         out = set()
-        for cell in self.maximal_simplices:
-            pts = sorted(cell)
-            for r in range(1, len(pts) + 1):
-                out.update(map(frozenset, itertools.combinations(pts, r)))
+        for s in self.maximal_simplices:
+            for r in range(len(s) + 1):
+                out.update(map(frozenset, itertools.combinations(s, r)))
         return frozenset(out)
+
+    @cached_property
+    def ground(self):
+        """The vertices, sorted."""
+        return tuple(sorted(set().union(*self.maximal_simplices)))
 
     @property
     def dim(self):
         return max((len(s) for s in self.maximal_simplices), default=0) - 1
 
     def f_vector(self):
-        if not self.maximal_simplices:
-            return ()
+        """Face counts by dimension; the empty face is not counted."""
         f = [0] * (self.dim + 1)
         for s in self.faces:
-            f[len(s) - 1] += 1
+            if s:
+                f[len(s) - 1] += 1
         return tuple(f)
 
     def first_non_unimodular(self):
@@ -278,20 +287,16 @@ def pull_complex(cx, order=None):
     missing = pts - rank.keys()
     if missing:
         raise ValueError(f"order is missing lattice points: {sorted(missing)}")
-    return GeomSimplicialComplex(s for cell in cx.maximal_cells
-                                 for s in cell.pull_maximal_simplices(rank))
-
-
-def pull_polytope(poly, order=None):
-    """Pulling triangulation of a single polytope as a simplicial complex."""
-    return pull_complex(PolytopalComplex([poly]), order)
+    return SimplicialComplex(s for cell in cx.maximal_cells
+                             for s in cell.pull_maximal_simplices(rank))
 
 
 def relative_f_vector(delta, gamma):
-    """Face counts by dimension of faces(delta) minus faces(gamma)."""
+    """Face counts by dimension of faces(delta) minus faces(gamma), the
+    empty face not counted."""
     if not gamma.faces <= delta.faces:
         raise ValueError("gamma is not a subcomplex of delta")
-    kept = delta.faces - gamma.faces
+    kept = [s for s in delta.faces - gamma.faces if s]
     if not kept:
         return ()
     f = [0] * max(len(s) for s in kept)
@@ -323,23 +328,27 @@ class RelativeComplex:
         """(cell, closed, faces) per maximal cell of C, for count_points.
 
         A face of C is kept by the first maximal cell that has it, unless
-        it lies in a cell of C' (its vertex set is a subset of that cell's;
-        both are faces of C).  When the cell drops fewer faces than it
-        keeps, closed is True and faces lists the dropped ones, to subtract
-        from the closed cell's count; otherwise faces lists the kept ones.
+        it lies in a cell s of C'.  In a valid complex such a face is a face
+        of s, so of the cell of C that owns s, and the faces to drop are
+        read off those owners' face lattices.  When the cell drops fewer
+        faces than it keeps, closed is True and faces lists the dropped
+        ones, to subtract from the closed cell's count; otherwise faces
+        lists the kept ones.
         """
         faces = self.complex.all_faces
-        subs = [frozenset(cell.vertices) for cell in self.sub.maximal_cells]
-        for vs in subs:
-            if vs not in faces:
+        inside = set()
+        for cell in self.sub.maximal_cells:
+            s = frozenset(cell.vertices)
+            if s not in faces:
                 raise InvariantError(
-                    f"C' cell {sorted(vs)} is not a face of C, so C' has "
+                    f"C' cell {sorted(s)} is not a face of C, so C' has "
                     f"lattice points outside C")
+            inside.update(vs for vs in faces[s].face_vertex_sets if vs <= s)
         plan = []
         for cell in self.complex.maximal_cells:
             kept, dropped = [], []
             for vs in cell.face_vertex_sets:
-                if faces[vs] is cell and not any(vs <= s for s in subs):
+                if faces[vs] is cell and vs not in inside:
                     kept.append(vs)
                 else:
                     dropped.append(vs)

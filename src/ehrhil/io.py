@@ -85,7 +85,7 @@ def _lattice_point(p, ambient, what):
 def polytope_from_json(data):
     _require_dict(data, ("ambient_dim", "vertices"), "a polytope")
     ambient = data["ambient_dim"]
-    if not isinstance(ambient, int) or ambient < 0:
+    if not isinstance(ambient, int) or isinstance(ambient, bool) or ambient < 0:
         raise InputError("ambient_dim must be a non-negative integer")
     vertices = data["vertices"]
     if not isinstance(vertices, list) or not vertices:

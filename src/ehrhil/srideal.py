@@ -1,5 +1,5 @@
-"""Abstract simplicial complexes, relative Stanley-Reisner counting, and
-realizability of binomial-coefficient vectors.
+"""Relative Stanley-Reisner counting and realizability of
+binomial-coefficient vectors.
 
 The Hilbert function of a relative Stanley-Reisner ideal is available twice:
 `hilbert_from_f` evaluates the face-count formula sum_i f_i C(k-1, i), and
@@ -7,85 +7,20 @@ The Hilbert function of a relative Stanley-Reisner ideal is available twice:
 outright.  Keeping both routes is the point; they cross-check each other.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
-from .complexes import PolytopalComplex, RelativeComplex
+from .complexes import PolytopalComplex, RelativeComplex, SimplicialComplex
 from .polytope import LatticePolytope
-
-
-class AbstractComplex:
-    """Subset-closed face family over an ordered ground set.
-
-    The empty complex (no faces at all) and the complex whose only face is
-    the empty set are distinct objects, and both are allowed.
-    """
-
-    def __init__(self, ground, faces):
-        self.ground = tuple(ground)
-        self.faces = frozenset(map(frozenset, faces))
-        members = set(self.ground)
-        if len(members) != len(self.ground):
-            raise ValueError("duplicate ground-set labels")
-        if self.faces and frozenset() not in self.faces:
-            raise ValueError("a nonempty complex must contain the empty face")
-        for face in self.faces:
-            if not face <= members:
-                raise ValueError(f"face {set(face)} leaves the ground set")
-            for v in face:
-                if face - {v} not in self.faces:
-                    raise ValueError("face set is not closed under subsets")
-
-    @classmethod
-    def from_maximal(cls, ground, maximal):
-        faces = set()
-        for m in maximal:
-            m = tuple(m)
-            for r in range(len(m) + 1):
-                faces.update(map(frozenset, itertools.combinations(m, r)))
-        return cls(ground, faces)
-
-    def __eq__(self, other):
-        return (isinstance(other, AbstractComplex)
-                and self.ground == other.ground and self.faces == other.faces)
-
-    def __hash__(self):
-        return hash((self.ground, self.faces))
-
-    def __repr__(self):
-        return f"AbstractComplex({len(self.ground)} vertices, {len(self.faces)} faces)"
-
-    @property
-    def dim(self):
-        return max((len(f) for f in self.faces), default=0) - 1
-
-    def f_vector(self):
-        """Face counts by dimension; the empty face is not counted."""
-        if self.dim < 0:
-            return ()
-        f = [0] * (self.dim + 1)
-        for face in self.faces:
-            if face:
-                f[len(face) - 1] += 1
-        return tuple(f)
-
-
-def comb(tri):
-    """Abstract image of a geometric simplicial complex: vertex sets only."""
-    verts = sorted({v for s in tri.maximal_simplices for v in s})
-    faces = set(tri.faces)
-    if faces:
-        faces.add(frozenset())
-    return AbstractComplex(verts, faces)
 
 
 @dataclass(frozen=True)
 class RelativeSRIdeal:
-    """Monomials whose support is a face of `delta` but not of `sub`."""
+    """Monomials whose support is a face of `delta` but not of `sub`; the
+    complexes are typically a pulled pair (Delta, Gamma)."""
 
-    delta: AbstractComplex
-    sub: AbstractComplex
+    delta: SimplicialComplex
+    sub: SimplicialComplex
 
     def __post_init__(self):
         if not self.sub.faces <= self.delta.faces:

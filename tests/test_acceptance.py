@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from ehrhil.complexes import PolytopalComplex, RelativeComplex, pull_polytope
+from ehrhil.complexes import PolytopalComplex, RelativeComplex, pull_complex
 from ehrhil.constructions import (
     KINDS,
     build_family,
@@ -130,7 +130,7 @@ def test_criterion_3_compressed_cells_unimodular_pulls(suite):
 
 
 def _check_pulling_laws(p, order):
-    delta = pull_polytope(p, order)
+    delta = pull_complex(PolytopalComplex([p]), order)
     lowest = order[0]
     top = p.dim + 1
     for s in delta.maximal_simplices:
@@ -140,7 +140,7 @@ def _check_pulling_laws(p, order):
         face = p.face(vs)
         face_points = set(face.lattice_points())
         sub_order = [q for q in order if q in face_points]
-        expected = pull_polytope(face, sub_order).faces
+        expected = pull_complex(PolytopalComplex([face]), sub_order).faces
         restricted = {s for s in delta.faces if s <= face_points}
         assert restricted == expected, (p.vertices, sorted(vs))
 

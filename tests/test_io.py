@@ -55,6 +55,7 @@ class TestPolytopeJson:
         {"ambient_dim": 2, "vertices": [[0, 0, 0]]},
         {"ambient_dim": 1, "vertices": [[True]]},
         {"ambient_dim": 1, "vertices": [["0"]]},
+        {"ambient_dim": True, "vertices": [[0], [1]]},
     ])
     def test_rejects(self, data):
         with pytest.raises(InputError):

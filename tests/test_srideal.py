@@ -1,37 +1,42 @@
-"""Abstract complexes, the two Hilbert routes, and f-vector realization."""
+"""Simplicial complexes, the two Hilbert routes, and f-vector realization."""
 
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ehrhil.complexes import PolytopalComplex, RelativeComplex
+from ehrhil.complexes import (
+    PolytopalComplex,
+    RelativeComplex,
+    SimplicialComplex,
+)
 from ehrhil.polytope import LatticePolytope
 from ehrhil.srideal import (
-    AbstractComplex,
     RelativeSRIdeal,
-    comb,
     hilbert_by_enumeration,
     hilbert_from_f,
     realize_polynomial,
 )
 
-FULL = AbstractComplex.from_maximal("abc", ["abc"])
-BOUNDARY = AbstractComplex.from_maximal("abc", ["ab", "bc", "ac"])
+FULL = SimplicialComplex(["abc"])
+BOUNDARY = SimplicialComplex(["ab", "bc", "ac"])
 
 
 class TestAbstractComplex:
     def test_closure_enforced(self):
-        with pytest.raises(ValueError):
-            AbstractComplex("ab", [frozenset("ab")])
+        assert SimplicialComplex(["ab"]).faces == {
+            frozenset(), frozenset("a"), frozenset("b"), frozenset("ab")}
+        for face in BOUNDARY.faces:
+            assert all(face - {v} in BOUNDARY.faces for v in face)
 
     def test_nonempty_needs_empty_face(self):
-        with pytest.raises(ValueError):
-            AbstractComplex("a", [frozenset("a"), frozenset()] [:1])
+        assert frozenset() in SimplicialComplex(["a"]).faces
+        assert SimplicialComplex([()]).faces == {frozenset()}
+        assert SimplicialComplex([]).faces == frozenset()
 
     def test_empty_and_void_differ(self):
-        empty = AbstractComplex("", [])
-        void = AbstractComplex("", [frozenset()])
+        empty = SimplicialComplex([])
+        void = SimplicialComplex([()])
         assert empty != void
         assert empty.f_vector() == () and void.f_vector() == ()
 
@@ -39,10 +44,15 @@ class TestAbstractComplex:
         assert len(FULL.faces) == 8
         assert FULL.f_vector() == (3, 3, 1)
         assert BOUNDARY.f_vector() == (3, 3)
+        assert BOUNDARY.ground == ("a", "b", "c")
+        assert SimplicialComplex(["cb", "a"]) == SimplicialComplex(["a", "bc"])
 
     def test_comb_of_triangle(self):
+        # the pulled triangulation is the Stanley-Reisner complex itself
         tri = realize_polynomial((0, 0, 1)).pulled_pair()[0]
-        assert comb(tri).f_vector() == (3, 3, 1)
+        assert tri.ground == ((0, 0, 0), (0, 0, 1), (0, 1, 0))
+        assert frozenset() in tri.faces
+        assert tri.f_vector() == (3, 3, 1)
 
 
 class TestHilbertFromF:
@@ -73,13 +83,13 @@ class TestHilbertFromF:
 
 class TestHilbertByEnumeration:
     def test_single_vertex(self):
-        ideal = RelativeSRIdeal(AbstractComplex.from_maximal("a", ["a"]),
-                                AbstractComplex("a", [frozenset()]))
+        ideal = RelativeSRIdeal(SimplicialComplex(["a"]),
+                                SimplicialComplex([()]))
         assert hilbert_by_enumeration(ideal, 5) == 1
 
     def test_open_edge(self):
-        edge = AbstractComplex.from_maximal("ab", ["ab"])
-        ends = AbstractComplex.from_maximal("ab", ["a", "b"])
+        edge = SimplicialComplex(["ab"])
+        ends = SimplicialComplex(["a", "b"])
         ideal = RelativeSRIdeal(edge, ends)
         assert hilbert_by_enumeration(ideal, 3) == 2
         assert [hilbert_by_enumeration(ideal, k) for k in range(5)] == \
@@ -94,10 +104,10 @@ class TestHilbertByEnumeration:
             RelativeSRIdeal(BOUNDARY, FULL)
 
     def test_degree_zero_counts_empty_support(self):
-        edge = AbstractComplex.from_maximal("ab", ["ab"])
-        ends = AbstractComplex.from_maximal("ab", ["a", "b"])
+        edge = SimplicialComplex(["ab"])
+        ends = SimplicialComplex(["a", "b"])
         assert hilbert_by_enumeration(RelativeSRIdeal(edge, ends), 0) == 0
-        nothing_removed = AbstractComplex("ab", [])
+        nothing_removed = SimplicialComplex([])
         assert hilbert_by_enumeration(
             RelativeSRIdeal(edge, nothing_removed), 0) == 1
 
@@ -115,7 +125,7 @@ class TestFormulaAgainstEnumeration:
     def test_three_routes_agree(self):
         for rel in self.cases():
             delta, gamma = rel.pulled_pair()
-            ideal = RelativeSRIdeal(comb(delta), comb(gamma))
+            ideal = RelativeSRIdeal(delta, gamma)
             f = rel.pulled_f_vector()
             for k in range(1, 5):
                 formula = hilbert_from_f(f, k)
