@@ -14,11 +14,15 @@ point count of a relative complex:
   modtension   as modflow, with cycle sums in place of vertex balances
 
 Each construction generates candidate cells from one matrix (incidence
-rows or the cycle basis), and one loop serves all five.  A candidate is
-kept only when its open part is nonempty (exact LP), then rebuilt from its
-inequality description so that fractional vertices are caught instead of
-silently rounded: the matrices involved are totally unimodular, and
-`from_inequalities` turns that argument into a check.
+rows or the cycle basis), and one loop serves all five.  That matrix is
+certified totally unimodular once per build: the incidence matrix by
+Heller-Tompkins, the cycle basis by its identity block over the incidence
+kernel.  By Hoffman-Kruskal every candidate's closed region is then the
+hull of its lattice points, so one walk of the candidate's box decides it
+without LP: it is kept when every strict row is strict on some walked
+point, and the kept cell is the hull of those points.  `lp_family`, which
+filters by exact LP and certifies each cell by `from_inequalities`, is the
+reference the tests hold this to.
 
 `certify` checks one counting function three ways on one graph: brute-force
 enumeration, the lattice points of the relative complex, and the Hilbert
@@ -36,7 +40,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .complexes import PolytopalComplex, RelativeComplex
-from .exact import InvariantError, LinearSystem, lp_feasible
+from .exact import (
+    InvariantError,
+    LinearSystem,
+    dot,
+    lp_feasible,
+    rational_rank,
+)
 from .graphs import (
     CACHE_SIZE,
     chromatic_bf,
@@ -48,12 +58,12 @@ from .graphs import (
     mod_tension_bf,
 )
 from .polynomials import interpolate
-from .polytope import LatticePolytope
+from .polytope import LatticePolytope, _walk
 from .srideal import hilbert_from_f
 
-# refuse constructions beyond 2^16 candidate cells, one exact LP each:
-# K6 chromatic (2^15) and K3,3 modflow (4,096) pass, K7 chromatic (2^21)
-# would take hours
+# refuse constructions beyond 2^16 candidate cells, one walk of the box
+# each: K6 chromatic (2^15, about 12 s) and K3,3 modflow (4,096) pass, K7
+# chromatic (2^21, 64 times K6's candidates) is refused
 _CANDIDATE_BUDGET = 2 ** 16
 
 
@@ -69,27 +79,79 @@ def _unit(n, i):
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def _cells(n, candidates, planes):
-    """Kept labels and the relative complex (C, C') of the candidates.
+def _network_certificate(matrix):
+    """Raise InvariantError unless every column is a network column.
 
-    A candidate (label, eq, rows, box) stands for the open region where
-    the equations eq hold, strictly inside the box and strictly below the
-    rows.  It is kept when that region holds a point; its closure is then
-    certified as a lattice polytope.  C' is the part of C lying in the
-    hyperplanes `planes`.
+    Heller & Tompkins (1956): a matrix with entries in {0, +1, -1} and at
+    most one +1 and one -1 in each column is totally unimodular (every
+    square minor is 0 or +-1), and so is its transpose.
     """
-    labels, cells = [], []
-    for label, eq, rows, box in candidates:
-        strict = []
-        for i, (lo, hi) in enumerate(box):
-            strict.append((tuple(-x for x in _unit(n, i)), -lo))
-            strict.append((_unit(n, i), hi))
-        strict += rows
-        if lp_feasible(LinearSystem(n, eq=eq, lt=strict)) is None:
-            continue
-        labels.append(label)
-        cells.append(LatticePolytope.from_inequalities(
-            LinearSystem(n, eq=eq, le=strict), box))
+    for j, col in enumerate(zip(*matrix)):
+        if (any(x not in (-1, 0, 1) for x in col)
+                or col.count(1) > 1 or col.count(-1) > 1):
+            raise InvariantError(
+                f"column {j} {list(col)} is not a network column, so the "
+                f"matrix is not certified totally unimodular")
+
+
+def _kernel_certificate(rows, matrix, ncols):
+    """Raise InvariantError unless `rows` is a unimodular kernel basis.
+
+    `matrix` A (ncols columns) must pass the network certificate; `rows`
+    must be orthogonal to it, as many as its nullity, and each row r needs
+    its own column j_r where r is 1 and every other row 0.  The rows then
+    span the kernel, and the columns outside J = {j_r} hold a nonsingular
+    square submatrix B of A, with the rows R: up to column order, rows =
+    [-(B^-1 A_RJ)^T | I].  Every minor of B^-1 A_R is a minor of A over
+    det B = +-1, so the rows are totally unimodular (Schrijver 1986,
+    section 19.1).
+    """
+    _network_certificate(matrix)
+    nullity = ncols - rational_rank(matrix)
+    if len(rows) != nullity:
+        raise InvariantError(
+            f"{len(rows)} rows, but the kernel has dimension {nullity}")
+    for r, row in enumerate(rows):
+        for i, a in enumerate(matrix):
+            if dot(row, a):
+                raise InvariantError(
+                    f"row {r} is not orthogonal to matrix row {i}")
+    owned = set()
+    for col in zip(*rows):
+        support = [r for r, x in enumerate(col) if x]
+        if len(support) == 1 and col[support[0]] == 1:
+            owned.add(support[0])
+    for r in range(len(rows)):
+        if r not in owned:
+            raise InvariantError(
+                f"row {r} has no identity column (1 there, 0 in every "
+                f"other row), so the rows are not certified totally "
+                f"unimodular")
+
+
+def _certify_unimodular(kind, g):
+    """The `kind` matrix of g is totally unimodular, or InvariantError.
+
+    Every candidate system stacks that matrix, with sign flips, on unit
+    rows for the box; both keep total unimodularity.  So by Hoffman &
+    Kruskal (1956) every candidate's closed region is an integral polytope.
+    """
+    incidence = incidence_matrix(g)
+    if _spec(kind)[1] is cycle_basis:
+        _kernel_certificate(cycle_basis(g), incidence, len(g.edges))
+    else:
+        _network_certificate(incidence)
+
+
+def _walls(n, box):
+    """Rows a.x <= r of the box's walls, two per coordinate."""
+    rows = []
+    for i, (lo, hi) in enumerate(box):
+        rows += [(tuple(-x for x in _unit(n, i)), -lo), (_unit(n, i), hi)]
+    return rows
+
+
+def _relative(n, labels, cells, planes):
     # each cell closes a distinct nonempty open region (a sign vector, box
     # or slice), so none lies in another and all of them are maximal
     total = PolytopalComplex(cells, ambient_dim=n)
@@ -97,12 +159,57 @@ def _cells(n, candidates, planes):
         total, total.faces_in_hyperplanes(planes))
 
 
+def _cells(n, candidates, planes):
+    """Kept labels and the relative complex (C, C') of the candidates.
+
+    A candidate (label, eq, rows, box) stands for the open region where
+    the equations eq hold, strictly inside the box and strictly below the
+    rows.  Its closure is an integral polytope (`_certify_unimodular`), so
+    it is the hull of the lattice points one walk of the box lists.  The
+    open region holds a point exactly when every strict row is strict on
+    some listed point: their centroid is then strict on all of them.  The
+    kept cell is that hull.  C' is the part of C lying in the hyperplanes
+    `planes`.
+    """
+    labels, cells = [], []
+    for label, eq, rows, box in candidates:
+        closed = list(rows)
+        for a, b in eq:
+            closed += [(a, b), (tuple(-c for c in a), -b)]
+        pts = []
+        _walk(closed, box, pts)  # the walk keeps to the box by itself
+        strict = _walls(n, box) + rows
+        if pts and all(any(dot(a, p) < r for p in pts) for a, r in strict):
+            labels.append(label)
+            cells.append(LatticePolytope(pts))
+    return _relative(n, labels, cells, planes)
+
+
+def lp_family(kind, g):
+    """build_family by exact LP, without the unimodularity certificate.
+
+    The reference the tests hold the lattice-point route to: a candidate
+    is kept when an LP finds a point of its open region, and its closure is
+    certified by `from_inequalities`, one LP per facet and hull equation.
+    """
+    n, candidates, planes = _candidates(kind, g)
+    labels, cells = [], []
+    for label, eq, rows, box in candidates:
+        strict = _walls(n, box) + rows
+        if lp_feasible(LinearSystem(n, eq=eq, lt=strict)) is None:
+            continue
+        labels.append(label)
+        cells.append(LatticePolytope.from_inequalities(
+            LinearSystem(n, eq=eq, le=strict), box))
+    return CellFamily(*_relative(n, labels, cells, planes))
+
+
 def _chromatic(g, incidence):
     """Sign vectors of x_head - x_tail over the open unit cube."""
     n = len(g.vertices)
     edges = list(zip(*incidence))  # column e of the incidence matrix
     planes = [(row, 0) for row in edges] + [(_unit(n, v), 1) for v in range(n)]
-    # a loop admits no proper colouring: no candidate, so no LP
+    # a loop admits no proper colouring: no candidate to walk
     count = 0 if g.has_loop() else 2 ** len(edges)
     signs = itertools.product((1, -1), repeat=len(edges)) if count else ()
     return n, count, ((sigma, (), [(tuple(-s * x for x in row), 0)
@@ -182,7 +289,9 @@ def _candidates(kind, g):
 @lru_cache(maxsize=CACHE_SIZE)
 def build_family(kind, g):
     """Cells of the `kind` construction on g, and the relative complex."""
-    labels, relative = _cells(*_candidates(kind, g))
+    n, candidates, planes = _candidates(kind, g)
+    _certify_unimodular(kind, g)
+    labels, relative = _cells(n, candidates, planes)
     expected = degree_bound(kind, g)
     for cell in relative.complex.maximal_cells:
         if cell.dim != expected:

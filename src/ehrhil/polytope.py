@@ -165,6 +165,9 @@ class LatticePolytope:
         if len(pts) <= self.dim + 1:
             # affinely independent: every point is extreme
             return tuple(pts)
+        if all(max(c) - min(c) <= 1 for c in zip(*pts)):
+            # all vertices of one unit cube, so extreme in any convex subset
+            return tuple(pts)
         out = []
         for i, p in enumerate(pts):
             others = pts[:i] + pts[i + 1:]
@@ -218,7 +221,9 @@ class LatticePolytope:
         `box` gives integer bounds wide enough to contain the region.  After
         collecting the lattice points inside, every facet and hull equality
         of their hull is certified against the region by exact LP; any slack
-        means a fractional vertex, reported as IntegralityError.
+        means a fractional vertex, reported as IntegralityError.  The cell
+        constructions need no such LP (their systems are totally
+        unimodular); this is the reference the tests compare them with.
         """
         if system.lt:
             raise ValueError("from_inequalities expects a closed system")

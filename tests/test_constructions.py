@@ -1,11 +1,12 @@
 """Geometric counting complexes against the enumeration oracles."""
 
 import itertools
+import random
 import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 from test_graphs import graphs
 
 from ehrhil import constructions, polytope
@@ -20,7 +21,15 @@ from ehrhil.constructions import (
     degree_bound,
     oracle,
 )
-from ehrhil.graphs import Graph, complete_graph, cycle_graph, path_graph
+from ehrhil.exact import InvariantError, det, rational_kernel
+from ehrhil.graphs import (
+    Graph,
+    complete_graph,
+    cycle_basis,
+    cycle_graph,
+    incidence_matrix,
+    path_graph,
+)
 from ehrhil.srideal import hilbert_from_f
 
 K2 = complete_graph(2)
@@ -79,11 +88,12 @@ class TestCellInventory:
             build_family("spanning-trees", K2)
 
     def test_candidate_budget_stops_before_any_lp(self, monkeypatch):
-        # K8 chromatic has 2^28 sign vectors, each one exact LP
-        def no_lp(*args):
-            raise AssertionError("an LP ran before the budget check")
+        # K8 chromatic has 2^28 sign vectors, each one walk of its box
+        def no_walk(*args):
+            raise AssertionError("a candidate was walked before the budget "
+                                 "check")
 
-        monkeypatch.setattr(constructions, "lp_feasible", no_lp)
+        monkeypatch.setattr(constructions, "_walk", no_walk)
         with pytest.raises(ValueError,
                            match=r"chromatic: 268435456 candidate cells "
                                  r"exceed the budget of 65536"):
@@ -146,8 +156,9 @@ class TestComplexStructure:
 
 class TestLPCounts:
     def test_suite_builds_make_the_pinned_lp_calls(self, suite, monkeypatch):
-        # filter LPs in the candidate loop, certify LPs in
-        # from_inequalities, vertex LPs in the vertex extraction
+        # one walk per candidate and no LP: the unimodularity certificate
+        # makes the filter, certify and vertex LPs of the reference
+        # (lp_family, from_inequalities) unnecessary
         calls = Counter()
 
         def counting(module, name, tag):
@@ -159,6 +170,8 @@ class TestLPCounts:
 
             monkeypatch.setattr(module, name, counted)
 
+        counting(constructions, "_walk", "walk")
+        counting(constructions, "_certify_unimodular", "certificate")
         counting(constructions, "lp_feasible", "filter")
         counting(polytope, "lp_feasible", "vertex")
         counting(polytope, "lp_maximize", "certify")
@@ -169,8 +182,132 @@ class TestLPCounts:
                         for g in suite.values() for kind in KINDS)
         finally:
             build_family.cache_clear()
-        assert dict(calls) == {"filter": 996, "certify": 1434, "vertex": 246}
+        assert dict(calls) == {"walk": 996, "certificate": 50}
         assert cells == 216
+
+
+def _cell_fields(cx):
+    return [(c.vertices, c.facets, c._facet_vertex_sets, c.hull_equalities)
+            for c in cx.maximal_cells]
+
+
+def assert_matches_lp_reference(kind, g):
+    got, want = build_family(kind, g), constructions.lp_family(kind, g)
+    assert got.labels == want.labels, (kind, g)
+    for part in ("complex", "sub"):
+        assert _cell_fields(getattr(got.relative, part)) == _cell_fields(
+            getattr(want.relative, part)), (kind, g, part)
+
+
+class TestLPReference:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_suite_and_reorientations(self, kind, suite):
+        rng = random.Random(0)
+        for g in suite.values():
+            flips = [i for i in range(len(g.edges)) if rng.random() < .5]
+            for h in (g, g.reoriented(flips)):
+                assert_matches_lp_reference(kind, h)
+
+    @settings(max_examples=25, deadline=None)
+    @given(graphs(max_edges=4))
+    def test_drawn_multigraphs(self, g):
+        for kind in KINDS:
+            assert_matches_lp_reference(kind, g)
+
+
+def totally_unimodular(m):
+    """Every square minor is 0 or +-1, by exact determinants."""
+    rows, cols = len(m), len(m[0]) if m else 0
+    for r in range(1, min(rows, cols) + 1):
+        for ri in itertools.combinations(range(rows), r):
+            for ci in itertools.combinations(range(cols), r):
+                if abs(det([[m[i][j] for j in ci] for i in ri])) > 1:
+                    return False
+    return True
+
+
+@st.composite
+def sign_matrices(draw, max_rows=4, max_cols=5):
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    entry = st.sampled_from((0, 0, 1, -1))
+    return tuple(tuple(draw(entry) for _ in range(cols))
+                 for _ in range(rows))
+
+
+ODD_CYCLE = ((1, 1, 0), (0, 1, 1), (1, 0, 1))  # det 2
+
+
+class TestUnimodularityCertificate:
+    def test_odd_cycle_is_not_totally_unimodular(self):
+        assert det([list(row) for row in ODD_CYCLE]) == 2
+        assert not totally_unimodular(ODD_CYCLE)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sign_matrices())
+    def test_network_certificate_implies_unimodular(self, m):
+        try:
+            constructions._network_certificate(m)
+        except InvariantError:
+            return
+        assert totally_unimodular(m)
+        assert totally_unimodular(tuple(zip(*m)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(sign_matrices())
+    def test_kernel_certificate_implies_unimodular(self, a):
+        # rref's kernel basis has an identity block on the free columns
+        ncols = len(a[0])
+        kernel = [tuple(map(int, row))
+                  for row in rational_kernel(a, ncols)
+                  if all(x.denominator == 1 for x in row)]
+        try:
+            constructions._kernel_certificate(kernel, a, ncols)
+        except InvariantError:
+            return
+        assert totally_unimodular(kernel)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(max_edges=7))
+    def test_graph_matrices_pass(self, g):
+        for kind in KINDS:
+            constructions._certify_unimodular(kind, g)
+
+    def test_odd_cycle_refused_naming_the_column(self):
+        with pytest.raises(InvariantError, match=r"column 0 \[1, 0, 1\] is "
+                                                 r"not a network column"):
+            constructions._network_certificate(ODD_CYCLE)
+
+    def test_odd_cycle_kernel_refused_naming_the_row(self):
+        # no matrix rows: the three rows must span all of R^3, and do, but
+        # no column of theirs is a unit column
+        with pytest.raises(InvariantError, match="row 0 has no identity "
+                                                 "column"):
+            constructions._kernel_certificate(ODD_CYCLE, (), 3)
+
+    def test_kernel_of_a_matrix_that_is_not_network_refused(self):
+        # an identity block spanning the kernel of a, but with the minor
+        # [[1, 1], [1, -1]] of determinant -2 in columns 2 and 3
+        rows = ((1, 0, 1, 1), (0, 1, 1, -1))
+        a = ((-1, -1, 1, 0), (-1, 1, 0, 1))
+        assert not totally_unimodular(rows)
+        with pytest.raises(InvariantError, match=r"column 0 \[-1, -1\] is "
+                                                 r"not a network column"):
+            constructions._kernel_certificate(rows, a, 4)
+
+    def test_kernel_certificate_needs_the_whole_kernel(self):
+        # one fundamental cycle is orthogonal to the incidence rows and has
+        # an identity column, but K3 with a doubled edge has two cycles
+        g = Graph((0, 1, 2), ((0, 1), (1, 2), (2, 0), (2, 0)))
+        with pytest.raises(InvariantError, match="1 rows, but the kernel "
+                                                 "has dimension 2"):
+            constructions._kernel_certificate(
+                cycle_basis(g)[:1], incidence_matrix(g), 4)
+
+    def test_kernel_rows_must_be_cycles(self):
+        with pytest.raises(InvariantError, match="row 0 is not orthogonal "
+                                                 "to matrix row 0"):
+            constructions._kernel_certificate(((1, 0),), ((1, 1),), 2)
 
 
 class TestHilbertRoute:

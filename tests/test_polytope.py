@@ -87,6 +87,45 @@ class TestBasicStructure:
         assert affine_rank([(0, 0), (1, 0), (0, 1)]) == 2
 
 
+def vertex_lp_reference(points):
+    """The points outside the hull of the others, one LP each."""
+    pts = sorted(set(points))
+    return tuple(p for i, p in enumerate(pts)
+                 if not in_hull(p, pts[:i] + pts[i + 1:]))
+
+
+class TestVertexRule:
+    # points in one unit box are all vertices, with no vertex LP
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.lists(st.tuples(*[st.integers(0, 1)] * n), min_size=1,
+                 max_size=2 ** n),
+        st.tuples(*[st.integers(-3, 3)] * n))))
+    def test_unit_box_points_match_the_vertex_lp(self, drawn):
+        points, shift = drawn
+        shifted = [tuple(x + s for x, s in zip(p, shift)) for p in points]
+        assert LatticePolytope(shifted).vertices \
+            == vertex_lp_reference(shifted)
+
+    def test_unit_box_needs_no_vertex_lp(self, monkeypatch):
+        def no_lp(*args):
+            raise AssertionError("a vertex LP ran")
+
+        monkeypatch.setattr(polytope_module, "lp_feasible", no_lp)
+        assert CUBE.vertices == LatticePolytope(CUBE.vertices).vertices
+        assert len(LatticePolytope(
+            itertools.product((2, 3), (-1, 0), (5, 6))).vertices) == 8
+
+    @pytest.mark.parametrize("points, vertices", [
+        ([(0,), (1,), (2,)], ((0,), (2,))),
+        ([(0, 0), (1, 0), (2, 0), (1, 1)], ((0, 0), (1, 1), (2, 0))),
+    ])
+    def test_wider_point_sets_drop_their_non_vertices(self, points,
+                                                      vertices):
+        assert LatticePolytope(points).vertices == vertices \
+            == vertex_lp_reference(points)
+
+
 class TestLatticePoints:
     def test_square_counts(self):
         # Ehrhart of the unit square is (k+1)^2
