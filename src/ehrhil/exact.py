@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
+from operator import mul
 
 
 class InvariantError(RuntimeError):
@@ -65,7 +66,7 @@ def identity_matrix(n):
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def reduce_content(vec):

@@ -8,10 +8,14 @@ kernel lattices and unimodularity by one unimodular column reduction.
 The facet description of a polytope built from points is recovered from
 the points directly: every subset of vertices of size dim that spans a
 hyperplane inside the affine hull is a candidate, and the candidates that
-support the polytope on one side survive.  Vertex counts stay small in this
-code base, so the subset scan is cheaper than being clever.  A face is not
-rebuilt from its points: its vertices and facets are read off the face
-lattice of the polytope it belongs to, which pulling recurses through.
+support the polytope on one side survive.  The scan is C(vertices, dim)
+column reductions, and it is most of the time a cell construction takes
+(ROADMAP item 3 records reading facets from the cell's rows instead).  A
+face is not rebuilt from its points: its vertices and facets are read off
+the face lattice of the polytope it belongs to, which pulling recurses
+through.  Points of an open face are counted in the face's own frame, a
+lattice basis of its affine hull, so the walk runs over dim F coordinates
+instead of the ambient ones.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import random
 from functools import cached_property
 
 from .exact import (
+    InvariantError,
     LinearSystem,
     canonical_direction,
     column_echelon,
@@ -129,6 +134,38 @@ def _walk(cons, box, out=None):
     return total
 
 
+def _lattice_coordinates(basis, points):
+    """Integer y with sum_j y_j basis[j] = p, for each point p.
+
+    `basis` must be a lattice basis of Z^n on a linear subspace, such as
+    integer_kernel returns.  One column reduction U of its rows leaves
+    them lower triangular with the other columns zero, so y is read off
+    p U by back substitution.  That the lattice is saturated makes every
+    pivot +-1, and that p lies in it makes every division exact; either
+    failing raises InvariantError.
+    """
+    d, n = len(basis), len(points[0])
+    pivots, _, u = column_echelon(basis, n)
+    if len(pivots) != d or any(abs(p) != 1 for p in pivots):
+        raise InvariantError(f"basis pivots {pivots} are not all +-1, so "
+                             f"the basis does not span a saturated lattice")
+    low = [[dot(z, u[j]) for j in range(i + 1)] for i, z in enumerate(basis)]
+    out = []
+    for p in points:
+        w = [dot(p, col) for col in u]
+        if any(w[d:]):
+            raise InvariantError(f"{tuple(p)} is not in the span of the basis")
+        y = [0] * d
+        for j in range(d - 1, -1, -1):
+            r = w[j] - sum(y[i] * low[i][j] for i in range(j + 1, d))
+            y[j], rem = divmod(r, low[j][j])
+            if rem:
+                raise InvariantError(
+                    f"{tuple(p)} has no integer coordinates in the basis")
+        out.append(tuple(y))
+    return out
+
+
 class LatticePolytope:
     """Convex hull of integer points, with cached combinatorial structure."""
 
@@ -159,6 +196,7 @@ class LatticePolytope:
         self.hull_equalities = tuple(sorted(
             (a, dot(a, p0)) for a in map(canonical_direction, u[self.dim:])))
         self._face_cache = {}
+        self._frame_cache = {}
         self._points_cache = {}
 
     def _extract_vertices(self, pts):
@@ -343,32 +381,44 @@ class LatticePolytope:
 
     # -- lattice points --------------------------------------------------------
 
-    def _constraints(self, k, face=None):
-        """Rows (a, r) meaning a.x <= r, and the box to walk over.
+    def _frame(self, fs):
+        """The face F with vertex set fs in its own lattice coordinates.
 
-        Without a face they cut out the k-th dilate.  With a face F, given
-        by its vertex set, they cut out the relative interior of k*F: tight
-        on the hull equalities and on the facets containing F, at least one
-        lattice step inside every other facet (a.x <= k*b - 1, the normals
-        being integral).  The box is the scaled bounding box of F.
+        The lattice points of aff(k*F) are k*p0 + B y for y in Z^d, where p0
+        is F's least vertex and the d columns of B are a lattice basis of
+        Z^n on the linear span of F - p0: the kernel lattice of the hull
+        equalities and the facet normals through F.  Returns (rows, box):
+        each facet (a, b) not through F as the row (a.B, b - a.p0), so that
+        a.x <= k*b reads (a.B) y <= k*(b - a.p0), and F's box in the
+        y-coordinates of its vertices.  A row that B sends to zero is
+        constant on F and slack there, and is left out.  Cached per face.
         """
-        cons = []
-        for h, c in self.hull_equalities:
-            cons.append((h, k * c))
-            cons.append((tuple(-v for v in h), -k * c))
-        if face is None:
-            cons += [(a, k * b) for a, b in self.facets]
-            box = [(k * lo, k * hi) for lo, hi in self.bounding_box]
-            return cons, box
+        got = self._frame_cache.get(fs)
+        if got is not None:
+            return got
+        n = self.ambient_dim
+        eqs = [h for h, _ in self.hull_equalities]
+        free = []
         for (a, b), tight in zip(self.facets, self._facet_vertex_sets):
-            if face <= tight:
-                cons.append((a, k * b))
-                cons.append((tuple(-v for v in a), -k * b))
+            if fs <= tight:
+                eqs.append(a)
             else:
-                cons.append((a, k * b - 1))
-        box = [(k * min(v[i] for v in face), k * max(v[i] for v in face))
-               for i in range(self.ambient_dim)]
-        return cons, box
+                free.append((a, b))
+        pivots, _, u = column_echelon(eqs, n)
+        basis = u[len(pivots):]
+        p0 = min(fs)
+        coords = _lattice_coordinates(
+            basis, [[v[i] - p0[i] for i in range(n)] for v in fs])
+        rows = {}  # a row -> its least slack
+        for a, b in free:
+            row = tuple(dot(a, z) for z in basis)
+            if any(row):
+                slack = b - dot(a, p0)
+                rows[row] = min(slack, rows.get(row, slack))
+        got = (tuple(rows.items()),
+               tuple((min(c), max(c)) for c in zip(*coords)))
+        self._frame_cache[fs] = got
+        return got
 
     def lattice_points(self, k=1):
         """Integer points of the k-th dilate, in ascending lex order."""
@@ -377,8 +427,12 @@ class LatticePolytope:
         cached = self._points_cache.get(k)
         if cached is not None:
             return cached
+        cons = []
+        for h, c in self.hull_equalities:
+            cons += [(h, k * c), (tuple(-v for v in h), -k * c)]
+        cons += [(a, k * b) for a, b in self.facets]
         out = []
-        _walk(*self._constraints(k), out)
+        _walk(cons, [(k * lo, k * hi) for lo, hi in self.bounding_box], out)
         result = tuple(out)
         self._points_cache[k] = result
         return result
@@ -387,16 +441,24 @@ class LatticePolytope:
         """Number of integer points of the k-th dilate, without listing them.
 
         With `face` (the vertex set of a face F, possibly the whole
-        polytope) the count is of the relative interior of k*F.  Unlike
-        lattice_points, nothing is cached.
+        polytope) the count is of the relative interior of k*F: strictly
+        inside every facet not through F, which for integral rows is at
+        least one lattice step inside.  The walk runs over F's own dim F
+        lattice coordinates (see _frame).  No point is cached; the frame
+        is, once per face, so the cache is bounded by the face lattice and
+        the frames serve every k.
         """
         if k < 1:
             raise ValueError("dilation factor must be >= 1")
-        if face is not None:
-            face = frozenset(face)
-            if face not in self.face_vertex_sets:
-                raise ValueError(f"{sorted(face)} is not a face")
-        return _walk(*self._constraints(k, face))
+        if face is None:
+            fs, step = frozenset(self.vertices), 0
+        else:
+            fs, step = frozenset(face), 1
+            if fs not in self.face_vertex_sets:
+                raise ValueError(f"{sorted(fs)} is not a face")
+        rows, box = self._frame(fs)
+        return _walk([(a, k * s - step) for a, s in rows],
+                     [(k * lo, k * hi) for lo, hi in box])
 
     def interior_lattice_points(self, k=1):
         """Lattice points in the relative interior of the k-th dilate."""

@@ -14,6 +14,16 @@ from .complexes import PolytopalComplex, RelativeComplex, SimplicialComplex
 from .polytope import LatticePolytope
 
 
+# Faces of the simplices realize_polynomial may build.  K6's chromatic
+# vector (0, 0, 0, 0, 0, 720, 720) has 136,800; pulling and counting it
+# take seconds, and the time grows with the face count.
+REALIZE_FACE_BUDGET = 2 ** 18
+
+
+class BudgetError(ValueError):
+    """A realization would have more faces than REALIZE_FACE_BUDGET."""
+
+
 @dataclass(frozen=True)
 class RelativeSRIdeal:
     """Monomials whose support is a face of `delta` but not of `sub`; the
@@ -72,7 +82,9 @@ def realize_polynomial(f):
 
     Simplex number j sits in the hyperplane (first coordinate) = 2j, so the
     cells never touch and the placement is deterministic.  Negative or
-    fractional coefficients admit no such complex and are rejected.
+    fractional coefficients admit no such complex and are rejected, and so
+    is a vector whose simplices have more nonempty faces, sum_i f_i
+    (2^(i+1) - 1), than REALIZE_FACE_BUDGET, before anything is built.
     """
     coeffs = []
     for c in f:
@@ -80,6 +92,10 @@ def realize_polynomial(f):
             raise ValueError(
                 f"not realizable: {c} is not a non-negative integer")
         coeffs.append(int(c))
+    faces = sum(c * (2 ** (i + 1) - 1) for i, c in enumerate(coeffs))
+    if faces > REALIZE_FACE_BUDGET:
+        raise BudgetError(f"the simplices would have {faces} faces, beyond "
+                          f"the budget of {REALIZE_FACE_BUDGET}")
     dims = [i for i, c in enumerate(coeffs) if c]
     if not dims:
         empty = PolytopalComplex([], ambient_dim=1)

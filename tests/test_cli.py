@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -97,6 +98,12 @@ class TestRealize:
 
     def test_garbage_rejected(self, capsys):
         assert main(["realize", "--coeffs", "1,x"]) == 2
+
+    def test_over_budget_refused_at_once(self, capsys):
+        start = time.monotonic()
+        assert main(["realize", "--coeffs", "1000000"]) == 2
+        assert time.monotonic() - start < 1
+        assert "1000000 faces" in capsys.readouterr().err
 
     def test_round_trip(self, capsys):
         assert main(["realize", "--coeffs", "0,2,1", "--json"]) == 0

@@ -8,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 import ehrhil.polytope as polytope_module
 from ehrhil.constructions import KINDS, build_family
-from ehrhil.exact import LinearSystem, dot, lp_feasible
+from ehrhil.exact import (
+    InvariantError,
+    LinearSystem,
+    dot,
+    integer_kernel,
+    lp_feasible,
+)
 from ehrhil.polytope import (
     IntegralityError,
     LatticePolytope,
@@ -167,6 +173,45 @@ class TestLatticePoints:
         square = LatticePolytope(SQUARE.vertices)
         assert square.count_points(7) == 64
         assert square._points_cache == {}
+
+    def test_frames_are_built_once_per_face(self, monkeypatch):
+        # the frame of a face serves every k, so a second round of counts
+        # makes no column reduction
+        p = LatticePolytope([(x, y, -x - y, 1) for x, y in
+                             [(0, 0), (2, 0), (0, 1), (1, 2)]])
+        faces = p.face_vertex_sets
+        counts = [p.count_points(k, vs) for k in (1, 2) for vs in faces]
+        assert len(p._frame_cache) == len(faces)
+        calls = []
+        monkeypatch.setattr(polytope_module, "column_echelon",
+                            lambda *args: calls.append(args))
+        assert counts == [p.count_points(k, vs)
+                          for k in (1, 2) for vs in faces]
+        assert p.count_points(5) == len(p.lattice_points(5))
+        assert calls == [] and len(p._frame_cache) == len(faces)
+
+    def test_counts_in_an_index_two_image(self):
+        # the unit square's image holds the image of its centre, (1, 0, 2)
+        p = mapped(INDEX_TWO_MAPS[0])(SQUARE)
+        assert p.dim == 2 and p.ambient_dim == 3
+        for k in (1, 2, 3):
+            assert p.count_points(k) == len(p.lattice_points(k)) \
+                == (2 * k + 1) ** 2 - 2 * k * (k + 1)
+            assert p.count_points(k, p.vertices) \
+                == len(p.interior_lattice_points(k))
+        assert (1, 0, 2) in p.lattice_points(1)
+
+    def test_lattice_coordinates(self):
+        coords = polytope_module._lattice_coordinates
+        basis = integer_kernel([[1, 2, 3]], ncols=3)
+        pts = [[0, 0, 0], [3, 0, -1], [1, 1, -1], [-5, 1, 1]]
+        for p, y in zip(pts, coords(basis, pts)):
+            assert [sum(c * z[i] for c, z in zip(y, basis))
+                    for i in range(3)] == p
+        with pytest.raises(InvariantError, match="not all"):
+            coords([(2, 0, 0)], [(2, 0, 0)])
+        with pytest.raises(InvariantError, match="not in the span"):
+            coords(basis, [(1, 0, 0)])
 
     def test_count_points_in_ambient_dimension_zero(self):
         point = LatticePolytope([()])
@@ -358,6 +403,26 @@ def lifted(p):
     return LatticePolytope((x, y, -x - y, *rest) for x, y, *rest in p.vertices)
 
 
+# x -> (x, 2x + 3y, y) maps Z^2 onto the lattice points of its image plane;
+# these two have maximal minors with gcd 2, so the image lattice has index 2
+SATURATED_MAP = ((1, 0), (2, 3), (0, 1))
+INDEX_TWO_MAPS = (((1, 1), (1, -1), (1, 3)),
+                  ((1, 1, 0), (1, -1, 0), (0, 0, 2), (1, 0, 1)))
+
+
+def mapped(matrix):
+    """The image of a polytope under the injective integral map x -> M x.
+
+    Where the maximal minors of M have a common factor, the image lattice
+    is not saturated: the image polytope holds lattice points that are
+    not images of lattice points.
+    """
+    def image(p):
+        return LatticePolytope(tuple(dot(row, v) for row in matrix)
+                               for v in p.vertices)
+    return image
+
+
 def assert_face_is_rebuilt(face, vs):
     """A face read off its parent equals the polytope rebuilt from vs.
 
@@ -430,13 +495,24 @@ class TestRandomized:
             assert (cand in listed) == in_hull(cand, p.vertices, k)
 
     @settings(max_examples=40, deadline=None)
-    @given(small_polytopes())
+    @given(st.one_of(
+        small_polytopes(), small_solids().map(lifted),
+        small_polytopes().map(mapped(SATURATED_MAP)),
+        small_polytopes().map(mapped(INDEX_TWO_MAPS[0])),
+        small_solids().map(mapped(INDEX_TWO_MAPS[1]))))
     def test_count_points_matches_listed_points(self, p):
-        for k in (1, 2, 3):
-            assert p.count_points(k) == len(p.lattice_points(k))
-            for vs in p.face_vertex_sets:
+        # lower-dimensional polytopes are counted in their own lattice
+        # coordinates, and every face, vertices included, in its own; the
+        # listed points of the ambient walk are the reference
+        counts = {(k, vs): p.count_points(k, vs)
+                  for k in (1, 2, 3) for vs in [None, *p.face_vertex_sets]}
+        assert p._points_cache == {}
+        for (k, vs), got in counts.items():
+            if vs is None:
+                assert got == len(p.lattice_points(k)), k
+            else:
                 want = len(LatticePolytope(vs).interior_lattice_points(k))
-                assert p.count_points(k, vs) == want, (sorted(vs), k)
+                assert got == want, (sorted(vs), k)
 
     @settings(max_examples=40, deadline=None)
     @given(small_polytopes(), st.randoms(use_true_random=False))

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ehrhil.srideal as srideal
 from ehrhil.complexes import (
     PolytopalComplex,
     RelativeComplex,
@@ -12,6 +13,8 @@ from ehrhil.complexes import (
 )
 from ehrhil.polytope import LatticePolytope
 from ehrhil.srideal import (
+    REALIZE_FACE_BUDGET,
+    BudgetError,
     RelativeSRIdeal,
     hilbert_by_enumeration,
     hilbert_from_f,
@@ -147,6 +150,34 @@ class TestRealizePolynomial:
             realize_polynomial((-1, 1))
         with pytest.raises(ValueError, match="not realizable"):
             realize_polynomial((1.5,))
+
+    def test_budget_admits_k6_chromatic(self, monkeypatch):
+        # K6's chromatic vector has 720 * 63 + 720 * 127 = 136,800 faces;
+        # the build starts, and is stopped at its first simplex
+        class Started(Exception):
+            pass
+
+        def start(points):
+            raise Started
+
+        monkeypatch.setattr(srideal, "LatticePolytope", start)
+        with pytest.raises(Started):
+            realize_polynomial((0, 0, 0, 0, 0, 720, 720))
+        with pytest.raises(Started):
+            realize_polynomial((REALIZE_FACE_BUDGET,))
+
+    def test_budget_refuses_before_building(self, monkeypatch):
+        def start(points):
+            raise AssertionError("built a simplex")
+
+        monkeypatch.setattr(srideal, "LatticePolytope", start)
+        with pytest.raises(BudgetError,
+                           match=f"1000000 faces.* {REALIZE_FACE_BUDGET}"):
+            realize_polynomial((1000000,))
+        with pytest.raises(BudgetError):
+            realize_polynomial((REALIZE_FACE_BUDGET + 1,))
+        with pytest.raises(BudgetError):
+            realize_polynomial((0,) * 40 + (1,))
 
     def test_zero_vector(self):
         rel = realize_polynomial(())
