@@ -20,7 +20,7 @@ import itertools
 from functools import cached_property
 
 from .exact import InvariantError, LinearSystem, dot, lp_feasible
-from .polytope import simplex_is_unimodular
+from .polytope import check_dilation, simplex_is_unimodular
 
 
 class InvalidComplexError(ValueError):
@@ -175,6 +175,7 @@ class PolytopalComplex:
         return faces
 
     def lattice_points(self, k=1):
+        check_dilation(k)
         pts = set()
         for cell in self.maximal_cells:
             pts.update(cell.lattice_points(k))
@@ -369,6 +370,7 @@ class RelativeComplex:
         build_family's complexes are checked by the test suite and JSON
         complexes when they are loaded.
         """
+        check_dilation(k)
         total = 0
         for cell, closed, faces in self._open_faces:
             part = sum(cell.count_points(k, vs) for vs in faces)

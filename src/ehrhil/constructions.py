@@ -58,7 +58,7 @@ from .graphs import (
     mod_tension_bf,
 )
 from .polynomials import interpolate
-from .polytope import LatticePolytope, _walk
+from .polytope import LatticePolytope, _plan, _walk
 from .srideal import hilbert_from_f
 
 # refuse constructions beyond 2^16 candidate cells, one walk of the box
@@ -177,7 +177,7 @@ def _cells(n, candidates, planes):
         for a, b in eq:
             closed += [(a, b), (tuple(-c for c in a), -b)]
         pts = []
-        _walk(closed, box, pts)  # the walk keeps to the box by itself
+        _walk(_plan(closed, box), 1, 0, pts)  # the walk keeps to the box
         strict = _walls(n, box) + rows
         if pts and all(any(dot(a, p) < r for p in pts) for a, r in strict):
             labels.append(label)

@@ -47,11 +47,20 @@ class BinomialPolynomial:
     def degree(self):
         return len(self.coefficients) - 1
 
+    @cached_property
+    def _integer_form(self):
+        """Integer numerators over one common denominator."""
+        den = math.lcm(*(c.denominator for c in self.coefficients))
+        return (tuple(c.numerator * (den // c.denominator)
+                      for c in reversed(self.coefficients)), den)
+
     def evaluate(self, k):
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
+        """Value at a rational k, by Horner on the integer numerators."""
+        numerators, den = self._integer_form
+        acc = 0
+        for c in numerators:
             acc = acc * k + c
-        return acc
+        return Fraction(acc, den)
 
     @cached_property
     def binomial_basis(self):

@@ -15,7 +15,8 @@ face is not rebuilt from its points: its vertices and facets are read off
 the face lattice of the polytope it belongs to, which pulling recurses
 through.  Points of an open face are counted in the face's own frame, a
 lattice basis of its affine hull, so the walk runs over dim F coordinates
-instead of the ambient ones.
+instead of the ambient ones.  Each face's walk is compiled once into a
+k-free plan (`_plan`), which serves every dilate k*F.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ from .exact import (
     rational_rank,
     reduce_content,
 )
+
+
+# Most lattice points LatticePolytope.lattice_points caches per polytope.
+POINTS_CACHE_BUDGET = 2 ** 16
 
 
 class IntegralityError(ValueError):
@@ -67,69 +72,169 @@ def simplex_is_unimodular(points):
     return len(pivots) == len(rows) and all(abs(p) == 1 for p in pivots)
 
 
-def _walk(cons, box, out=None):
-    """Integer points x of the box with a.x <= r for every row (a, r).
+def check_dilation(k):
+    """Refuse a dilation factor that is not an int >= 1."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ValueError(f"dilation factor k must be an int >= 1, got {k!r}")
+
+
+def _plan(rows, box):
+    """The k-free tables of a walk over the box under the rows (a, s).
+
+    `_walk(plan, k, step)` visits the integer points x of k times the box
+    with a.x <= k*s - step for every row.  The least value that the
+    coordinates after i can add to a row on the box (its tail) is linear
+    in the box, so dilating by k scales the box and every tail by k, and
+    one plan serves every k.  The plan holds the right-hand sides s, the
+    box, one level per coordinate before the last, and the last
+    coordinate's tables:
+
+    - a level is the coordinate's column and its rows split by the sign of
+      a_i: (row, tail) where a_i = 0, (row, |a_i|, tail) otherwise;
+    - the last coordinate has no tail.  Its rows are paired with the
+      next-to-last column b, (row, |a|, b), so the walk cuts it from
+      residual - b*v inline.  The rows with b = 0 are cut once per prefix
+      instead (`_cut_last`).  A row with a zero last coefficient is exact
+      at the next-to-last level, so only a one-coordinate walk checks it
+      here.
+    """
+    rhs = [s for _, s in rows]
+    n = len(box)
+    cols = list(zip(*[a for a, _ in rows])) if rhs else [()] * n
+    levels = [None] * max(n - 1, 0)
+    tail = [0] * len(rhs)
+    for i in range(n - 1, 0, -1):
+        # fold coordinate i into the tails of the coordinates before it
+        lo, hi = box[i]
+        tail = [t + (a * lo if a > 0 else a * hi)
+                for t, a in zip(tail, cols[i])]
+        zero, pos, neg = [], [], []
+        for c, (a, t) in enumerate(zip(cols[i - 1], tail)):
+            if a > 0:
+                pos.append((c, a, t))
+            elif a < 0:
+                neg.append((c, -a, t))
+            else:
+                zero.append((c, t))
+        levels[i - 1] = (cols[i - 1], zero, pos, neg)
+    zero, cut_pos, cut_neg, pos, neg = [], [], [], [], []
+    if n:
+        prev = cols[n - 2] if n > 1 else [0] * len(rhs)
+        for c, (a, b) in enumerate(zip(cols[n - 1], prev)):
+            if a == 0:
+                if n == 1:
+                    zero.append(c)
+            elif b == 0:
+                (cut_pos if a > 0 else cut_neg).append((c, abs(a)))
+            else:
+                (pos if a > 0 else neg).append((c, abs(a), b))
+    return rhs, box, levels, (zero, cut_pos, cut_neg), (pos, neg)
+
+
+def _cut_last(residual, fixed, lo, hi):
+    """The last coordinate's interval under its rows with b = 0."""
+    zero, pos, neg = fixed
+    for c in zero:
+        if residual[c] < 0:
+            return 1, 0
+    for c, a in pos:
+        top = residual[c] // a
+        if top < hi:
+            hi = top
+    for c, a in neg:
+        bottom = -(residual[c] // a)
+        if bottom > lo:
+            lo = bottom
+    return lo, hi
+
+
+def _walk(plan, k=1, step=0, out=None):
+    """Integer points x of k times the plan's box with a.x <= k*s - step.
 
     Depth first over the coordinates: each partial assignment is cut to the
     interval that every row still allows, given the least value the later
     coordinates can add, so the walk touches little more than the points.
+    The thresholds are scaled once per call, and only when k != 1.  At the
+    next-to-last coordinate the last one is cut inline, from the residual
+    of each row less b*v, with no call and no residual list per prefix.
     Returns the number of points.  When `out` is a list the points are
-    appended to it in ascending lex order; otherwise the last coordinate
-    adds the length of its interval without visiting it.
+    appended to it in ascending lex order; otherwise each prefix adds the
+    length of the last coordinate's interval.
     """
+    rhs, box, levels, fixed, (pos, neg) = plan
+    residual = [k * s - step for s in rhs]
+
     n = len(box)
     if n == 0:
-        inside = all(r >= 0 for _, r in cons)
+        inside = all(r >= 0 for r in residual)
         if inside and out is not None:
             out.append(())
         return int(inside)
-    # per coordinate i: (row, a_i, least value of sum_{j>i} a_j x_j), split
-    # by the sign of a_i
-    pos, neg, zero = [None] * n, [None] * n, [None] * n
-    tail = [0] * len(cons)
-    for i in range(n - 1, -1, -1):
-        lo, hi = box[i]
-        pos[i] = [(c, a[i], tail[c]) for c, (a, _) in enumerate(cons)
-                  if a[i] > 0]
-        neg[i] = [(c, -a[i], tail[c]) for c, (a, _) in enumerate(cons)
-                  if a[i] < 0]
-        zero[i] = [(c, tail[c]) for c, (a, _) in enumerate(cons)
-                   if a[i] == 0]
-        for c, (a, _) in enumerate(cons):
-            tail[c] += min(a[i] * lo, a[i] * hi)
-    cols = [[a[i] for a, _ in cons] for i in range(n)]
-    last = n - 1
+    if k != 1:
+        box = [(k * lo, k * hi) for lo, hi in box]
+        levels = [(col, [(c, k * t) for c, t in z],
+                   [(c, a, k * t) for c, a, t in p],
+                   [(c, a, k * t) for c, a, t in m])
+                  for col, z, p, m in levels]
+    last_lo, last_hi = box[-1]
+    if n == 1:
+        lo, hi = _cut_last(residual, fixed, last_lo, last_hi)
+        if lo > hi:
+            return 0
+        if out is not None:
+            out.extend((v,) for v in range(lo, hi + 1))
+        return hi - lo + 1
+    inner = n - 2
     x = [0] * n
 
     def walk(i, residual):
         lo, hi = box[i]
-        for c, t in zero[i]:
+        col, z, p, m = levels[i]
+        for c, t in z:
             if residual[c] < t:
                 return 0
-        for c, ai, t in pos[i]:
-            top = (residual[c] - t) // ai
+        for c, a, t in p:
+            top = (residual[c] - t) // a
             if top < hi:
                 hi = top
-        for c, ai, t in neg[i]:
-            # a_i x_i <= residual - t with a_i = -ai < 0
-            bottom = -((residual[c] - t) // ai)
+        for c, a, t in m:
+            # a_i x_i <= residual - t with a_i = -a < 0
+            bottom = -((residual[c] - t) // a)
             if bottom > lo:
                 lo = bottom
         if lo > hi:
             return 0
-        if i == last:
-            if out is not None:
-                prefix = tuple(x[:last])
-                out.extend(prefix + (v,) for v in range(lo, hi + 1))
-            return hi - lo + 1
-        col = cols[i]
         total = 0
+        if i < inner:
+            for v in range(lo, hi + 1):
+                x[i] = v
+                total += walk(i + 1, [r - a * v for r, a in zip(residual, col)])
+            return total
+        # i is the next-to-last coordinate: cut the last one for each v
+        lo0, hi0 = _cut_last(residual, fixed, last_lo, last_hi)
+        if lo0 > hi0:
+            return 0
+        up = [(residual[c], a, b) for c, a, b in pos]
+        down = [(residual[c], a, b) for c, a, b in neg]
         for v in range(lo, hi + 1):
-            x[i] = v
-            total += walk(i + 1, [r - a * v for r, a in zip(residual, col)])
+            top, bottom = hi0, lo0
+            for r, a, b in up:
+                t = (r - b * v) // a
+                if t < top:
+                    top = t
+            for r, a, b in down:
+                t = -((r - b * v) // a)
+                if t > bottom:
+                    bottom = t
+            if bottom <= top:
+                total += top - bottom + 1
+                if out is not None:
+                    x[i] = v
+                    prefix = tuple(x[:n - 1])
+                    out.extend(prefix + (w,) for w in range(bottom, top + 1))
         return total
 
-    total = walk(0, [r for _, r in cons])
+    total = walk(0, residual)
     del walk  # the closure refers to itself; free it without the cyclic GC
     return total
 
@@ -271,7 +376,7 @@ class LatticePolytope:
         for a, b in system.eq:
             rows += [(a, b), (tuple(-c for c in a), -b)]
         pts = []
-        _walk(rows, box, pts)
+        _walk(_plan(rows, box), 1, 0, pts)
         if not pts:
             raise IntegralityError(
                 "region has no lattice points in the given box")
@@ -387,11 +492,12 @@ class LatticePolytope:
         The lattice points of aff(k*F) are k*p0 + B y for y in Z^d, where p0
         is F's least vertex and the d columns of B are a lattice basis of
         Z^n on the linear span of F - p0: the kernel lattice of the hull
-        equalities and the facet normals through F.  Returns (rows, box):
-        each facet (a, b) not through F as the row (a.B, b - a.p0), so that
-        a.x <= k*b reads (a.B) y <= k*(b - a.p0), and F's box in the
-        y-coordinates of its vertices.  A row that B sends to zero is
-        constant on F and slack there, and is left out.  Cached per face.
+        equalities and the facet normals through F.  Returns the walk plan
+        (see _plan) of each facet (a, b) not through F as the row
+        (a.B, b - a.p0), so that a.x <= k*b reads (a.B) y <= k*(b - a.p0),
+        over F's box in the y-coordinates of its vertices.  A row that B
+        sends to zero is constant on F and slack there, and is left out.
+        Cached per face: the plan serves every k.
         """
         got = self._frame_cache.get(fs)
         if got is not None:
@@ -415,27 +521,36 @@ class LatticePolytope:
             if any(row):
                 slack = b - dot(a, p0)
                 rows[row] = min(slack, rows.get(row, slack))
-        got = (tuple(rows.items()),
-               tuple((min(c), max(c)) for c in zip(*coords)))
+        got = _plan(list(rows.items()),
+                    [(min(c), max(c)) for c in zip(*coords)])
         self._frame_cache[fs] = got
         return got
 
     def lattice_points(self, k=1):
-        """Integer points of the k-th dilate, in ascending lex order."""
-        if k < 1:
-            raise ValueError("dilation factor must be >= 1")
-        cached = self._points_cache.get(k)
-        if cached is not None:
-            return cached
-        cons = []
+        """Integer points of the k-th dilate, in ascending lex order.
+
+        The lists are cached per k, at most POINTS_CACHE_BUDGET points per
+        polytope: the oldest k is dropped first, and a longer list is not
+        cached at all.
+        """
+        check_dilation(k)
+        cache = self._points_cache
+        got = cache.get(k)
+        if got is not None:
+            return got
+        rows = []
         for h, c in self.hull_equalities:
-            cons += [(h, k * c), (tuple(-v for v in h), -k * c)]
-        cons += [(a, k * b) for a, b in self.facets]
+            rows += [(h, c), (tuple(-v for v in h), -c)]
+        rows += self.facets
         out = []
-        _walk(cons, [(k * lo, k * hi) for lo, hi in self.bounding_box], out)
-        result = tuple(out)
-        self._points_cache[k] = result
-        return result
+        _walk(_plan(rows, self.bounding_box), k, 0, out)
+        got = tuple(out)
+        if len(got) <= POINTS_CACHE_BUDGET:
+            held = sum(map(len, cache.values())) + len(got)
+            while held > POINTS_CACHE_BUDGET:
+                held -= len(cache.pop(next(iter(cache))))
+            cache[k] = got
+        return got
 
     def count_points(self, k=1, face=None):
         """Number of integer points of the k-th dilate, without listing them.
@@ -444,21 +559,18 @@ class LatticePolytope:
         polytope) the count is of the relative interior of k*F: strictly
         inside every facet not through F, which for integral rows is at
         least one lattice step inside.  The walk runs over F's own dim F
-        lattice coordinates (see _frame).  No point is cached; the frame
-        is, once per face, so the cache is bounded by the face lattice and
-        the frames serve every k.
+        lattice coordinates (see _frame).  No point is cached; the frame's
+        plan is, once per face, so the cache is bounded by the face lattice
+        and the plans serve every k.
         """
-        if k < 1:
-            raise ValueError("dilation factor must be >= 1")
+        check_dilation(k)
         if face is None:
             fs, step = frozenset(self.vertices), 0
         else:
             fs, step = frozenset(face), 1
             if fs not in self.face_vertex_sets:
                 raise ValueError(f"{sorted(fs)} is not a face")
-        rows, box = self._frame(fs)
-        return _walk([(a, k * s - step) for a, s in rows],
-                     [(k * lo, k * hi) for lo, hi in box])
+        return _walk(self._frame(fs), k, step)
 
     def interior_lattice_points(self, k=1):
         """Lattice points in the relative interior of the k-th dilate."""

@@ -353,6 +353,18 @@ class TestRelativeComplex:
         assert rel.count_points(3) == 0
         assert rel.pulled_f_vector() == ()
 
+    @pytest.mark.parametrize("k", [0, -3, 2.0, "2", True])
+    def test_bad_dilation_factor_is_refused(self, k):
+        # refused before any walk, even where there is nothing to walk
+        empty = PolytopalComplex([], ambient_dim=2)
+        square = PolytopalComplex.generated_by([UNIT_SQUARE])
+        for rel in (RelativeComplex(empty, empty),
+                    RelativeComplex(square, square.faces_in_hyperplanes([]))):
+            with pytest.raises(ValueError, match="dilation factor k"):
+                rel.count_points(k)
+            with pytest.raises(ValueError, match="dilation factor k"):
+                rel.complex.lattice_points(k)
+
     def test_carved_gamma_matches_pulling_the_subcomplex(self, suite):
         # pulling C' equals the old carve: the faces of Delta with all their
         # vertices among the lattice points of one cell of C'; and the

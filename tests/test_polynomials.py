@@ -100,6 +100,17 @@ class TestEvaluate:
         assert p.evaluate(4) == 24
         assert p.evaluate(Fraction(1, 2)) == Fraction(3, 8)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.fractions(max_denominator=12), max_size=6),
+           st.one_of(st.integers(-50, 50), st.fractions(max_denominator=7)))
+    def test_integer_horner_matches_fraction_horner(self, coeffs, k):
+        p = BinomialPolynomial(tuple(coeffs))
+        want = Fraction(0)
+        for c in reversed(p.coefficients):
+            want = want * k + c
+        got = p.evaluate(k)
+        assert got == want and isinstance(got, Fraction)
+
     def test_str(self):
         assert str(BinomialPolynomial((0, 2, -3, 1))) == \
             "2*k^1 + -3*k^2 + 1*k^3"

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ehrhil.polytope as polytope_module
 from ehrhil.constructions import KINDS, build_family
@@ -175,20 +175,28 @@ class TestLatticePoints:
         assert square._points_cache == {}
 
     def test_frames_are_built_once_per_face(self, monkeypatch):
-        # the frame of a face serves every k, so a second round of counts
-        # makes no column reduction
+        # the frame of a face and its walk plan serve every k, so a second
+        # round of counts, or a new k, makes no column reduction and builds
+        # no plan
         p = LatticePolytope([(x, y, -x - y, 1) for x, y in
                              [(0, 0), (2, 0), (0, 1), (1, 2)]])
         faces = p.face_vertex_sets
         counts = [p.count_points(k, vs) for k in (1, 2) for vs in faces]
         assert len(p._frame_cache) == len(faces)
-        calls = []
+        calls, plans = [], []
+        plan = polytope_module._plan
         monkeypatch.setattr(polytope_module, "column_echelon",
                             lambda *args: calls.append(args))
+        monkeypatch.setattr(polytope_module, "_plan",
+                            lambda *args: plans.append(args) or plan(*args))
         assert counts == [p.count_points(k, vs)
                           for k in (1, 2) for vs in faces]
-        assert p.count_points(5) == len(p.lattice_points(5))
-        assert calls == [] and len(p._frame_cache) == len(faces)
+        opened = sum(p.count_points(5, vs) for vs in faces)
+        assert p.count_points(5) == opened
+        assert calls == [] and plans == []
+        assert opened == len(p.lattice_points(5))
+        assert calls == [] and len(plans) == 1  # the listing's ambient plan
+        assert len(p._frame_cache) == len(faces)
 
     def test_counts_in_an_index_two_image(self):
         # the unit square's image holds the image of its centre, (1, 0, 2)
@@ -223,6 +231,81 @@ class TestLatticePoints:
             SQUARE.count_points(0)
         with pytest.raises(ValueError, match="not a face"):
             SQUARE.count_points(1, [(0, 0), (1, 1)])
+
+    @pytest.mark.parametrize("k", [0, -3, 2.0, 1.5, "2", None, True])
+    def test_bad_dilation_factor_is_refused(self, k, monkeypatch):
+        # refused before any walk, whatever the polytope
+        monkeypatch.setattr(polytope_module, "_walk", None)
+        square = LatticePolytope(SQUARE.vertices)
+        for call in (square.count_points, square.lattice_points,
+                     lambda k: square.count_points(k, [(0, 0)])):
+            with pytest.raises(ValueError, match="dilation factor k"):
+                call(k)
+
+    def test_points_cache_is_bounded_by_entries(self, monkeypatch):
+        # many k under the real budget: every answer right, the cache bounded
+        square = LatticePolytope(SQUARE.vertices)
+        for k in range(1, 71):
+            got = square.lattice_points(k)
+            assert len(got) == (k + 1) ** 2 and got[0] == (0, 0)
+            assert got[-1] == (k, k) and got == tuple(sorted(set(got)))
+            assert sum(map(len, square._points_cache.values())) \
+                <= polytope_module.POINTS_CACHE_BUDGET
+        assert square.lattice_points(3) == tuple(
+            itertools.product(range(4), repeat=2))
+        # the oldest k is dropped first, and a list longer than the budget
+        # is never cached; the segment's k-th list has k + 1 points
+        monkeypatch.setattr(polytope_module, "POINTS_CACHE_BUDGET", 10)
+        seg = LatticePolytope([(0,), (1,)])
+        for k, kept in [(1, [1]), (2, [1, 2]), (3, [1, 2, 3]), (4, [3, 4]),
+                        (1, [4, 1]), (10, [4, 1]), (4, [4, 1])]:
+            assert seg.lattice_points(k) == tuple((i,) for i in range(k + 1))
+            assert list(seg._points_cache) == kept
+
+
+def brute_walk(rows, box, k, step):
+    """Points of k times the box with a.x <= k*s - step, in lex order."""
+    return [x for x in itertools.product(
+                *(range(k * lo, k * hi + 1) for lo, hi in box))
+            if all(dot(a, x) <= k * s - step for a, s in rows)]
+
+
+@st.composite
+def walk_systems(draw):
+    n = draw(st.integers(0, 3))
+    box = [(lo, lo + draw(st.integers(-1, 3)))
+           for lo in draw(st.lists(st.integers(-2, 2), min_size=n,
+                                   max_size=n))]
+    coeff = st.sampled_from([0, 0, 1, -1, 2, -2, 3])
+    rows = draw(st.lists(st.tuples(st.tuples(*[coeff] * n),
+                                   st.integers(-3, 4)), max_size=4))
+    return rows, box
+
+
+class TestWalk:
+    """_walk over a _plan against enumeration of the whole scaled box."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(walk_systems(), st.integers(1, 4), st.integers(0, 1))
+    # a zero last, next-to-last or only coefficient
+    @example(([((1, 0), 2), ((0, -1), 0), ((-1, 1), 1)], [(0, 3), (-1, 2)]),
+             3, 1)
+    @example(([((1, 0, 2), 3), ((0, 1, -1), 1), ((0, 0, 1), 1),
+               ((1, -1, 0), 0)], [(0, 2), (-1, 1), (0, 2)]), 2, 0)
+    @example(([((0,), -1)], [(0, 2)]), 1, 0)
+    # an empty box, an infeasible system, no coordinates
+    @example(([((1, 1), 2)], [(0, 2), (1, 0)]), 2, 0)
+    @example(([((1, 1), -1), ((-1, -1), -1)], [(-2, 2), (-2, 2)]), 2, 1)
+    @example(([((), 0)], []), 3, 1)
+    @example(([((), 1)], []), 1, 1)
+    def test_walk_matches_the_box(self, system, k, step):
+        rows, box = system
+        want = brute_walk(rows, box, k, step)
+        plan = polytope_module._plan(rows, box)
+        got = []
+        assert polytope_module._walk(plan, k, step, got) == len(got)
+        assert got == want
+        assert polytope_module._walk(plan, k, step) == len(want)
 
 
 class TestFromInequalities:
