@@ -8,8 +8,9 @@ is an `int` and raises ValueError naming the first that is not.
 
 Matrices are plain lists of lists in row major order; vectors are lists or
 tuples.  One integer elimination, `column_echelon`, brings a matrix to
-column echelon form by unimodular column operations; `det`,
-`rational_rank` and `integer_kernel` read their answers off it.  `rref`,
+column echelon form by unimodular column operations; `det` and
+`rational_rank` read their answers off it, and polytopes read their
+hull equalities and lattice coordinates off it.  `rref`,
 `rational_kernel` and `solve_rational` eliminate over Fraction and serve
 the tests as independent references.  The structured pieces are
 `LinearSystem` (a block of equalities, weak inequalities and strict
@@ -140,16 +141,6 @@ def det(m):
 def rational_rank(rows):
     """Rank over the rationals of an integer matrix: the pivot count."""
     return len(column_echelon(rows, len(rows[0]) if rows else 0)[0])
-
-
-def integer_kernel(m, ncols=None):
-    """Lattice basis of {z integer : m z = 0}: U's columns past the pivots."""
-    if ncols is None:
-        if not m:
-            raise ValueError("ncols required for a matrix with no rows")
-        ncols = len(m[0])
-    pivots, _, u = column_echelon(m, ncols)
-    return [tuple(col) for col in u[len(pivots):]]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .complexes import PolytopalComplex, RelativeComplex
 from .exact import InvariantError, LinearSystem, lp_feasible
-from .polytope import LatticePolytope
+from .polytope import LatticePolytope, check_dilation
 
 
 class NormalityError(ValueError):
@@ -148,8 +148,7 @@ def minimal_representatives(rel, k, order=GREVLEX):
     search never has to leave it.  Raises NormalityError when a point has
     no representation at all, which is exactly a normality failure.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    check_dilation(k)
     cx = rel.complex
     if cx.is_empty:
         return {}

@@ -13,10 +13,11 @@ column reductions, and it is most of the time a cell construction takes
 (ROADMAP item 3 records reading facets from the cell's rows instead).  A
 face is not rebuilt from its points: its vertices and facets are read off
 the face lattice of the polytope it belongs to, which pulling recurses
-through.  Points of an open face are counted in the face's own frame, a
-lattice basis of its affine hull, so the walk runs over dim F coordinates
-instead of the ambient ones.  Each face's walk is compiled once into a
-k-free plan (`_plan`), which serves every dilate k*F.
+through.  An open face is counted as a polytope of its own, in lattice
+coordinates of its affine hull that the column reduction of its vertex
+differences gives, so the walk runs over dim F coordinates instead of
+the ambient ones and under F's own facets only.  That walk is compiled
+once per face into a k-free plan (`_plan`), which serves every dilate k*F.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .exact import (
     canonical_direction,
     column_echelon,
     dot,
-    integer_kernel,
     lp_feasible,
     lp_maximize,
     rational_rank,
@@ -239,38 +239,6 @@ def _walk(plan, k=1, step=0, out=None):
     return total
 
 
-def _lattice_coordinates(basis, points):
-    """Integer y with sum_j y_j basis[j] = p, for each point p.
-
-    `basis` must be a lattice basis of Z^n on a linear subspace, such as
-    integer_kernel returns.  One column reduction U of its rows leaves
-    them lower triangular with the other columns zero, so y is read off
-    p U by back substitution.  That the lattice is saturated makes every
-    pivot +-1, and that p lies in it makes every division exact; either
-    failing raises InvariantError.
-    """
-    d, n = len(basis), len(points[0])
-    pivots, _, u = column_echelon(basis, n)
-    if len(pivots) != d or any(abs(p) != 1 for p in pivots):
-        raise InvariantError(f"basis pivots {pivots} are not all +-1, so "
-                             f"the basis does not span a saturated lattice")
-    low = [[dot(z, u[j]) for j in range(i + 1)] for i, z in enumerate(basis)]
-    out = []
-    for p in points:
-        w = [dot(p, col) for col in u]
-        if any(w[d:]):
-            raise InvariantError(f"{tuple(p)} is not in the span of the basis")
-        y = [0] * d
-        for j in range(d - 1, -1, -1):
-            r = w[j] - sum(y[i] * low[i][j] for i in range(j + 1, d))
-            y[j], rem = divmod(r, low[j][j])
-            if rem:
-                raise InvariantError(
-                    f"{tuple(p)} has no integer coordinates in the basis")
-        out.append(tuple(y))
-    return out
-
-
 class LatticePolytope:
     """Convex hull of integer points, with cached combinatorial structure."""
 
@@ -301,7 +269,6 @@ class LatticePolytope:
         self.hull_equalities = tuple(sorted(
             (a, dot(a, p0)) for a in map(canonical_direction, u[self.dim:])))
         self._face_cache = {}
-        self._frame_cache = {}
         self._points_cache = {}
 
     def _extract_vertices(self, pts):
@@ -486,45 +453,44 @@ class LatticePolytope:
 
     # -- lattice points --------------------------------------------------------
 
-    def _frame(self, fs):
-        """The face F with vertex set fs in its own lattice coordinates.
+    @cached_property
+    def _frame(self):
+        """This polytope in its own lattice coordinates: (coords, rows, plan).
 
-        The lattice points of aff(k*F) are k*p0 + B y for y in Z^d, where p0
-        is F's least vertex and the d columns of B are a lattice basis of
-        Z^n on the linear span of F - p0: the kernel lattice of the hull
-        equalities and the facet normals through F.  Returns the walk plan
-        (see _plan) of each facet (a, b) not through F as the row
-        (a.B, b - a.p0), so that a.x <= k*b reads (a.B) y <= k*(b - a.p0),
-        over F's box in the y-coordinates of its vertices.  A row that B
-        sends to zero is constant on F and slack there, and is left out.
-        Cached per face: the plan serves every k.
+        One unimodular column reduction of the rows v - p0, p0 the least
+        vertex, gives D U = [L | 0] with L on a staircase (Cohen 1993,
+        section 2.4).  The lattice points of aff(k*P) are k*p0 + z for the
+        integer z with z U zero past its first d = dim P entries, and those
+        d entries, y(z), are lattice coordinates for them.  `coords` holds
+        y(v - p0) for each vertex v: the rows of L.  Each facet a.x <= b
+        becomes the row (r, b - a.p0) with r.y(z) = a.z, solved by forward
+        substitution down the staircase of L; a.z is an integer at every
+        lattice point, so every division is exact.  So a.x <= k*b reads
+        r.y <= k*(b - a.p0), and `plan` walks that over the box of the
+        vertices' coordinates (see _plan).  Cached: the plan serves every k.
         """
-        got = self._frame_cache.get(fs)
-        if got is not None:
-            return got
-        n = self.ambient_dim
-        eqs = [h for h, _ in self.hull_equalities]
-        free = []
-        for (a, b), tight in zip(self.facets, self._facet_vertex_sets):
-            if fs <= tight:
-                eqs.append(a)
-            else:
-                free.append((a, b))
-        pivots, _, u = column_echelon(eqs, n)
-        basis = u[len(pivots):]
-        p0 = min(fs)
-        coords = _lattice_coordinates(
-            basis, [[v[i] - p0[i] for i in range(n)] for v in fs])
-        rows = {}  # a row -> its least slack
-        for a, b in free:
-            row = tuple(dot(a, z) for z in basis)
-            if any(row):
-                slack = b - dot(a, p0)
-                rows[row] = min(slack, rows.get(row, slack))
-        got = _plan(list(rows.items()),
-                    [(min(c), max(c)) for c in zip(*coords)])
-        self._frame_cache[fs] = got
-        return got
+        p0 = self.vertices[0]
+        diffs = [[x - o for x, o in zip(v, p0)] for v in self.vertices]
+        pivots, _, u = column_echelon(diffs, self.ambient_dim)
+        u = u[:len(pivots)]
+        coords = tuple(tuple(dot(z, col) for col in u) for z in diffs)
+        stair = []  # the rows of D and L that open the pivot columns
+        for z, y in zip(diffs, coords):
+            if len(stair) < len(u) and y[len(stair)]:
+                stair.append((z, y))
+        rows = []
+        for a, b in self.facets:
+            r = []
+            for j, (z, y) in enumerate(stair):
+                q, rem = divmod(dot(a, z) - dot(r, y), y[j])
+                if rem:
+                    raise InvariantError(
+                        f"facet {a} is not integral on the lattice of "
+                        f"{list(self.vertices)}")
+                r.append(q)
+            rows.append((tuple(r), b - dot(a, p0)))
+        return coords, tuple(rows), _plan(
+            rows, [(min(c), max(c)) for c in zip(*coords)])
 
     def lattice_points(self, k=1):
         """Integer points of the k-th dilate, in ascending lex order.
@@ -557,20 +523,16 @@ class LatticePolytope:
 
         With `face` (the vertex set of a face F, possibly the whole
         polytope) the count is of the relative interior of k*F: strictly
-        inside every facet not through F, which for integral rows is at
-        least one lattice step inside.  The walk runs over F's own dim F
-        lattice coordinates (see _frame).  No point is cached; the frame's
-        plan is, once per face, so the cache is bounded by the face lattice
-        and the plans serve every k.
+        inside every facet of F, which for integral rows is at least one
+        lattice step inside.  Either way one walk of the polytope's own
+        frame (see _frame) counts it, over its dim F lattice coordinates.
+        No point is cached; each frame is, so the cache is bounded by the
+        face lattice and the plans serve every k.
         """
         check_dilation(k)
         if face is None:
-            fs, step = frozenset(self.vertices), 0
-        else:
-            fs, step = frozenset(face), 1
-            if fs not in self.face_vertex_sets:
-                raise ValueError(f"{sorted(fs)} is not a face")
-        return _walk(self._frame(fs), k, step)
+            return _walk(self._frame[2], k)
+        return _walk(self.face(face)._frame[2], k, 1)
 
     def interior_lattice_points(self, k=1):
         """Lattice points in the relative interior of the k-th dilate."""
@@ -581,13 +543,14 @@ class LatticePolytope:
     # -- lattice geometry predicates -------------------------------------------
 
     def is_two_level(self):
-        """Each facet normal takes exactly two consecutive lattice values."""
-        # a normal's gap on the hull lattice: the gcd of its values on a basis
-        basis = integer_kernel([list(h) for h, _ in self.hull_equalities],
-                               ncols=self.ambient_dim)
-        for a, b in self.facets:
-            g = math.gcd(*(dot(a, z) for z in basis))
-            if sorted({dot(a, v) for v in self.vertices}) != [b - g, b]:
+        """Each facet takes exactly two consecutive lattice values.
+
+        In the frame's coordinates a facet row (r, s) takes the value s on
+        the facet, and steps by gcd(r) over the lattice of the affine hull.
+        """
+        coords, rows, _ = self._frame
+        for r, s in rows:
+            if sorted({dot(r, y) for y in coords}) != [s - math.gcd(*r), s]:
                 return False
         return True
 

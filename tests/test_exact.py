@@ -1,8 +1,7 @@
 """Exact linear algebra: the column echelon, rational solving, feasibility.
 
 The references here (Leibniz determinants, minor gcds, `rref`) share no
-code with `column_echelon`, which `det`, `rational_rank` and
-`integer_kernel` wrap.
+code with `column_echelon`, which `det` and `rational_rank` wrap.
 """
 
 from fractions import Fraction
@@ -18,7 +17,6 @@ from ehrhil.exact import (
     column_echelon,
     det,
     fourier_motzkin_feasible,
-    integer_kernel,
     lp_feasible,
     lp_maximize,
     rational_rank,
@@ -103,7 +101,7 @@ NOT_INTS = {"fraction_half": Fraction(1, 2), "fraction_two": Fraction(2),
 ENTRY_POINTS = {
     "det": lambda v: det([[1, v], [0, 1]]),
     "rational_rank": lambda v: rational_rank([[1, v]]),
-    "integer_kernel": lambda v: integer_kernel([[1, v]]),
+    "column_echelon": lambda v: column_echelon([[1, v]], 2),
     "eq": lambda v: LinearSystem(1, eq=[((1,), v)]),
     "le": lambda v: LinearSystem(1, le=[((1,), v)]),
     "lt": lambda v: LinearSystem(1, lt=[((1,), v)]),
@@ -122,7 +120,7 @@ class TestIntegerInput:
 
     # a row longer or shorter than ncols would be cut or overrun
     @pytest.mark.parametrize("call", [
-        lambda: integer_kernel([[1, 2, 3]], ncols=2),
+        lambda: column_echelon([[1, 2, 3]], 2),
         lambda: rational_rank([[1, 2], [3]]),
         lambda: column_echelon([[1], [1, 2]], 2),
     ], ids=["over_wide", "ragged", "short_first_row"])
@@ -195,43 +193,6 @@ class TestRationalRank:
         max_size=5)))
     def test_matches_rref(self, m):
         assert rational_rank(m) == len(rref(m)[1])
-
-
-class TestIntegerKernel:
-    def test_simple(self):
-        basis = integer_kernel([[1, 1, 0]])
-        assert len(basis) == 2
-        for vec in basis:
-            assert vec[0] + vec[1] == 0 or vec[0] == vec[1] == 0
-
-    def test_no_rows(self):
-        assert len(integer_kernel([], ncols=3)) == 3
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.lists(st.integers(-5, 5), min_size=2, max_size=4),
-                    min_size=1, max_size=2).filter(
-                        lambda rows: len({len(r) for r in rows}) == 1))
-    def test_kernel_property(self, m):
-        basis = integer_kernel(m)
-        n = len(m[0])
-        for vec in basis:
-            assert all(isinstance(v, int) for v in vec)
-            for row in m:
-                assert sum(c * v for c, v in zip(row, vec)) == 0
-        assert len(basis) == n - rational_rank(m)
-
-    @settings(max_examples=100, deadline=None)
-    @given(MATRICES)
-    def test_saturated_lattice_basis(self, n_m):
-        # a basis of the whole kernel lattice, not of a sublattice: its
-        # maximal minors have gcd 1 (an empty basis has the empty minor 1)
-        n, m = n_m
-        basis = integer_kernel(m, ncols=n)
-        for vec in basis:
-            for row in m:
-                assert sum(c * v for c, v in zip(row, vec)) == 0
-        assert len(basis) == n - len(rref(m)[1])
-        assert minors_gcd(basis, len(basis)) == 1
 
 
 class TestLpFeasible:

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ehrhil import normal_sr
 from ehrhil.complexes import PolytopalComplex, RelativeComplex
 from ehrhil.constructions import build_family, oracle
 from ehrhil.exact import dot
@@ -129,6 +130,20 @@ class TestSegmentCounts:
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             hilbert_normal(segment_pair(), 0)
+
+    @pytest.mark.parametrize("k", [0, -1, 2.5, True, "2"])
+    def test_bad_dilation_factor_is_refused(self, k, monkeypatch):
+        # refused before the point table and the normality search, even
+        # where there is nothing to search
+        def searched(cx):
+            raise AssertionError("the normality search ran")
+
+        monkeypatch.setattr(normal_sr, "_require_normal_faces", searched)
+        empty = PolytopalComplex([], ambient_dim=2)
+        k3 = homogenize(build_family("chromatic", complete_graph(3)).relative)
+        for rel in (RelativeComplex(empty, empty), k3):
+            with pytest.raises(ValueError, match="dilation factor k"):
+                minimal_representatives(rel, k)
 
 
 def _all_representations(rel, table, z, k):

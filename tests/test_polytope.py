@@ -12,7 +12,6 @@ from ehrhil.exact import (
     InvariantError,
     LinearSystem,
     dot,
-    integer_kernel,
     lp_feasible,
 )
 from ehrhil.polytope import (
@@ -175,14 +174,14 @@ class TestLatticePoints:
         assert square._points_cache == {}
 
     def test_frames_are_built_once_per_face(self, monkeypatch):
-        # the frame of a face and its walk plan serve every k, so a second
-        # round of counts, or a new k, makes no column reduction and builds
-        # no plan
+        # each face's frame and walk plan live on the face and serve every
+        # k, so a second round of counts, or a new k, makes no column
+        # reduction and builds no plan
         p = LatticePolytope([(x, y, -x - y, 1) for x, y in
                              [(0, 0), (2, 0), (0, 1), (1, 2)]])
         faces = p.face_vertex_sets
         counts = [p.count_points(k, vs) for k in (1, 2) for vs in faces]
-        assert len(p._frame_cache) == len(faces)
+        assert all("_frame" in p.face(vs).__dict__ for vs in faces)
         calls, plans = [], []
         plan = polytope_module._plan
         monkeypatch.setattr(polytope_module, "column_echelon",
@@ -196,7 +195,6 @@ class TestLatticePoints:
         assert calls == [] and plans == []
         assert opened == len(p.lattice_points(5))
         assert calls == [] and len(plans) == 1  # the listing's ambient plan
-        assert len(p._frame_cache) == len(faces)
 
     def test_counts_in_an_index_two_image(self):
         # the unit square's image holds the image of its centre, (1, 0, 2)
@@ -210,16 +208,25 @@ class TestLatticePoints:
         assert (1, 0, 2) in p.lattice_points(1)
 
     def test_lattice_coordinates(self):
-        coords = polytope_module._lattice_coordinates
-        basis = integer_kernel([[1, 2, 3]], ncols=3)
-        pts = [[0, 0, 0], [3, 0, -1], [1, 1, -1], [-5, 1, 1]]
-        for p, y in zip(pts, coords(basis, pts)):
-            assert [sum(c * z[i] for c, z in zip(y, basis))
-                    for i in range(3)] == p
-        with pytest.raises(InvariantError, match="not all"):
-            coords([(2, 0, 0)], [(2, 0, 0)])
-        with pytest.raises(InvariantError, match="not in the span"):
-            coords(basis, [(1, 0, 0)])
+        # below full dimension: an index-two image, a lifted triangle and a
+        # saturated image; each facet row is the facet in the coordinates
+        for p in (mapped(INDEX_TWO_MAPS[0])(SQUARE),
+                  lifted(LatticePolytope([(0, 0), (2, 1), (1, 3)])),
+                  mapped(SATURATED_MAP)(CROSS)):
+            coords, rows, _ = p._frame
+            p0 = p.vertices[0]
+            assert p.dim == len(coords[0]) < p.ambient_dim
+            assert coords[0] == (0,) * p.dim
+            assert len(rows) == len(p.facets)
+            for v, y in zip(p.vertices, coords):
+                z = [x - o for x, o in zip(v, p0)]
+                for (r, s), (a, b) in zip(rows, p.facets):
+                    assert dot(r, y) == dot(a, z) and s == b - dot(a, p0)
+        # a facet that is not integral on the lattice is refused
+        square = LatticePolytope(SQUARE.vertices)
+        square.facets = (((Fraction(1, 2), 0), 1),)
+        with pytest.raises(InvariantError, match="not integral"):
+            square.count_points(1)
 
     def test_count_points_in_ambient_dimension_zero(self):
         point = LatticePolytope([()])
@@ -366,19 +373,23 @@ class TestPredicates:
         assert not CROSS.is_two_level()  # diagonal facets jump by 2
 
     def test_two_level_reads_the_hull_lattice_once(self, monkeypatch):
-        kernel = polytope_module.integer_kernel
+        # is_two_level and the closed count share one frame, so the two
+        # together make one column reduction
+        reduce = polytope_module.column_echelon
         calls = []
 
-        def counting_kernel(*args, **kwargs):
+        def counting_reduce(*args):
             calls.append(args)
-            return kernel(*args, **kwargs)
+            return reduce(*args)
 
-        monkeypatch.setattr(polytope_module, "integer_kernel", counting_kernel)
         # full-dimensional with 6 facets, and a square in 3-space with 4
-        flat = LatticePolytope([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
-        for p in (CUBE, flat):
+        flat = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
+        polys = [LatticePolytope(CUBE.vertices), LatticePolytope(flat)]
+        monkeypatch.setattr(polytope_module, "column_echelon", counting_reduce)
+        for p in polys:
             calls.clear()
             assert p.is_two_level()
+            assert p.count_points(2) == 3 ** p.dim
             assert len(calls) == 1, len(p.facets)
 
     def test_empty_polytope(self):
@@ -596,6 +607,19 @@ class TestRandomized:
             else:
                 want = len(LatticePolytope(vs).interior_lattice_points(k))
                 assert got == want, (sorted(vs), k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_polytopes())
+    def test_two_level_matches_compressed(self, p):
+        # two-level is read in the frame, so it must not move when p is
+        # carried onto the lattice points of a plane in 3-space; with at
+        # most 5 lattice points every pulling order is tried, and two-level
+        # is compressed (Sullivant 2006)
+        two = p.is_two_level()
+        assert lifted(p).is_two_level() == two
+        assert mapped(SATURATED_MAP)(p).is_two_level() == two
+        if len(p.lattice_points()) <= 5:
+            assert p.is_compressed(order_budget=120) == two
 
     @settings(max_examples=40, deadline=None)
     @given(small_polytopes(), st.randoms(use_true_random=False))
