@@ -19,8 +19,9 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .exact import InvariantError, LinearSystem, dot, lp_feasible
-from .polytope import check_dilation, simplex_is_unimodular
+from .exact import (
+    InvariantError, LinearSystem, check_dilation, dot, lp_feasible)
+from .polytope import simplex_is_unimodular
 
 
 class InvalidComplexError(ValueError):

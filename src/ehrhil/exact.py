@@ -16,7 +16,9 @@ the tests as independent references.  The structured pieces are
 `LinearSystem` (a block of equalities, weak inequalities and strict
 inequalities), the LP entry points `lp_feasible` and `lp_maximize`, and
 `fourier_motzkin_feasible`, an independent elimination based feasibility
-test used to cross check them.
+test used to cross check them.  `check_dilation` is the one test of a
+dilation factor k that every counting route applies, the brute-force
+oracles included.
 
 Both LP entry points share one two phase simplex with Bland's rule.  It
 keeps an integer tableau T and one common denominator d > 0, the rational
@@ -40,6 +42,13 @@ class InvariantError(RuntimeError):
 
     Raised where an `assert` would do, because `python -O` strips asserts.
     """
+
+
+def check_dilation(k, least=1):
+    """Refuse a dilation factor k that is not an int >= least, or a bool."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < least:
+        raise ValueError(
+            f"dilation factor k must be an int >= {least}, got {k!r}")
 
 
 # ---------------------------------------------------------------------------

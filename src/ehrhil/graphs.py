@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact import InvariantError
+from .exact import InvariantError, check_dilation
 
 # refuse blind enumeration beyond 2^34 states
 _STATE_BUDGET = 2 ** 34
@@ -177,11 +177,6 @@ def cycle_basis(g):
     return tuple(basis)
 
 
-def _check_k(k):
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-
-
 def _guard(states):
     if states > _STATE_BUDGET:
         raise ValueError(
@@ -200,10 +195,10 @@ def _count(rows, values, n, modulus=None):
         for vec in itertools.product(values, repeat=n))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def chromatic_bf(g, k):
     """Proper vertex colorings with k colors, by enumerating all of them."""
-    _check_k(k)
+    check_dilation(k)
     if g.has_loop():
         return 0
     _guard(k ** len(g.vertices))
@@ -214,37 +209,37 @@ def chromatic_bf(g, k):
         for col in itertools.product(range(k), repeat=len(g.vertices)))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def int_flow_bf(g, k):
     """Nowhere-zero integral flows with |values| < k."""
-    _check_k(k)
+    check_dilation(k)
     rows = [row for row in incidence_matrix(g) if any(row)]
     values = [v for v in range(-k + 1, k) if v]
     return _count(rows, values, len(g.edges))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def mod_flow_bf(g, k):
     """Nowhere-zero flows with values in Z_k."""
-    _check_k(k)
+    check_dilation(k)
     rows = [row for row in incidence_matrix(g) if any(row)]
     return _count(rows, range(1, k), len(g.edges), modulus=k)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def int_tension_bf(g, k):
     """Nowhere-zero integral tensions with |values| < k.
 
     A vector is a tension when it is orthogonal to every cycle; checking a
     cycle basis suffices by linearity.
     """
-    _check_k(k)
+    check_dilation(k)
     values = [v for v in range(-k + 1, k) if v]
     return _count(cycle_basis(g), values, len(g.edges))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def mod_tension_bf(g, k):
     """Nowhere-zero tensions with values in Z_k."""
-    _check_k(k)
+    check_dilation(k)
     return _count(cycle_basis(g), range(1, k), len(g.edges), modulus=k)

@@ -9,15 +9,21 @@ one minimal in a term order is kept; when every face is normal, each point
 of k(union C minus union C') is hit by exactly one kept monomial, and the
 search below produces it as an explicit witness.
 
+A witness fixes one exponent per point of the point's face F in the
+order's direction, keeping the first whose remainder is still an integer
+sum of the points left.  One table per face (`_suffix_sums`), kept only
+for the call, answers that exactly, so no LP is solved.
+
 Monomials stay implicit throughout: an exponent vector aligned with the
 point-variable table is all there is, no ring arithmetic happens anywhere.
 """
 
 from dataclasses import dataclass
+from operator import add
 
 from .complexes import PolytopalComplex, RelativeComplex
-from .exact import InvariantError, LinearSystem, lp_feasible
-from .polytope import LatticePolytope, check_dilation
+from .exact import InvariantError, LinearSystem, check_dilation, lp_feasible
+from .polytope import LatticePolytope
 
 
 class NormalityError(ValueError):
@@ -95,7 +101,11 @@ def _require_normal_faces(cx):
 
 
 def _representation_feasible(points, rem):
-    """Rational relaxation: can non-negative weights on `points` sum to rem?"""
+    """Rational relaxation: can non-negative weights on `points` sum to rem?
+
+    The tests' reference for `_suffix_sums`: every integer sum passes it,
+    and some remainders that are no sum pass it too.
+    """
     if not points:
         return all(x == 0 for x in rem)
     m = len(points)
@@ -104,37 +114,63 @@ def _representation_feasible(points, rem):
     return lp_feasible(LinearSystem(m, eq=eq, le=le)) is not None
 
 
-def _minimal_representation(points, z, order):
-    """Order-minimal non-negative integer combination of `points` equal to z.
+def _suffix_sums(seq, k):
+    """Every sum of at most k points of a suffix of `seq`, repeats allowed.
 
-    The assignment direction realizes the order: graded lex fixes the
-    smallest variable first trying small exponents first, graded reverse
-    lex fixes the largest variable first trying large exponents first, so
-    the first complete solution the backtracking finds is the minimum.
-    Infeasible branches are cut by an exact rational feasibility check.
-    Returns a dict point -> exponent, or None when no combination exists.
+    Maps each sum s to the largest i with s a sum of points of seq[i:]
+    (len(seq) for the empty sum).  The sums of seq[i:] contain those of
+    seq[i+1:], so s is a sum of points of seq[j:] exactly when j <= that
+    value.  The points lie at height one, so a sum's last coordinate is its
+    number of terms, and the map holds each sum once: at most
+    sum_{d <= k} |dF meet Z^n| entries for seq the points of a face F.
+    Built from the last point to the first by the unbounded-knapsack
+    recurrence sums(i, d) = sums(i+1, d) | (seq[i] + sums(i, d-1)).
     """
-    seq = list(points) if order.kind == "grlex" else list(reversed(points))
-
-    def descend(i, rem):
-        if i == len(seq):
-            return {} if all(x == 0 for x in rem) else None
+    n = len(seq)
+    zero = (0,) * len(seq[0])
+    reach = {zero: n}
+    levels = [[zero]] + [[] for _ in range(k)]
+    for i in range(n - 1, -1, -1):
         u = seq[i]
+        for d in range(1, k + 1):
+            level = levels[d]
+            for s in levels[d - 1]:
+                t = tuple(map(add, s, u))
+                if t not in reach:
+                    reach[t] = i
+                    level.append(t)
+    return reach
+
+
+def _minimal_representation(seq, reach, z, order):
+    """Order-minimal non-negative integer combination of `seq` equal to z.
+
+    `seq` lists the face's points in assignment order and `reach` is their
+    `_suffix_sums`.  The assignment direction realizes the order: graded
+    lex fixes the smallest variable first trying small exponents first,
+    graded reverse lex fixes the largest variable first trying large
+    exponents first, so the first solution in that search order is the
+    minimum.  An exponent is kept exactly when the remainder is a sum of
+    the points after it, so the search never backtracks, and it finds the
+    same first solution a rational feasibility prune would.  Returns a
+    dict point -> exponent, or None when no combination exists.
+    """
+    sol = {}
+    rem = z
+    for i, u in enumerate(seq):
         budget = rem[-1]  # heights are all 1, so this is the missing degree
         exps = range(budget + 1) if order.kind == "grlex" \
             else range(budget, -1, -1)
         for e in exps:
             nxt = tuple(r - e * uc for r, uc in zip(rem, u))
-            if not _representation_feasible(seq[i + 1:], nxt):
-                continue
-            sol = descend(i + 1, nxt)
-            if sol is not None:
-                if e:
-                    sol[u] = e
-                return sol
-        return None
-
-    return descend(0, tuple(z))
+            if reach.get(nxt, -1) > i:
+                break
+        else:
+            return None  # only at i = 0: later remainders are all sums
+        if e:
+            sol[u] = e
+        rem = nxt
+    return sol
 
 
 def minimal_representatives(rel, k, order=GREVLEX):
@@ -145,8 +181,9 @@ def minimal_representatives(rel, k, order=GREVLEX):
     monomial representing it.  All representations of a point use only the
     lattice points of the smallest face containing point/k: the point sits
     in that face's relative interior, and faces are extreme sets, so the
-    search never has to leave it.  Raises NormalityError when a point has
-    no representation at all, which is exactly a normality failure.
+    search never has to leave it, and one `_suffix_sums` table per face
+    serves all of its points.  Raises NormalityError when a point has no
+    representation at all, which is exactly a normality failure.
     """
     check_dilation(k)
     cx = rel.complex
@@ -156,12 +193,16 @@ def minimal_representatives(rel, k, order=GREVLEX):
     _require_normal_faces(cx)
     pos = {p: i for i, p in enumerate(table.points)}
     targets = sorted(cx.lattice_points(k) - rel.sub.lattice_points(k))
+    tables = {}
     out = {}
     for z in targets:
         if z[-1] != k:
             raise InvariantError(f"{z} is not at height {k}")
         face = cx.minimal_face_at(z, k)
-        sol = _minimal_representation(sorted(face.lattice_points()), z, order)
+        if face.vertices not in tables:
+            seq = sorted(face.lattice_points(), reverse=order.kind != "grlex")
+            tables[face.vertices] = seq, _suffix_sums(seq, k)
+        sol = _minimal_representation(*tables[face.vertices], z, order)
         if sol is None:
             raise NormalityError(
                 f"{z} admits no degree-{k} representation inside its face; "

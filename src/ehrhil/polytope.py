@@ -31,6 +31,7 @@ from .exact import (
     InvariantError,
     LinearSystem,
     canonical_direction,
+    check_dilation,
     column_echelon,
     dot,
     lp_feasible,
@@ -70,12 +71,6 @@ def simplex_is_unimodular(points):
     rows = [[p[i] - p0[i] for i in range(len(p0))] for p in pts[1:]]
     pivots, _, _ = column_echelon(rows, len(p0))
     return len(pivots) == len(rows) and all(abs(p) == 1 for p in pivots)
-
-
-def check_dilation(k):
-    """Refuse a dilation factor that is not an int >= 1."""
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ValueError(f"dilation factor k must be an int >= 1, got {k!r}")
 
 
 def _plan(rows, box):
@@ -559,8 +554,13 @@ class LatticePolytope:
 
         Checking degrees up to max(2, dim - 1) decides normality: beyond
         dim - 1 the dilate points are always sums of lower ones.  Returns
-        None when the polytope is normal.
+        None when the polytope is normal.  The answer is cached: polytopes
+        are immutable.
         """
+        return self._normality_counterexample
+
+    @cached_property
+    def _normality_counterexample(self):
         base = set(self.lattice_points(1))
         level = base
         for k in range(2, max(2, self.dim - 1) + 1):

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .complexes import PolytopalComplex, RelativeComplex, SimplicialComplex
+from .exact import check_dilation
 from .polytope import LatticePolytope
 
 
@@ -38,14 +39,13 @@ class RelativeSRIdeal:
 
 
 def hilbert_from_f(f, k):
-    """sum_i f_i C(k-1, i) for k >= 1; the alternating sum at k = 0.
+    """sum_i f_i C(k-1, i) for an int k >= 1; the alternating sum at k = 0.
 
     The k = 0 value is the Euler characteristic the alternating sum computes,
     which is what the closed formula degenerates to; it is exposed for
     interpolation checks rather than as a monomial count.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    check_dilation(k, least=0)
     for c in f:
         if c != int(c) or c < 0:
             raise ValueError(f"face counts must be non-negative integers, got {c}")

@@ -189,6 +189,14 @@ class TestOracleHygiene:
         with pytest.raises(ValueError):
             int_flow_bf(K2, -1)
 
+    @pytest.mark.parametrize("fn", [chromatic_bf, int_flow_bf, mod_flow_bf,
+                                    int_tension_bf, mod_tension_bf])
+    @pytest.mark.parametrize("k", [2.5, True, 0, -1, "2"])
+    def test_bad_dilation_factor_is_refused(self, fn, k):
+        fn(K3, 1)  # True == 1 hashes alike: a cached (K3, 1) must not answer
+        with pytest.raises(ValueError, match="dilation factor k"):
+            fn(K3, k)
+
     def test_state_budget(self):
         fat = Graph((0, 1), (((0, 1)),) * 40)
         with pytest.raises(ValueError, match="enumeration space"):

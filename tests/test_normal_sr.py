@@ -1,5 +1,7 @@
 """Term orders, homogenization, and witnessed monomial counting."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +9,7 @@ from ehrhil import normal_sr
 from ehrhil.complexes import PolytopalComplex, RelativeComplex
 from ehrhil.constructions import build_family, oracle
 from ehrhil.exact import dot
-from ehrhil.graphs import complete_graph
+from ehrhil.graphs import SUITE, complete_graph
 from ehrhil.normal_sr import (
     GREVLEX,
     GRLEX,
@@ -176,6 +178,13 @@ def _all_representations(rel, table, z, k):
     return out
 
 
+SUITE_PAIRS = [("K3", "chromatic"), ("theta", "flow"), ("C4", "modtension")]
+
+
+def suite_pair(name, kind):
+    return homogenize(build_family(kind, SUITE[name]).relative)
+
+
 class TestWitnesses:
     @pytest.mark.parametrize("order", [GRLEX, GREVLEX])
     def test_witnesses_are_minimal(self, order):
@@ -194,6 +203,71 @@ class TestWitnesses:
                     everything = _all_representations(rel, table, z, k)
                     assert vec in everything
                     assert vec == min(everything, key=order.key)
+
+    @pytest.mark.parametrize("order", [GRLEX, GREVLEX],
+                             ids=lambda o: o.kind)
+    @pytest.mark.parametrize("name, kind", SUITE_PAIRS)
+    def test_witnesses_are_the_brute_force_minimum(self, name, kind, order):
+        rel = suite_pair(name, kind)
+        table = PointVariableTable.from_complex(rel.complex)
+        for k in (1, 2):
+            found = minimal_representatives(rel, k, order)
+            assert len(found) == rel.count_points(k)
+            for z, vec in found.items():
+                everything = _all_representations(rel, table, z, k)
+                assert vec == min(everything, key=order.key), (z, k)
+
+    @pytest.mark.parametrize("name, kind", SUITE_PAIRS)
+    def test_no_lp_is_solved(self, name, kind, monkeypatch):
+        rel = suite_pair(name, kind)
+
+        def solved(system):
+            raise AssertionError("the witness search solved an LP")
+
+        monkeypatch.setattr(normal_sr, "lp_feasible", solved)
+        for k in (1, 2, 3):
+            for order in (GRLEX, GREVLEX):
+                found = minimal_representatives(rel, k, order)
+                assert len(found) == rel.count_points(k)
+
+
+def brute_sums(points, k, dim):
+    """Every sum of at most k of the points in Z^dim, repeats allowed."""
+    return {tuple(map(sum, zip((0,) * dim, *pick)))
+            for d in range(k + 1)
+            for pick in itertools.combinations_with_replacement(points, d)}
+
+
+@st.composite
+def lifted_cube_subsets(draw):
+    """Lattice points of a 0/1 polytope of dimension <= 3, at height one."""
+    dim = draw(st.integers(1, 3))
+    cube = list(itertools.product((0, 1), repeat=dim))
+    verts = draw(st.lists(st.sampled_from(cube), min_size=1, max_size=6,
+                          unique=True))
+    return sorted(LatticePolytope([(*v, 1) for v in verts]).lattice_points())
+
+
+class TestSuffixSums:
+    @settings(max_examples=40, deadline=None)
+    @given(lifted_cube_subsets(), st.integers(1, 3), st.booleans())
+    def test_matches_integer_reachability(self, points, k, backwards):
+        seq = points[::-1] if backwards else points
+        reach = normal_sr._suffix_sums(seq, k)
+        for i in range(len(seq) + 1):
+            assert {s for s, last in reach.items() if last >= i} == \
+                brute_sums(seq[i:], k, len(seq[0])), i
+        for s, last in reach.items():
+            # a sum of seq[last:] is a sum of seq[i:] for every i <= last
+            assert normal_sr._representation_feasible(seq[last:], s), s
+
+    def test_sharper_than_the_rational_relaxation(self):
+        # (1, 1) is half of each end of [0, 2] at height one, but no sum
+        seq = [(0, 1), (2, 1)]
+        assert normal_sr._representation_feasible(seq, (1, 1))
+        assert (1, 1) not in normal_sr._suffix_sums(seq, 2)
+        assert normal_sr._suffix_sums(seq, 2) == {
+            (0, 0): 2, (2, 1): 1, (4, 2): 1, (0, 1): 0, (2, 2): 0, (0, 2): 0}
 
 
 class TestAgainstGeometry:
@@ -246,6 +320,16 @@ class TestNormalityRejection:
             [], ambient_dim=3)))
         with pytest.raises(NormalityError):
             hilbert_normal(rel, 2)
+
+    def test_verdict_is_cached_on_the_polytope(self, monkeypatch):
+        reeve = LatticePolytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 3)])
+        first = reeve.normality_counterexample()
+
+        def listed(self, k=1):
+            raise AssertionError("the normality search ran again")
+
+        monkeypatch.setattr(LatticePolytope, "lattice_points", listed)
+        assert reeve.normality_counterexample() is first
 
     def test_empty_complex(self):
         empty = PolytopalComplex([], ambient_dim=2)

@@ -83,6 +83,12 @@ class TestHilbertFromF:
         with pytest.raises(ValueError):
             hilbert_from_f((1,), -1)
 
+    @pytest.mark.parametrize("k", [2.5, True, -1, "2"])
+    def test_bad_degree_is_refused(self, k):
+        # k = 0 is the Euler characteristic, so only k < 0 is out of range
+        with pytest.raises(ValueError, match="dilation factor k"):
+            hilbert_from_f((1, 3, 3), k)
+
 
 class TestHilbertByEnumeration:
     def test_single_vertex(self):
