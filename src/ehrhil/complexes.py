@@ -9,9 +9,10 @@ Validation checks that all cells meet in common faces.  It is enough to
 check maximal cells pairwise: if P cap Q is a common face R for maximal
 P, Q, then for any faces F of P and G of Q the set F cap G equals
 (F cap R) cap (G cap R), an intersection of two faces of the polytope R,
-hence a face of R contained in F and G, hence a face of each.  A pair is
-first shrunk along facet hyperplanes, with no LP; what remains is decided
-from the shared vertices with at most one LP (`_lp_face_check`).
+hence a face of R contained in F and G, hence a face of each.  A pair
+whose bounding boxes lie apart is disjoint; any other is first shrunk
+along facet hyperplanes, with no LP, and what remains is decided from the
+shared vertices with at most one LP (`_lp_face_check`).
 """
 
 from __future__ import annotations
@@ -98,6 +99,9 @@ def meet_in_common_face(p, q):
     """True when p cap q is a face of both polytopes (the empty set counts)."""
     if frozenset(p.vertices) == frozenset(q.vertices):
         return True
+    if any(ph < ql or qh < pl for (pl, ph), (ql, qh)
+           in zip(p.bounding_box, q.bounding_box)):
+        return True  # apart in one coordinate, so disjoint
     step = _separating_reduction(p, q)
     if step is None:
         return _lp_face_check(p, q)
@@ -189,7 +193,8 @@ class PolytopalComplex:
         rational point is formed.  Faces containing a common point are
         closed under intersection, so intersecting the tightest face of
         every cell around the point gives the unique minimal one; the point
-        is in its relative interior.
+        is in its relative interior.  The tests hold the witness search's
+        walk of RelativeComplex._open_faces to this reference.
         """
         vs = None
         for cell in self.maximal_cells:
@@ -327,15 +332,15 @@ class RelativeComplex:
 
     @cached_property
     def _open_faces(self):
-        """(cell, closed, faces) per maximal cell of C, for count_points.
+        """(cell, kept, dropped) per maximal cell of C: its faces' vertex sets.
 
         A face of C is kept by the first maximal cell that has it, unless
         it lies in a cell s of C'.  In a valid complex such a face is a face
         of s, so of the cell of C that owns s, and the faces to drop are
-        read off those owners' face lattices.  When the cell drops fewer
-        faces than it keeps, closed is True and faces lists the dropped
-        ones, to subtract from the closed cell's count; otherwise faces
-        lists the kept ones.
+        read off those owners' face lattices.  Every lattice point of
+        k * (union(C) - union(C')) lies in the open dilate of exactly one
+        kept face; count_points and the witness search both read that off
+        this table.
         """
         faces = self.complex.all_faces
         inside = set()
@@ -354,10 +359,7 @@ class RelativeComplex:
                     kept.append(vs)
                 else:
                     dropped.append(vs)
-            if len(dropped) < len(kept):
-                plan.append((cell, True, dropped))
-            else:
-                plan.append((cell, False, kept))
+            plan.append((cell, kept, dropped))
         return plan
 
     def count_points(self, k):
@@ -366,15 +368,18 @@ class RelativeComplex:
         Every point of k * union(C) lies in the relative interior of exactly
         one face of C, so the count is the sum, over the faces of C lying in
         no cell of C', of the points in their open dilates; no point is
-        listed.  The sum is exact when C is a valid complex (cells meeting
-        in common faces), which the Hilbert-function route assumes as well:
-        build_family's complexes are checked by the test suite and JSON
-        complexes when they are loaded.
+        listed; a cell dropping fewer faces than it keeps is counted closed
+        less those.  The sum is exact when C is a valid complex (cells
+        meeting in common faces), which the Hilbert-function route assumes
+        as well: build_family's complexes are checked by the test suite and
+        JSON complexes when they are loaded.
         """
         check_dilation(k)
         total = 0
-        for cell, closed, faces in self._open_faces:
-            part = sum(cell.count_points(k, vs) for vs in faces)
+        for cell, kept, dropped in self._open_faces:
+            closed = len(dropped) < len(kept)
+            part = sum(cell.count_points(k, vs)
+                       for vs in (dropped if closed else kept))
             total += cell.count_points(k) - part if closed else part
         return total
 

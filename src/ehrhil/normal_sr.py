@@ -9,10 +9,10 @@ one minimal in a term order is kept; when every face is normal, each point
 of k(union C minus union C') is hit by exactly one kept monomial, and the
 search below produces it as an explicit witness.
 
-A witness fixes one exponent per point of the point's face F in the
-order's direction, keeping the first whose remainder is still an integer
-sum of the points left.  One table per face (`_suffix_sums`), kept only
-for the call, answers that exactly, so no LP is solved.
+Witnesses are read off the open faces `RelativeComplex.count_points`
+counts: one exponent per point of the face being walked is fixed in the
+order's direction, the first whose remainder is still an integer sum of
+the points left.  One table per face (`_suffix_sums`) decides that, no LP.
 
 Monomials stay implicit throughout: an exponent vector aligned with the
 point-variable table is all there is, no ring arithmetic happens anywhere.
@@ -178,12 +178,12 @@ def minimal_representatives(rel, k, order=GREVLEX):
 
     Maps each point of k(union C minus union C') to the exponent vector
     (aligned with the point-variable table) of the order-minimal degree-k
-    monomial representing it.  All representations of a point use only the
-    lattice points of the smallest face containing point/k: the point sits
-    in that face's relative interior, and faces are extreme sets, so the
-    search never has to leave it, and one `_suffix_sums` table per face
-    serves all of its points.  Raises NormalityError when a point has no
-    representation at all, which is exactly a normality failure.
+    monomial representing it, points ascending.  All representations of a
+    point use only the lattice points of the open face being walked
+    (`RelativeComplex._open_faces`): the point sits in its relative
+    interior, and faces are extreme sets, so the search never leaves it,
+    and one `_suffix_sums` table per face serves all of its points.  Raises
+    NormalityError when a point has no representation, a normality failure.
     """
     check_dilation(k)
     cx = rel.complex
@@ -192,26 +192,27 @@ def minimal_representatives(rel, k, order=GREVLEX):
     table = PointVariableTable.from_complex(cx)
     _require_normal_faces(cx)
     pos = {p: i for i, p in enumerate(table.points)}
-    targets = sorted(cx.lattice_points(k) - rel.sub.lattice_points(k))
-    tables = {}
     out = {}
-    for z in targets:
-        if z[-1] != k:
-            raise InvariantError(f"{z} is not at height {k}")
-        face = cx.minimal_face_at(z, k)
-        if face.vertices not in tables:
+    for cell, kept, _ in rel._open_faces:
+        for face in map(cell.face, kept):
+            targets = face.interior_lattice_points(k)
+            if not targets:
+                continue
             seq = sorted(face.lattice_points(), reverse=order.kind != "grlex")
-            tables[face.vertices] = seq, _suffix_sums(seq, k)
-        sol = _minimal_representation(*tables[face.vertices], z, order)
-        if sol is None:
-            raise NormalityError(
-                f"{z} admits no degree-{k} representation inside its face; "
-                f"the face on {list(face.vertices)} is not normal")
-        vec = [0] * len(table)
-        for p, e in sol.items():
-            vec[pos[p]] = e
-        out[z] = tuple(vec)
-    return out
+            reach = _suffix_sums(seq, k)
+            for z in targets:
+                if z[-1] != k:
+                    raise InvariantError(f"{z} is not at height {k}")
+                sol = _minimal_representation(seq, reach, z, order)
+                if sol is None:
+                    raise NormalityError(
+                        f"{z} admits no degree-{k} representation inside "
+                        f"the face on {list(face.vertices)}, not normal")
+                vec = [0] * len(table)
+                for p, e in sol.items():
+                    vec[pos[p]] = e
+                out[z] = tuple(vec)
+    return dict(sorted(out.items()))
 
 
 def hilbert_normal(rel, k, order=GREVLEX):

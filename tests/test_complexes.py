@@ -419,8 +419,7 @@ def scanned_plan(rel):
                 kept.append(vs)
             else:
                 dropped.append(vs)
-        plan.append((cell, True, dropped) if len(dropped) < len(kept)
-                    else (cell, False, kept))
+        plan.append((cell, kept, dropped))
     return plan
 
 

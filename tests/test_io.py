@@ -2,6 +2,7 @@
 
 import pytest
 
+from ehrhil import complexes
 from ehrhil.constructions import build_family
 from ehrhil.graphs import Graph, complete_graph
 from ehrhil.io import (
@@ -14,6 +15,7 @@ from ehrhil.io import (
     polytope_from_json,
 )
 from ehrhil.polynomials import BinomialPolynomial, interpolate
+from ehrhil.srideal import realize_polynomial
 
 
 class TestGraphJson:
@@ -72,6 +74,18 @@ class TestComplexJson:
     def test_round_trip_flow(self):
         g = Graph(("a", "b"), (("a", "b"), ("b", "a")))
         rel = build_family("flow", g).relative
+        loaded = complex_from_json(complex_to_json(rel))
+        assert loaded.complex == rel.complex
+        assert loaded.sub == rel.sub
+
+    def test_cells_with_apart_boxes_need_no_lp(self, monkeypatch):
+        # validate() meets every pair of cells; most realized cells lie
+        # apart in some coordinate, which settles the pair with no LP
+        def solved(system):
+            raise AssertionError("validate() solved an LP")
+
+        rel = realize_polynomial((0, 0, 2, 3))
+        monkeypatch.setattr(complexes, "lp_feasible", solved)
         loaded = complex_from_json(complex_to_json(rel))
         assert loaded.complex == rel.complex
         assert loaded.sub == rel.sub

@@ -1,5 +1,6 @@
 """Term orders, homogenization, and witnessed monomial counting."""
 
+import functools
 import itertools
 
 import pytest
@@ -22,6 +23,7 @@ from ehrhil.normal_sr import (
     polytopal_sr_membership,
 )
 from ehrhil.polytope import LatticePolytope
+from ehrhil.srideal import realize_polynomial
 
 DEGREE2 = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
 
@@ -285,6 +287,69 @@ class TestAgainstGeometry:
         lifted = homogenize(build_family("chromatic", g).relative)
         for k in (1, 2, 3, 4):
             assert hilbert_normal(lifted, k) == oracle("chromatic", g, k)
+
+
+def listed_witnesses(rel, k, order):
+    """The witnesses the long way: every point of k*C not in k*C', each
+    searched in the face minimal_face_at finds around it."""
+    table = PointVariableTable.from_complex(rel.complex)
+    out = {}
+    for z in sorted(rel.complex.lattice_points(k) - rel.sub.lattice_points(k)):
+        face = rel.complex.minimal_face_at(z, k)
+        seq = sorted(face.lattice_points(), reverse=order.kind != "grlex")
+        sol = normal_sr._minimal_representation(
+            seq, normal_sr._suffix_sums(seq, k), z, order)
+        vec = [0] * len(table)
+        for p, e in sol.items():
+            vec[table.points.index(p)] = e
+        out[z] = tuple(vec)
+    return out
+
+
+OPEN_FACE_PAIRS = [
+    pytest.param(functools.partial(suite_pair, name, kind),
+                 id=f"{name}-{kind}")
+    for name, kind in SUITE_PAIRS + [("C4", "tension")]] + [
+    pytest.param(lambda: homogenize(realize_polynomial((0, 1, 2))),
+                 id="realized")]
+
+
+class TestOpenFaceWalk:
+    """The witness search walks the pair's open faces; listing the points
+    and finding each one's face is the reference."""
+
+    @pytest.mark.parametrize("order", [GRLEX, GREVLEX], ids=lambda o: o.kind)
+    @pytest.mark.parametrize("make", OPEN_FACE_PAIRS)
+    def test_matches_the_listed_points(self, make, order):
+        rel = make()
+        for k in (1, 2, 3):
+            found = minimal_representatives(rel, k, order)
+            want = listed_witnesses(rel, k, order)
+            assert list(found.items()) == list(want.items()), k
+
+    def test_no_point_is_listed_or_located(self, monkeypatch):
+        # the variable table lists the points of C once, at k = 1; C' here
+        # holds an open boundary, so faces of C are dropped
+        rel = homogenize(realize_polynomial((0, 1, 2)))
+        assert not rel.sub.is_empty
+        want = {(k, order.kind): listed_witnesses(rel, k, order)
+                for k in (1, 2, 3) for order in (GRLEX, GREVLEX)}
+        assert [len(want[k, "grlex"]) for k in (1, 2, 3)] == [0, 1, 4]
+        listed = PolytopalComplex.lattice_points
+
+        def only_at_one(self, k=1):
+            if k != 1:
+                raise AssertionError(f"the complex was listed at k = {k}")
+            return listed(self, k)
+
+        def located(self, z, k):
+            raise AssertionError("minimal_face_at was called")
+
+        monkeypatch.setattr(PolytopalComplex, "lattice_points", only_at_one)
+        monkeypatch.setattr(PolytopalComplex, "minimal_face_at", located)
+        for (k, kind), witnesses in want.items():
+            assert minimal_representatives(rel, k, TermOrder(kind)) \
+                == witnesses
 
 
 class TestMinimalFace:
