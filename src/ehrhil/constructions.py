@@ -361,8 +361,8 @@ def certify(kind, g, methods=METHODS, kmax=None):
 
     top is degree+2 by default; a `kmax` below degree+1 is raised to it, or
     the interpolation would be under-determined.  The polynomial comes from
-    the first method's values; CheckFailure is raised when they are not a
-    polynomial of degree at most the bound.
+    the first method's values; when they are not a polynomial of degree at
+    most the bound, CheckFailure names the first k off the interpolant.
     """
     if not methods or any(m not in METHODS for m in methods):
         raise ValueError(f"methods {tuple(methods)!r}: expected a nonempty "
@@ -382,7 +382,6 @@ def certify(kind, g, methods=METHODS, kmax=None):
         poly = interpolate(tuple(zip(ks, runs[0].values)), d)
     except ValueError as exc:
         raise CheckFailure(
-            f"{kind}: {runs[0].method} counts are not a polynomial of "
-            f"degree <= {d}; polynomiality of the counting function fails"
-        ) from exc
+            f"{kind}: {runs[0].method} counts: {exc}; polynomiality of the "
+            "counting function fails") from exc
     return KindReport(kind, d, ks, poly, tuple(runs))

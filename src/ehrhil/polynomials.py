@@ -1,8 +1,8 @@
 """Exact univariate polynomials over the rationals.
 
 Counting functions arrive as finitely many integer samples; this module
-turns them into polynomials (Lagrange interpolation with surplus samples
-used as consistency checks), re-expresses them in the binomial basis
+turns them into polynomials (Newton's divided differences, with surplus
+samples used as consistency checks), re-expresses them in the binomial basis
 C(k-1, i) by forward differences at 1, and decides realizability: the
 counting functions of relative complexes are exactly the polynomials whose
 binomial coefficients are non-negative integers.
@@ -14,19 +14,11 @@ from fractions import Fraction
 from functools import cached_property
 
 
-def _pad_add(p, q):
-    n = max(len(p), len(q))
-    p = list(p) + [Fraction(0)] * (n - len(p))
-    q = list(q) + [Fraction(0)] * (n - len(q))
-    return [a + b for a, b in zip(p, q)]
-
-
-def _mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
+def _exact(x, what):
+    """x as a Fraction; ValueError unless it is an int (not a bool) or one."""
+    if type(x) not in (int, Fraction):
+        raise ValueError(f"{what} must be an int or a Fraction, got {x!r}")
+    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -36,7 +28,7 @@ class BinomialPolynomial:
     coefficients: tuple
 
     def __post_init__(self):
-        coeffs = [Fraction(c) for c in self.coefficients]
+        coeffs = [_exact(c, "coefficient") for c in self.coefficients]
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
         if not coeffs:
@@ -83,31 +75,35 @@ class BinomialPolynomial:
 def interpolate(values, degree_bound):
     """The unique polynomial of at most the given degree through the samples.
 
-    Needs degree_bound + 1 distinct sample points at positive integers;
-    surplus samples must lie on the interpolant, otherwise the data is not
-    a polynomial of the claimed degree and interpolation fails loudly.
+    Needs degree_bound + 1 distinct samples (k, y), each k an int >= 1 and
+    each y an int or a Fraction.  Surplus samples must lie on the
+    interpolant; the ValueError names the first one that does not.
     """
+    if type(degree_bound) is not int or degree_bound < 0:
+        raise ValueError(f"degree bound {degree_bound!r} is not an int >= 0")
     samples = {}
     for k, y in values:
-        if k != int(k) or k < 1:
-            raise ValueError(f"sample points must be positive integers, got {k}")
-        k = int(k)
+        if type(k) is not int or k < 1:
+            raise ValueError(f"sample point k={k!r} is not an int >= 1")
+        y = _exact(y, "sample value")
         if k in samples and samples[k] != y:
             raise ValueError(f"contradictory samples at k={k}")
-        samples[k] = Fraction(y)
+        samples[k] = y
     if len(samples) < degree_bound + 1:
         raise ValueError(
             f"need {degree_bound + 1} distinct samples, got {len(samples)}")
-    base = sorted(samples)[:degree_bound + 1]
-    coeffs = [Fraction(0)]
-    for ki in base:
-        numerator = [Fraction(1)]
-        weight = samples[ki]
-        for kj in base:
-            if kj != ki:
-                numerator = _mul(numerator, [Fraction(-kj), Fraction(1)])
-                weight /= ki - kj
-        coeffs = _pad_add(coeffs, [c * weight for c in numerator])
+    ks = sorted(samples)[:degree_bound + 1]
+    # divided differences in place: table[j] ends as y[k_0, ..., k_j]
+    table = [samples[k] for k in ks]
+    for j in range(1, len(ks)):
+        for i in range(len(ks) - 1, j - 1, -1):
+            table[i] = (table[i] - table[i - 1]) / (ks[i] - ks[i - j])
+    # Newton form to monomials by Horner: coeffs <- coeffs * (x - k) + a
+    coeffs = []
+    for a, k in zip(reversed(table), reversed(ks)):
+        coeffs = [a] + coeffs
+        for i in range(1, len(coeffs)):
+            coeffs[i - 1] -= k * coeffs[i]
     poly = BinomialPolynomial(tuple(coeffs))
     for k, y in sorted(samples.items()):
         if poly.evaluate(k) != y:

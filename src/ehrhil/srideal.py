@@ -9,6 +9,7 @@ outright.  Keeping both routes is the point; they cross-check each other.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .complexes import PolytopalComplex, RelativeComplex, SimplicialComplex
 from .exact import check_dilation
@@ -38,6 +39,14 @@ class RelativeSRIdeal:
             raise ValueError("the second complex is not a subcomplex")
 
 
+def _face_count(c, message):
+    """c as an int; ValueError(message.format(c)) unless c is a non-negative
+    int (not a bool) or a Fraction of one, the form `--coeffs` arrives in."""
+    if type(c) not in (int, Fraction) or c.denominator != 1 or c < 0:
+        raise ValueError(message.format(c))
+    return int(c)
+
+
 def hilbert_from_f(f, k):
     """sum_i f_i C(k-1, i) for an int k >= 1; the alternating sum at k = 0.
 
@@ -46,12 +55,11 @@ def hilbert_from_f(f, k):
     interpolation checks rather than as a monomial count.
     """
     check_dilation(k, least=0)
-    for c in f:
-        if c != int(c) or c < 0:
-            raise ValueError(f"face counts must be non-negative integers, got {c}")
+    f = [_face_count(c, "face counts must be non-negative integers, got {}")
+         for c in f]
     if k == 0:
-        return sum((-1) ** i * int(c) for i, c in enumerate(f))
-    return sum(int(c) * math.comb(k - 1, i) for i, c in enumerate(f))
+        return sum((-1) ** i * c for i, c in enumerate(f))
+    return sum(c * math.comb(k - 1, i) for i, c in enumerate(f))
 
 
 def _compositions(total, n):
@@ -86,12 +94,8 @@ def realize_polynomial(f):
     is a vector whose simplices have more nonempty faces, sum_i f_i
     (2^(i+1) - 1), than REALIZE_FACE_BUDGET, before anything is built.
     """
-    coeffs = []
-    for c in f:
-        if c != int(c) or c < 0:
-            raise ValueError(
-                f"not realizable: {c} is not a non-negative integer")
-        coeffs.append(int(c))
+    coeffs = [_face_count(c, "not realizable: {} is not a non-negative "
+                             "integer") for c in f]
     faces = sum(c * (2 ** (i + 1) - 1) for i, c in enumerate(coeffs))
     if faces > REALIZE_FACE_BUDGET:
         raise BudgetError(f"the simplices would have {faces} faces, beyond "

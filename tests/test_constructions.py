@@ -370,6 +370,15 @@ class TestCertify:
                                  r"exceed the budget of 65536"):
             certify("chromatic", complete_graph(7))
 
+    def test_polynomiality_failure_names_the_k(self, monkeypatch):
+        monkeypatch.setattr(constructions, "oracle", lambda kind, g, k: k ** 5)
+        # the quadratic through 1, 32, 243 at k = 1, 2, 3 gives 634 at k = 4
+        with pytest.raises(CheckFailure, match=re.escape(
+                "tension: brute counts: not a polynomial of degree <= 2: "
+                "value at k=4 is 1024, interpolant gives 634; polynomiality "
+                "of the counting function fails")):
+            certify("tension", complete_graph(3), methods=("brute",))
+
     @pytest.mark.parametrize("methods", [("foo",), (), ("brute", "Hilbert")])
     def test_bad_methods_rejected(self, methods):
         with pytest.raises(ValueError, match=re.escape(repr(METHODS))):

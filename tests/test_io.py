@@ -1,5 +1,7 @@
 """JSON round trips and input validation."""
 
+from fractions import Fraction
+
 import pytest
 
 from ehrhil import complexes
@@ -144,4 +146,4 @@ class TestPolynomialJson:
         doc = polynomial_to_json(p)
         assert doc == {"monomial": ["0", "2", "-3", "1"],
                        "binomial": ["0", "0", "6", "6"]}
-        assert BinomialPolynomial(doc["monomial"]) == p
+        assert BinomialPolynomial(tuple(map(Fraction, doc["monomial"]))) == p

@@ -1,6 +1,7 @@
 """Interpolation, binomial basis, realizability."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,40 @@ class TestInterpolate:
         p = BinomialPolynomial(tuple(coeffs))
         samples = [(k, p.evaluate(k)) for k in range(1, p.degree + 4)]
         assert interpolate(samples, p.degree) == p
+
+    # nodes need not be consecutive, sorted or unique; the interpolant
+    # through degree + 1 of them is unique, so the drawn polynomial comes
+    # back exactly, and a surplus sample moved off it is named by its k
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.fractions(max_denominator=6), min_size=1, max_size=5),
+           st.data())
+    def test_any_nodes_in_any_order(self, coeffs, data):
+        p, d = BinomialPolynomial(tuple(coeffs)), len(coeffs) - 1
+        nodes = data.draw(st.sets(st.integers(1, 200), min_size=d + 2,
+                                  max_size=d + 6))
+        samples = [(k, p.evaluate(k)) for k in nodes]
+        samples += data.draw(st.lists(st.sampled_from(samples), max_size=3))
+        samples = data.draw(st.permutations(samples))
+        assert interpolate(samples, d) == p
+        off = data.draw(st.sampled_from(sorted(nodes)[d + 1:]))
+        shift = data.draw(st.fractions(max_denominator=6).filter(bool))
+        moved = [(k, y + shift if k == off else y) for k, y in samples]
+        with pytest.raises(ValueError, match=rf"value at k={off} is "):
+            interpolate(moved, d)
+
+    @pytest.mark.parametrize("values, bound, named", [
+        ([(True, 1), (2, 3)], 1, "True"),
+        ([(1.0, 1), (2, 3)], 1, "1.0"),
+        ([(1, 0.1), (2, 0.2)], 1, "0.1"),
+        ([(1, True), (2, 3)], 1, "True"),
+        ([(1, "1"), (2, "3")], 1, "'1'"),
+        ([], -1, "-1"),
+        ([(1, 1), (2, 3)], True, "True"),
+        ([(1, 1), (2, 3)], 1.0, "1.0"),
+    ])
+    def test_inexact_input_refused(self, values, bound, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            interpolate(values, bound)
 
 
 class TestBinomialBasis:
@@ -110,6 +145,11 @@ class TestEvaluate:
             want = want * k + c
         got = p.evaluate(k)
         assert got == want and isinstance(got, Fraction)
+
+    @pytest.mark.parametrize("c", [0.1, True, "1"])
+    def test_inexact_coefficient_refused(self, c):
+        with pytest.raises(ValueError, match=re.escape(repr(c))):
+            BinomialPolynomial((1, c))
 
     def test_str(self):
         assert str(BinomialPolynomial((0, 2, -3, 1))) == \

@@ -1,6 +1,7 @@
 """Simplicial complexes, the two Hilbert routes, and f-vector realization."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -83,6 +84,12 @@ class TestHilbertFromF:
         with pytest.raises(ValueError):
             hilbert_from_f((1,), -1)
 
+    @pytest.mark.parametrize("f", [(1.0, 2), (True, 2)])
+    def test_refuses_inexact_face_counts(self, f):
+        with pytest.raises(ValueError, match=re.escape(
+                f"face counts must be non-negative integers, got {f[0]}")):
+            hilbert_from_f(f, 3)
+
     @pytest.mark.parametrize("k", [2.5, True, -1, "2"])
     def test_bad_degree_is_refused(self, k):
         # k = 0 is the Euler characteristic, so only k < 0 is out of range
@@ -156,6 +163,14 @@ class TestRealizePolynomial:
             realize_polynomial((-1, 1))
         with pytest.raises(ValueError, match="not realizable"):
             realize_polynomial((1.5,))
+
+    def test_refuses_inexact_coefficients(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "not realizable: True is not a non-negative integer")):
+            realize_polynomial((True, 1.0))
+        with pytest.raises(ValueError, match=re.escape(
+                "not realizable: 1.0 is not a non-negative integer")):
+            realize_polynomial((1, 1.0))
 
     def test_budget_admits_k6_chromatic(self, monkeypatch):
         # K6's chromatic vector has 720 * 63 + 720 * 127 = 136,800 faces;
