@@ -24,13 +24,14 @@ point, and the kept cell is the hull of those points.  `lp_family`, which
 filters by exact LP and certifies each cell by `from_inequalities`, is the
 reference the tests hold this to.
 
-`certify` checks one counting function three ways on one graph: brute-force
-enumeration, the lattice points of the relative complex, and the Hilbert
-function of its pulled triangulation must agree at every sampled k.  Before
-pulling, every maximal cell must be two-level (width one on each facet).
-Two-level lattice polytopes are exactly the compressed ones (Sullivant
-2006, Thm 2.4): every pulling triangulation of them is unimodular, so the
-Hilbert route gives one f-vector whatever the pulling order.
+`certify` checks one counting function three ways on one graph:
+enumeration (a frontier dynamic program), the lattice points of the
+relative complex, and the Hilbert function of its pulled triangulation must
+agree at every sampled k.  Before pulling, every maximal cell must be
+two-level (width one on each facet).  Two-level lattice polytopes are
+exactly the compressed ones (Sullivant 2006, Thm 2.4): every pulling
+triangulation of them is unimodular, so the Hilbert route gives one
+f-vector whatever the pulling order.
 """
 
 import itertools
@@ -49,13 +50,13 @@ from .exact import (
 )
 from .graphs import (
     CACHE_SIZE,
-    chromatic_bf,
+    chromatic_dp,
     cycle_basis,
     incidence_matrix,
-    int_flow_bf,
-    int_tension_bf,
-    mod_flow_bf,
-    mod_tension_bf,
+    int_flow_dp,
+    int_tension_dp,
+    mod_flow_dp,
+    mod_tension_dp,
 )
 from .polynomials import interpolate
 from .polytope import LatticePolytope, _plan, _walk
@@ -245,15 +246,15 @@ def _slices(g, matrix):
 
 # kind: (candidate generator, the matrix it is fed, oracle, degree)
 _SPECS = {
-    "chromatic": (_chromatic, incidence_matrix, chromatic_bf,
+    "chromatic": (_chromatic, incidence_matrix, chromatic_dp,
                   lambda g: len(g.vertices)),
-    "flow": (_boxes, incidence_matrix, int_flow_bf,
+    "flow": (_boxes, incidence_matrix, int_flow_dp,
              lambda g: g.cyclomatic_number()),
-    "modflow": (_slices, incidence_matrix, mod_flow_bf,
+    "modflow": (_slices, incidence_matrix, mod_flow_dp,
                 lambda g: g.cyclomatic_number()),
-    "tension": (_boxes, cycle_basis, int_tension_bf,
+    "tension": (_boxes, cycle_basis, int_tension_dp,
                 lambda g: g.tension_rank()),
-    "modtension": (_slices, cycle_basis, mod_tension_bf,
+    "modtension": (_slices, cycle_basis, mod_tension_dp,
                    lambda g: g.tension_rank()),
 }
 
@@ -272,7 +273,12 @@ def degree_bound(kind, g):
 
 
 def oracle(kind, g, k):
-    """The brute-force count the construction must reproduce."""
+    """The enumeration route's count, which the construction must reproduce.
+
+    It is the frontier dynamic program of `graphs` (the "brute" method),
+    which counts what the naive `*_bf` enumerations count and, like them,
+    knows nothing of the geometry.
+    """
     return _spec(kind)[2](g, k)
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from ehrhil.cli import main
 from ehrhil.constructions import KindReport, MethodRun
+from ehrhil.graphs import int_flow_dp
 from ehrhil.polynomials import BinomialPolynomial
 
 K3 = {"vertices": ["a", "b", "c"],
@@ -85,6 +86,16 @@ class TestPoly:
 
     def test_unknown_kind(self, k3_file, capsys):
         assert main(["poly", "euler", k3_file]) == 2
+
+    def test_brute_over_the_budget_is_refused(self, k3_file, capsys,
+                                              monkeypatch):
+        int_flow_dp.cache_clear()  # a cached count would skip the budget
+        monkeypatch.setattr("ehrhil.graphs._DP_BUDGET", 1)
+        assert main(["poly", "flow", k3_file, "--method", "brute"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dynamic program of an estimated ")
+        assert err.rstrip().endswith("states exceeds the budget of 1")
+        assert "Traceback" not in err
 
 
 class TestRealize:

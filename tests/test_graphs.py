@@ -1,19 +1,28 @@
-"""Multigraph structure and pinned values for the enumeration oracles."""
+"""Multigraph structure, pinned values for the enumeration oracles, and the
+frontier dynamic programs held to them."""
+
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ehrhil import graphs as graphs_module
 from ehrhil.graphs import (
     Graph,
     chromatic_bf,
+    chromatic_dp,
     complete_graph,
     cycle_basis,
     cycle_graph,
     incidence_matrix,
     int_flow_bf,
+    int_flow_dp,
     int_tension_bf,
+    int_tension_dp,
     mod_flow_bf,
+    mod_flow_dp,
     mod_tension_bf,
+    mod_tension_dp,
     path_graph,
 )
 
@@ -29,8 +38,17 @@ LOOP = Graph((0,), ((0, 0),))
 K3_PENDANT = Graph((0, 1, 2, 3), ((0, 1), (1, 2), (2, 0), (2, 3)))
 EDGELESS2 = Graph((0, 1), ())
 
+K33 = Graph(tuple(range(6)),
+            tuple((i, j) for i in range(3) for j in range(3, 6)))
+
 SUITE = [K2, K3, K4, P3, C3, C4, DIGON, THETA, K3_PENDANT, LOOP]
 LOOPLESS = [g for g in SUITE if not g.has_loop()]
+
+# (naive enumeration, dynamic program) per kind
+PAIRS = [(chromatic_bf, chromatic_dp), (int_flow_bf, int_flow_dp),
+         (mod_flow_bf, mod_flow_dp), (int_tension_bf, int_tension_dp),
+         (mod_tension_bf, mod_tension_dp)]
+DPS = [dp for _, dp in PAIRS]
 
 
 @st.composite
@@ -190,7 +208,7 @@ class TestOracleHygiene:
             int_flow_bf(K2, -1)
 
     @pytest.mark.parametrize("fn", [chromatic_bf, int_flow_bf, mod_flow_bf,
-                                    int_tension_bf, mod_tension_bf])
+                                    int_tension_bf, mod_tension_bf] + DPS)
     @pytest.mark.parametrize("k", [2.5, True, 0, -1, "2"])
     def test_bad_dilation_factor_is_refused(self, fn, k):
         fn(K3, 1)  # True == 1 hashes alike: a cached (K3, 1) must not answer
@@ -233,3 +251,70 @@ class TestOracleHygiene:
         assert mod_flow_bf(h, k) == mod_flow_bf(g, k)
         assert int_tension_bf(h, k) == int_tension_bf(g, k)
         assert mod_tension_bf(h, k) == mod_tension_bf(g, k)
+
+
+class TestDynamicProgram:
+    @settings(max_examples=80, deadline=None)
+    @given(graphs(), st.integers(1, 4), st.data())
+    def test_equals_enumeration(self, g, k, data):
+        flips = data.draw(st.sets(st.integers(0, max(len(g.edges) - 1, 0))))
+        for h in (g, g.reoriented(flips)):
+            for bf, dp in PAIRS:
+                assert dp(h, k) == bf(h, k), (dp.__name__, h, k)
+
+    @pytest.mark.parametrize("name", sorted(graphs_module.SUITE))
+    def test_suite_and_reorientations(self, name):
+        g = graphs_module.SUITE[name]
+        for h in (g, g.reoriented(range(1, len(g.edges), 2))):
+            for k in range(1, 6):
+                for bf, dp in PAIRS:
+                    assert dp(h, k) == bf(h, k), (dp.__name__, h, k)
+
+    def test_forty_parallel_edges(self):
+        # a flow puts +1 on half of the edges and -1 on the other half
+        fat = Graph((0, 1), ((0, 1),) * 40)
+        assert int_flow_dp(fat, 2) == math.comb(40, 20) == 137_846_528_820
+
+    def test_k33_chromatic(self):
+        for k in range(1, 9):
+            assert chromatic_dp(K33, k) == (k ** 6 - 9 * k ** 5 + 36 * k ** 4
+                                            - 75 * k ** 3 + 78 * k ** 2
+                                            - 31 * k)
+
+    def test_k33_modflow(self):
+        for k in range(1, 7):
+            assert mod_flow_dp(K33, k) == (k - 1) * (k - 2) * (k * k - 6 * k
+                                                               + 10)
+
+    def test_k33_modtension_times_k_is_chromatic(self):
+        for k in range(1, 9):
+            assert mod_tension_dp(K33, k) * k == chromatic_dp(K33, k)
+
+    def test_budget_counts_the_estimated_states(self, monkeypatch):
+        # six parallel edges at k = 3: the integral flow tries 4 values at
+        # each of five steps from at most 1, 4, 9, 13 and 17 states (one
+        # basis row of 2·2·c + 1 sums after c edges), then one value from
+        # each of 21: 197; K4 colors frontiers of 1, 2, 3 and 3 vertices
+        for fn in DPS:
+            fn.cache_clear()  # a cached count would skip the budget
+        six = Graph((0, 1), ((0, 1),) * 6)
+        budget = "ehrhil.graphs._DP_BUDGET"
+        cases = [(int_flow_dp, six, 197, 430), (mod_flow_dp, six, 57, 22),
+                 (int_tension_dp, six, 51, 4), (mod_tension_dp, six, 21, 2),
+                 (chromatic_dp, K4, 66, 0)]
+        for fn, g, estimate, count in cases:
+            monkeypatch.setattr(budget, estimate - 1)
+            with pytest.raises(ValueError, match=(
+                    rf"estimated {estimate} states exceeds the budget of "
+                    rf"{estimate - 1}$")):
+                fn(g, 3)
+            monkeypatch.setattr(budget, estimate)
+            assert fn(g, 3) == count
+
+    def test_trivial_inputs_need_no_steps(self, monkeypatch):
+        for fn in DPS:
+            fn.cache_clear()  # a cached count would skip the budget
+        monkeypatch.setattr("ehrhil.graphs._DP_BUDGET", -1)
+        assert chromatic_dp(LOOP, 7) == 0
+        assert int_tension_dp(P3, 7) == 12 ** 2  # a tree has no cycle
+        assert mod_flow_dp(Graph((0,), ((0, 0),) * 2), 7) == 36

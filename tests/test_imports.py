@@ -14,6 +14,9 @@ named.
 
 The library and scripts raise typed errors instead of asserting, because
 ``python -O`` strips assert statements; tests may assert.
+
+The enumeration route (``graphs.py``) imports nothing of the geometry it
+certifies.
 """
 
 import ast
@@ -174,3 +177,33 @@ def test_no_dead_definitions():
                for path in EVERY_SOURCE}
     library = {label for label in sources if label.startswith("src/")}
     assert dead_definitions(sources, library) == []
+
+
+GEOMETRY = {"polytope", "complexes", "constructions", "srideal", "normal_sr"}
+
+
+def imported_names(source):
+    """Every dotted part of each module a source imports or imports from,
+    and every name it imports from a module (which may be a submodule)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names.update(alias.name.split("."))
+    return names
+
+
+def test_scan_finds_a_geometry_import():
+    source = ("from . import polytope\n"
+              "from .exact import dot\n"
+              "import ehrhil.complexes as cx\n"
+              "from ehrhil.srideal import hilbert_from_f\n")
+    assert imported_names(source) & GEOMETRY == {
+        "polytope", "complexes", "srideal"}
+
+
+def test_enumeration_route_imports_no_geometry():
+    source = (ROOT / "src" / "ehrhil" / "graphs.py").read_text()
+    assert imported_names(source) & GEOMETRY == set()
