@@ -20,7 +20,10 @@ Heller-Tompkins, the cycle basis by its identity block over the incidence
 kernel.  By Hoffman-Kruskal every candidate's closed region is then the
 hull of its lattice points, so one walk of the candidate's box decides it
 without LP: it is kept when every strict row is strict on some walked
-point, and the kept cell is the hull of those points.  `lp_family`, which
+point, and the kept cell is the hull of those points.  Those points lie in
+one unit cube, so all of them are vertices, and every facet of the cell is
+the tight set of one of its rows, so the cell's facets are read off its
+rows with no scan of vertex subsets.  `lp_family`, which
 filters by exact LP and certifies each cell by `from_inequalities`, is the
 reference the tests hold this to.
 
@@ -147,8 +150,13 @@ def _certify_unimodular(kind, g):
 def _walls(n, box):
     """Rows a.x <= r of the box's walls, two per coordinate."""
     rows = []
+    e = [0] * n
     for i, (lo, hi) in enumerate(box):
-        rows += [(tuple(-x for x in _unit(n, i)), -lo), (_unit(n, i), hi)]
+        e[i] = -1
+        down = tuple(e)
+        e[i] = 1
+        rows += [(down, -lo), (tuple(e), hi)]
+        e[i] = 0
     return rows
 
 
@@ -169,8 +177,11 @@ def _cells(n, candidates, planes):
     it is the hull of the lattice points one walk of the box lists.  The
     open region holds a point exactly when every strict row is strict on
     some listed point: their centroid is then strict on all of them.  The
-    kept cell is that hull.  C' is the part of C lying in the hyperplanes
-    `planes`.
+    kept cell is that hull, built by `LatticePolytope.from_certified_rows`
+    from the listed points, which are its vertices (they lie in one unit
+    cube), and the box walls and rows, whose maximal tight sets are its
+    facets; the equations are tight everywhere and cut out no facet.  C'
+    is the part of C lying in the hyperplanes `planes`.
     """
     labels, cells = [], []
     for label, eq, rows, box in candidates:
@@ -182,7 +193,7 @@ def _cells(n, candidates, planes):
         strict = _walls(n, box) + rows
         if pts and all(any(dot(a, p) < r for p in pts) for a, r in strict):
             labels.append(label)
-            cells.append(LatticePolytope(pts))
+            cells.append(LatticePolytope.from_certified_rows(pts, strict))
     return _relative(n, labels, cells, planes)
 
 

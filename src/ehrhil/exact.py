@@ -114,20 +114,30 @@ def column_echelon(m, ncols):
         if len(row) != ncols:
             raise ValueError(
                 f"matrix row [{i}] has {len(row)} entries, not {ncols}")
-    cols = [[row[j] for row in a] + [int(i == j) for i in range(ncols)]
-            for j in range(ncols)]
+    # column j of [m; I], the identity written in after the transpose
+    k = len(a)
+    cols = ([[*col, *[0] * ncols] for col in zip(*a)] if a
+            else [[0] * ncols for _ in range(ncols)])
+    for j, col in enumerate(cols):
+        col[k + j] = 1
     pivots, sign = [], 1
-    for i in range(len(a)):
+    for i in range(k):
         r = len(pivots)
         while True:
-            live = [j for j in range(r, ncols) if cols[j][i]]
+            # the first live column of least absolute entry, and the count
+            j, least, live = r, 0, 0
+            for c in range(r, ncols):
+                x = cols[c][i]
+                if x:
+                    live += 1
+                    if not least or abs(x) < least:
+                        j, least = c, abs(x)
             if not live:
                 break
-            j = min(live, key=lambda j: abs(cols[j][i]))
             if j != r:
                 cols[r], cols[j] = cols[j], cols[r]
                 sign = -sign
-            if len(live) == 1:
+            if live == 1:
                 pivots.append(cols[r][i])
                 break
             piv = cols[r]
@@ -136,7 +146,7 @@ def column_echelon(m, ncols):
                 q = cols[j][i] // p
                 if q:
                     cols[j] = [x - q * y for x, y in zip(cols[j], piv)]
-    return pivots, sign, [col[len(a):] for col in cols]
+    return pivots, sign, [col[k:] for col in cols]
 
 
 def det(m):

@@ -51,9 +51,15 @@ GREVLEX = TermOrder("grevlex")
 
 
 def homogenize(rel):
-    """Embed a relative complex at height one by appending a coordinate 1."""
+    """Embed a relative complex at height one by appending a coordinate 1.
+
+    Each cell is lifted with its facets, a.x <= b becoming (a, 0).y <= b,
+    so the lift needs no scan of vertex subsets.
+    """
     def lift(cx):
-        cells = [LatticePolytope([(*v, 1) for v in c.vertices])
+        cells = [LatticePolytope.from_certified_rows(
+                     [(*v, 1) for v in c.vertices],
+                     [((*a, 0), b) for a, b in c.facets])
                  for c in cx.maximal_cells]
         ambient = None if cx.ambient_dim is None else cx.ambient_dim + 1
         return PolytopalComplex(cells, ambient_dim=ambient)

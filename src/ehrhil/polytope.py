@@ -9,9 +9,12 @@ The facet description of a polytope built from points is recovered from
 the points directly: every subset of vertices of size dim that spans a
 hyperplane inside the affine hull is a candidate, and the candidates that
 support the polytope on one side survive.  The scan is C(vertices, dim)
-column reductions, and it is most of the time a cell construction takes
-(ROADMAP item 3 records reading facets from the cell's rows instead).  A
-face is not rebuilt from its points: its vertices and facets are read off
+column reductions.  A polytope whose inequalities are known, such as a
+cell of a totally unimodular system, skips it: `from_certified_rows` reads
+the facets off the rows as their maximal tight sets.  Below full
+dimension a facet has many normals, so both paths apply one rule
+(`_facet_row`) and build equal polytopes from equal vertices.  A face is
+not rebuilt from its points: its vertices and facets are read off
 the face lattice of the polytope it belongs to, which pulling recurses
 through.  An open face is counted as a polytope of its own, in lattice
 coordinates of its affine hull that the column reduction of its vertex
@@ -71,6 +74,33 @@ def simplex_is_unimodular(points):
     rows = [[p[i] - p0[i] for i in range(len(p0))] for p in pts[1:]]
     pivots, _, _ = column_echelon(rows, len(p0))
     return len(pivots) == len(rows) and all(abs(p) == 1 for p in pivots)
+
+
+def _facet_row(verts, tight):
+    """((a, b), rank) for the vertex set `tight` of a facet of conv(verts).
+
+    The one normal rule that both the subset scan (below full dimension)
+    and `from_certified_rows` apply, so the two agree field for field.  One
+    column echelon of the differences of the sorted set from its least
+    vertex gives its rank and the kernel lattice.  The first kernel column
+    that is not constant on `verts` is a normal of the facet inside the
+    affine hull; it is oriented so that a.x <= b holds on `verts`, with
+    content one.  In full dimension it is the facet's unique normal.
+    """
+    pts = sorted(tight)
+    t0 = pts[0]
+    n = len(t0)
+    pivots, _, u = column_echelon(
+        [[q[i] - t0[i] for i in range(n)] for q in pts[1:]], n)
+    for cand in u[len(pivots):]:
+        b = dot(cand, t0)
+        values = [dot(cand, v) for v in verts]
+        if any(x != b for x in values):
+            if max(values) > b:
+                cand, b = [-c for c in cand], -b
+            a = reduce_content(cand)
+            return (a, dot(a, t0)), len(pivots)
+    return None, len(pivots)
 
 
 def _plan(rows, box):
@@ -291,6 +321,7 @@ class LatticePolytope:
             return (), ()
         n = self.ambient_dim
         verts = self.vertices
+        full = self.dim == n
         found = {}
         for sub in itertools.combinations(verts, self.dim):
             s0 = sub[0]
@@ -308,16 +339,69 @@ class LatticePolytope:
             lo, hi = min(values), max(values)
             if lo < b < hi:
                 continue  # hyperplane cuts the polytope
-            if hi > b:
-                normal = [-c for c in normal]
-            a = reduce_content(normal)
-            key = (a, dot(a, s0))
-            # below full dimension one facet has many normals: keep the least
             tight = frozenset(v for v, x in zip(verts, values) if x == b)
-            if tight not in found or key < found[tight]:
-                found[tight] = key
+            if full:
+                # the normal of a facet is unique up to a positive factor
+                a = reduce_content(normal if hi == b else [-c for c in normal])
+                found[tight] = (a, dot(a, s0))
+            else:
+                found[tight] = None
+        if not full:
+            found = {t: _facet_row(verts, t)[0] for t in found}
         ordered = sorted(found, key=found.__getitem__)
         return tuple(found[t] for t in ordered), tuple(ordered)
+
+    @classmethod
+    def from_certified_rows(cls, vertices, rows):
+        """Hull of the sorted `vertices`, its facets read off the rows a.x <= r.
+
+        The rows, with equations that need not be passed (they are tight
+        everywhere), must describe a region whose vertices are exactly
+        `vertices`; a cell of a totally unimodular system is one
+        (Hoffman-Kruskal).  Every facet of such a region is the tight set
+        of one of its rows, and every nonempty proper tight set is a face
+        (Schrijver 1986, ch. 8), so the facet vertex sets are the
+        inclusion-maximal ones, found with no subset scan.  Each facet
+        gets the scan's normal (`_facet_row`), so the result equals
+        `LatticePolytope(vertices)` field for field.  InvariantError when
+        the rows cannot describe the hull: a row fails on a vertex, a kept
+        set does not span dim - 1, or a vertex lies on fewer than dim
+        facets.
+        """
+        verts = tuple(vertices)
+        if not verts or list(verts) != sorted(set(verts)):
+            raise ValueError("expected sorted distinct vertices")
+        poly = cls.__new__(cls)
+        poly._span(verts)
+        poly.vertices = verts
+        dim, full = poly.dim, len(verts)
+        tights = set()
+        for a, r in rows:
+            values = [dot(a, v) for v in verts]
+            if max(values) > r:
+                raise InvariantError(f"row {a}.x <= {r} fails on the vertices")
+            tight = [v for v, x in zip(verts, values) if x == r]
+            if 0 < len(tight) < full:
+                tights.add(frozenset(tight))
+        found = {}
+        for t in tights:
+            if not any(t < other for other in tights):
+                key, rank = _facet_row(verts, t)
+                if rank != dim - 1:
+                    raise InvariantError(
+                        f"tight set {sorted(t)} spans dimension {rank}, "
+                        f"not {dim - 1}: it is no facet of the hull")
+                found[t] = key
+        for v in verts:
+            on = sum(v in t for t in found)
+            if on < dim:
+                raise InvariantError(
+                    f"vertex {v} lies on {on} of the rows' facets, fewer "
+                    f"than the dimension {dim}: the rows miss a facet")
+        ordered = sorted(found, key=found.__getitem__)
+        poly.facets = tuple(found[t] for t in ordered)
+        poly._facet_vertex_sets = tuple(ordered)
+        return poly
 
     @classmethod
     def from_inequalities(cls, system, box):

@@ -8,8 +8,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_graphs import graphs
+from test_polytope import fields
 
-from ehrhil import constructions, polytope
+from ehrhil import constructions, normal_sr, polytope
 from ehrhil.complexes import PolytopalComplex, RelativeComplex
 from ehrhil.constructions import (
     KINDS,
@@ -187,8 +188,7 @@ class TestLPCounts:
 
 
 def _cell_fields(cx):
-    return [(c.vertices, c.facets, c._facet_vertex_sets, c.hull_equalities)
-            for c in cx.maximal_cells]
+    return [fields(c) for c in cx.maximal_cells]
 
 
 def assert_matches_lp_reference(kind, g):
@@ -213,6 +213,22 @@ class TestLPReference:
     def test_drawn_multigraphs(self, g):
         for kind in KINDS:
             assert_matches_lp_reference(kind, g)
+
+
+class TestCellsFromRows:
+    """Each kept cell is built from its certified rows; the subset scan of
+    `LatticePolytope(points)` must give the same polytope field for field,
+    the facet normals included, and so must the homogenized lifts."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_cells_equal_the_scan(self, kind, suite):
+        for name, g in {**suite, "C5": cycle_graph(5)}.items():
+            rel = build_family(kind, g).relative
+            lift = normal_sr.homogenize(rel)
+            for cx in (rel.complex, lift.complex, lift.sub):
+                assert _cell_fields(cx) == [
+                    fields(polytope.LatticePolytope(c.vertices))
+                    for c in cx.maximal_cells], (name, kind)
 
 
 def totally_unimodular(m):
@@ -333,9 +349,10 @@ class TestReorientation:
 
 
 class TestCertify:
-    # three edges at most: four loops alone take seconds on flow
+    # four edges at most: the builds read facets off their rows, and four
+    # loops, the largest flow build drawn here, take a fraction of a second
     @settings(max_examples=30, deadline=None)
-    @given(graphs(max_edges=3))
+    @given(graphs(max_edges=4))
     def test_three_routes_agree_on_drawn_multigraphs(self, g):
         for kind in KINDS:
             report = certify(kind, g)

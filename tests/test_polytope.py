@@ -540,6 +540,66 @@ def assert_face_is_rebuilt(face, vs):
         assert {v for v, x in zip(face.vertices, values) if x == b} == tight
 
 
+def fields(p):
+    return p.vertices, p.facets, p._facet_vertex_sets, p.hull_equalities
+
+
+SQUARE_WALLS = [((-1, 0), 0), ((1, 0), 1), ((0, -1), 0), ((0, 1), 1)]
+
+
+class TestFromCertifiedRows:
+    def test_square_matches_the_scan(self):
+        got = LatticePolytope.from_certified_rows(SQUARE.vertices, SQUARE_WALLS)
+        assert fields(got) == fields(SQUARE)
+
+    def test_slice_matches_the_scan(self):
+        # x + y = 1 in the unit square; the equation is tight everywhere,
+        # and the slack row x + y <= 3 is tight nowhere
+        verts = ((0, 1), (1, 0))
+        rows = SQUARE_WALLS + [((1, 1), 1), ((-1, -1), -1), ((1, 1), 3)]
+        got = LatticePolytope.from_certified_rows(verts, rows)
+        assert fields(got) == fields(LatticePolytope(verts))
+
+    def test_missing_wall_refused(self):
+        with pytest.raises(InvariantError, match="fewer than the dimension"):
+            LatticePolytope.from_certified_rows(
+                SQUARE.vertices, SQUARE_WALLS[:-1])
+
+    def test_tight_set_short_of_a_facet_refused(self):
+        # x + y <= 2 touches the square at (1, 1) only, and no other row
+        # holds that vertex
+        rows = [((-1, 0), 0), ((0, -1), 0), ((1, 1), 2)]
+        with pytest.raises(InvariantError, match="spans dimension 0, not 1"):
+            LatticePolytope.from_certified_rows(SQUARE.vertices, rows)
+
+    def test_violated_row_refused(self):
+        with pytest.raises(InvariantError, match="fails on the vertices"):
+            LatticePolytope.from_certified_rows(
+                SQUARE.vertices, SQUARE_WALLS + [((1, 1), 1)])
+
+    @pytest.mark.parametrize("verts", [(), ((1, 0), (0, 1)),
+                                       ((0, 0), (0, 0), (1, 0))])
+    def test_unsorted_or_repeated_vertices_refused(self, verts):
+        with pytest.raises(ValueError, match="sorted distinct"):
+            LatticePolytope.from_certified_rows(verts, SQUARE_WALLS)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(small_polytopes(), small_solids(),
+                     small_polytopes().map(lifted),
+                     small_solids().map(lifted),
+                     small_polytopes().map(mapped(SATURATED_MAP))),
+           st.integers(-2, 2))
+    def test_any_normal_of_each_facet_gives_the_scan(self, p, shift):
+        # each facet row moved by a multiple of a hull equality is another
+        # normal of the same facet; the result must not depend on which
+        rows = list(p.facets) * 2
+        for h, c in p.hull_equalities[:1]:
+            rows = [(tuple(x + shift * y for x, y in zip(a, h)), b + shift * c)
+                    for a, b in rows]
+        got = LatticePolytope.from_certified_rows(p.vertices, rows)
+        assert fields(got) == fields(p)
+
+
 class TestTrustedFaces:
     # Each polytope is one of its own faces, so these also check that every
     # facet is listed once.  The tension and modtension cells of K3_pendant
