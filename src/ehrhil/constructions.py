@@ -66,8 +66,9 @@ from .polytope import LatticePolytope, _plan, _walk
 from .srideal import hilbert_from_f
 
 # refuse constructions beyond 2^16 candidate cells, one walk of the box
-# each: K6 chromatic (2^15, about 12 s) and K3,3 modflow (4,096) pass, K7
-# chromatic (2^21, 64 times K6's candidates) is refused
+# each: K6 chromatic (2^15, a 4.8-6.5 s build on one core, Python 3.11)
+# and K3,3 modflow (4,096) pass, K7 chromatic (2^21, 64 times K6's
+# candidates) is refused
 _CANDIDATE_BUDGET = 2 ** 16
 
 

@@ -11,8 +11,9 @@ open, colorings vertex by vertex, their state the colors of the frontier.
 The `*_dp` counts are the enumeration route of `constructions.certify`, and
 like the `*_bf` ones they know nothing of the geometry that route checks:
 this module imports only `exact`.  Before its first step, an enumeration
-of more than 2^34 states and a dynamic program of more than 2^26 estimated
-states are refused instead of hanging.
+of more than 2^26 states or a dynamic program of more than 2^26 estimated
+states is refused instead of hanging.  Only the `*_bf` counts are
+memoized: each caller asks a `*_dp` count once per (graph, k).
 """
 
 import itertools
@@ -21,13 +22,11 @@ from functools import lru_cache
 
 from .exact import InvariantError, check_dilation
 
-# refuse blind enumeration beyond 2^34 states
-_STATE_BUDGET = 2 ** 34
-
-# refuse a dynamic program beyond 2^26 estimated states: a minute at the
-# median of 1.2e6 states/s measured on one core (Python 3.11, from 2.4e5/s
-# for wide tension states to 5e7/s for loosely bounded flows), and about
-# 2.5 GB at most
+# refuse an enumeration or a dynamic program beyond 2^26 (estimated)
+# states: one to two minutes on one core (Python 3.11).  The dynamic
+# programs ran at a median of 1.2e6 states/s (from 2.4e5/s for wide tension
+# states to 5e7/s for loosely bounded flows) in about 2.5 GB at most, the
+# enumerations at 0.6-1.1e6 states/s in constant memory.
 _DP_BUDGET = 2 ** 26
 
 # entries per memoized function: far above the graphs a test session or
@@ -192,9 +191,9 @@ def cycle_basis(g):
 
 
 def _guard(states):
-    if states > _STATE_BUDGET:
+    if states > _DP_BUDGET:
         raise ValueError(
-            f"enumeration space of {states} states exceeds {_STATE_BUDGET}")
+            f"enumeration space of {states} states exceeds {_DP_BUDGET}")
 
 
 def _count(rows, values, n, modulus=None):
@@ -426,7 +425,6 @@ def _vertex_steps(g):
     return tuple(steps)
 
 
-@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def chromatic_dp(g, k):
     """`chromatic_bf` by a frontier dynamic program over the vertices."""
     check_dilation(k)
@@ -455,7 +453,6 @@ def chromatic_dp(g, k):
     return states.get((), 0)
 
 
-@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def int_flow_dp(g, k):
     """`int_flow_bf` edge by edge over the incidence rows."""
     check_dilation(k)
@@ -463,7 +460,6 @@ def int_flow_dp(g, k):
     return _count_dp(incidence_matrix(g), values, len(g.edges))
 
 
-@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def mod_flow_dp(g, k):
     """`mod_flow_bf` edge by edge over the incidence rows."""
     check_dilation(k)
@@ -471,7 +467,6 @@ def mod_flow_dp(g, k):
                      modulus=k)
 
 
-@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def int_tension_dp(g, k):
     """`int_tension_bf` edge by edge over the cycle basis."""
     check_dilation(k)
@@ -479,7 +474,6 @@ def int_tension_dp(g, k):
     return _count_dp(cycle_basis(g), values, len(g.edges))
 
 
-@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def mod_tension_dp(g, k):
     """`mod_tension_bf` edge by edge over the cycle basis."""
     check_dilation(k)

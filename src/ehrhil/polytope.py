@@ -5,15 +5,16 @@ derived from it (affine hull, facets, faces, lattice points in dilates,
 triangulations) is computed over exact integers and rationals; ranks,
 kernel lattices and unimodularity by one unimodular column reduction.
 
-The facet description of a polytope built from points is recovered from
-the points directly: every subset of vertices of size dim that spans a
-hyperplane inside the affine hull is a candidate, and the candidates that
-support the polytope on one side survive.  The scan is C(vertices, dim)
-column reductions.  A polytope whose inequalities are known, such as a
-cell of a totally unimodular system, skips it: `from_certified_rows` reads
-the facets off the rows as their maximal tight sets.  Below full
-dimension a facet has many normals, so both paths apply one rule
-(`_facet_row`) and build equal polytopes from equal vertices.  A face is
+A polytope gets its facets one way: from rows a.x <= b valid on its
+vertices, whose inclusion-maximal nonempty proper tight sets are the facet
+vertex sets when every facet is the tight set of some row
+(`_read_facets`).  The rows come from one of two sources.  A polytope built
+from points scans the C(vertices, dim) subsets and keeps one supporting
+row per subset that spans a hyperplane inside the affine hull.  A polytope
+whose inequalities are known, such as a cell of a totally unimodular
+system, passes those (`from_certified_rows`) and skips the scan.  Below
+full dimension a facet has many normals, so the reader gives each the one
+that `_facet_row` picks, and equal vertices give equal polytopes.  A face is
 not rebuilt from its points: its vertices and facets are read off
 the face lattice of the polytope it belongs to, which pulling recurses
 through.  An open face is counted as a polytope of its own, in lattice
@@ -79,13 +80,13 @@ def simplex_is_unimodular(points):
 def _facet_row(verts, tight):
     """((a, b), rank) for the vertex set `tight` of a facet of conv(verts).
 
-    The one normal rule that both the subset scan (below full dimension)
-    and `from_certified_rows` apply, so the two agree field for field.  One
-    column echelon of the differences of the sorted set from its least
-    vertex gives its rank and the kernel lattice.  The first kernel column
-    that is not constant on `verts` is a normal of the facet inside the
-    affine hull; it is oriented so that a.x <= b holds on `verts`, with
-    content one.  In full dimension it is the facet's unique normal.
+    The normal rule of `_read_facets`, so a facet's row depends on its
+    vertex set only, not on the row it was read off.  One column echelon
+    of the differences of the sorted set from its least vertex gives its
+    rank and the kernel lattice.  The first kernel column that is not
+    constant on `verts` is a normal of the facet inside the affine hull;
+    it is oriented so that a.x <= b holds on `verts`, with content one.
+    In full dimension it is the facet's unique normal.
     """
     pts = sorted(tight)
     t0 = pts[0]
@@ -279,8 +280,26 @@ class LatticePolytope:
         if len({len(p) for p in pts}) != 1:
             raise ValueError("points live in different ambient spaces")
         self._span(pts)
-        self.vertices = self._extract_vertices(pts)
-        self.facets, self._facet_vertex_sets = self._enumerate_facets()
+        self.vertices = verts = self._extract_vertices(pts)
+        # every facet holds dim vertices spanning its hyperplane, so one
+        # supporting row per such subset gives a row for each facet
+        n, dim, rows = self.ambient_dim, self.dim, []
+        for sub in itertools.combinations(verts, dim) if dim else ():
+            s0 = sub[0]
+            pivots, _, u = column_echelon(
+                [[q[i] - s0[i] for i in range(n)] for q in sub[1:]], n)
+            if len(pivots) != dim - 1:
+                continue
+            for a in u[len(pivots):]:
+                b, values = dot(a, s0), [dot(a, v) for v in verts]
+                lo, hi = min(values), max(values)
+                if lo < hi:
+                    if b == hi:
+                        rows.append((a, b))
+                    elif b == lo:
+                        rows.append(([-c for c in a], -b))
+                    break  # otherwise the hyperplane cuts the hull
+        self._read_facets(rows)
 
     # -- construction helpers ------------------------------------------------
 
@@ -316,41 +335,6 @@ class LatticePolytope:
                 out.append(p)
         return tuple(out)
 
-    def _enumerate_facets(self):
-        if self.dim == 0:
-            return (), ()
-        n = self.ambient_dim
-        verts = self.vertices
-        full = self.dim == n
-        found = {}
-        for sub in itertools.combinations(verts, self.dim):
-            s0 = sub[0]
-            rows = [[q[i] - s0[i] for i in range(n)] for q in sub[1:]]
-            # one elimination gives the rank and the kernel lattice
-            pivots, _, u = column_echelon(rows, n)
-            if len(pivots) != self.dim - 1:
-                continue
-            normal = next((cand for cand in u[len(pivots):]
-                           if len({dot(cand, v) for v in verts}) > 1), None)
-            if normal is None:
-                continue
-            b = dot(normal, s0)
-            values = [dot(normal, v) for v in verts]
-            lo, hi = min(values), max(values)
-            if lo < b < hi:
-                continue  # hyperplane cuts the polytope
-            tight = frozenset(v for v, x in zip(verts, values) if x == b)
-            if full:
-                # the normal of a facet is unique up to a positive factor
-                a = reduce_content(normal if hi == b else [-c for c in normal])
-                found[tight] = (a, dot(a, s0))
-            else:
-                found[tight] = None
-        if not full:
-            found = {t: _facet_row(verts, t)[0] for t in found}
-        ordered = sorted(found, key=found.__getitem__)
-        return tuple(found[t] for t in ordered), tuple(ordered)
-
     @classmethod
     def from_certified_rows(cls, vertices, rows):
         """Hull of the sorted `vertices`, its facets read off the rows a.x <= r.
@@ -358,15 +342,10 @@ class LatticePolytope:
         The rows, with equations that need not be passed (they are tight
         everywhere), must describe a region whose vertices are exactly
         `vertices`; a cell of a totally unimodular system is one
-        (Hoffman-Kruskal).  Every facet of such a region is the tight set
-        of one of its rows, and every nonempty proper tight set is a face
-        (Schrijver 1986, ch. 8), so the facet vertex sets are the
-        inclusion-maximal ones, found with no subset scan.  Each facet
-        gets the scan's normal (`_facet_row`), so the result equals
-        `LatticePolytope(vertices)` field for field.  InvariantError when
-        the rows cannot describe the hull: a row fails on a vertex, a kept
-        set does not span dim - 1, or a vertex lies on fewer than dim
-        facets.
+        (Hoffman-Kruskal).  So no subset scan is needed: the rows go to
+        the reader (`_read_facets`) that the scan's rows go to, and the
+        result equals `LatticePolytope(vertices)` field for field.  The
+        reader raises InvariantError when the rows cannot describe the hull.
         """
         verts = tuple(vertices)
         if not verts or list(verts) != sorted(set(verts)):
@@ -374,14 +353,28 @@ class LatticePolytope:
         poly = cls.__new__(cls)
         poly._span(verts)
         poly.vertices = verts
-        dim, full = poly.dim, len(verts)
+        poly._read_facets(rows)
+        return poly
+
+    def _read_facets(self, rows):
+        """Facets and facet vertex sets off rows a.x <= r valid on the hull.
+
+        Every facet of the hull is the tight set of one of the rows, and
+        every nonempty proper tight set is a face (Schrijver 1986, ch. 8),
+        so the facet vertex sets are the inclusion-maximal ones.  Each gets
+        its normal from `_facet_row`, and the facets are sorted by it.
+        InvariantError when the rows cannot describe the hull: a row fails
+        on a vertex, a kept set does not span dim - 1, or a vertex lies on
+        fewer than dim facets.
+        """
+        verts, dim = self.vertices, self.dim
         tights = set()
         for a, r in rows:
             values = [dot(a, v) for v in verts]
             if max(values) > r:
                 raise InvariantError(f"row {a}.x <= {r} fails on the vertices")
             tight = [v for v, x in zip(verts, values) if x == r]
-            if 0 < len(tight) < full:
+            if 0 < len(tight) < len(verts):
                 tights.add(frozenset(tight))
         found = {}
         for t in tights:
@@ -399,9 +392,8 @@ class LatticePolytope:
                     f"vertex {v} lies on {on} of the rows' facets, fewer "
                     f"than the dimension {dim}: the rows miss a facet")
         ordered = sorted(found, key=found.__getitem__)
-        poly.facets = tuple(found[t] for t in ordered)
-        poly._facet_vertex_sets = tuple(ordered)
-        return poly
+        self.facets = tuple(found[t] for t in ordered)
+        self._facet_vertex_sets = tuple(ordered)
 
     @classmethod
     def from_inequalities(cls, system, box):

@@ -9,7 +9,6 @@ import pytest
 
 from ehrhil.cli import main
 from ehrhil.constructions import KindReport, MethodRun
-from ehrhil.graphs import int_flow_dp
 from ehrhil.polynomials import BinomialPolynomial
 
 K3 = {"vertices": ["a", "b", "c"],
@@ -89,7 +88,6 @@ class TestPoly:
 
     def test_brute_over_the_budget_is_refused(self, k3_file, capsys,
                                               monkeypatch):
-        int_flow_dp.cache_clear()  # a cached count would skip the budget
         monkeypatch.setattr("ehrhil.graphs._DP_BUDGET", 1)
         assert main(["poly", "flow", k3_file, "--method", "brute"]) == 2
         err = capsys.readouterr().err

@@ -225,7 +225,7 @@ class TestOracleHygiene:
         for fn in (int_flow_bf, mod_flow_bf, int_tension_bf, mod_tension_bf):
             fn.cache_clear()  # a cached count would skip the guard
         six = Graph((0, 1), ((0, 1),) * 6)
-        budget = "ehrhil.graphs._STATE_BUDGET"
+        budget = "ehrhil.graphs._DP_BUDGET"
         monkeypatch.setattr(budget, 10)
         with pytest.raises(ValueError, match=r" 13841287201 states "):
             mod_flow_bf(six, 50)
@@ -295,8 +295,6 @@ class TestDynamicProgram:
         # each of five steps from at most 1, 4, 9, 13 and 17 states (one
         # basis row of 2·2·c + 1 sums after c edges), then one value from
         # each of 21: 197; K4 colors frontiers of 1, 2, 3 and 3 vertices
-        for fn in DPS:
-            fn.cache_clear()  # a cached count would skip the budget
         six = Graph((0, 1), ((0, 1),) * 6)
         budget = "ehrhil.graphs._DP_BUDGET"
         cases = [(int_flow_dp, six, 197, 430), (mod_flow_dp, six, 57, 22),
@@ -312,8 +310,6 @@ class TestDynamicProgram:
             assert fn(g, 3) == count
 
     def test_trivial_inputs_need_no_steps(self, monkeypatch):
-        for fn in DPS:
-            fn.cache_clear()  # a cached count would skip the budget
         monkeypatch.setattr("ehrhil.graphs._DP_BUDGET", -1)
         assert chromatic_dp(LOOP, 7) == 0
         assert int_tension_dp(P3, 7) == 12 ** 2  # a tree has no cycle

@@ -639,6 +639,19 @@ class TestRandomized:
         for a, b in p.facets:
             assert any(sum(c * x for c, x in zip(a, v)) == b for v in p.vertices)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(small_polytopes(), small_solids(),
+                     small_polytopes().map(lifted),
+                     small_solids().map(lifted)))
+    def test_rows_cut_out_the_polytope(self, p):
+        # the scan's facets and hull equalities, as a system over p's box,
+        # must cut out p: exact LP bounds every facet of the region's
+        # lattice hull, so a missing, loose or violated facet shows
+        system = LinearSystem(p.ambient_dim, eq=p.hull_equalities,
+                              le=p.facets)
+        got = LatticePolytope.from_inequalities(system, p.bounding_box)
+        assert fields(got) == fields(p)
+
     @settings(max_examples=30, deadline=None)
     @given(small_polytopes(), st.integers(1, 2))
     def test_points_match_hull_membership(self, p, k):
