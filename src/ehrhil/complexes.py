@@ -13,6 +13,17 @@ hence a face of R contained in F and G, hence a face of each.  A pair
 whose bounding boxes lie apart is disjoint; any other is first shrunk
 along facet hyperplanes, with no LP, and what remains is decided from the
 shared vertices with at most one LP (`_lp_face_check`).
+
+The Hilbert route pulls each face of C once under one global order
+(`_FacePulling`; De Loera, Rambau & Santos, *Triangulations*, 4.3): pulling
+a face restricts pulling any face around it, so a memo keyed by a face's
+lattice points holds its maximal simplices and its interior counts, and
+the relative f-vector is the sum of those counts over the faces of C that
+lie in no cell of C'.  The pulling of C' is never built, so it lies in the
+pulling of C by construction.  The literal pair, each complex pulled cell
+by cell (`pull_complex`) and the relative f-vector listed off every subset
+of the simplices (`relative_f_vector`), serves the CLI's `triangulate` and
+`realize` and is the reference the tests hold the memo to.
 """
 
 from __future__ import annotations
@@ -280,6 +291,18 @@ class SimplicialComplex:
                      if not simplex_is_unimodular(s)), None)
 
 
+def _ranks(pts, order):
+    """Rank of each point in the order (sorted when None), which may hold
+    points outside pts; ValueError when it misses one of pts."""
+    if order is None:
+        order = sorted(pts)
+    rank = {p: i for i, p in enumerate(order)}
+    missing = pts - rank.keys()
+    if missing:
+        raise ValueError(f"order is missing lattice points: {sorted(missing)}")
+    return rank
+
+
 def pull_complex(cx, order=None):
     """Pulling triangulation of a whole complex under one global point order.
 
@@ -287,13 +310,7 @@ def pull_complex(cx, order=None):
     faces because pulling a face equals the restriction of pulling the cell.
     The order may hold points outside the complex; only their ranks matter.
     """
-    pts = cx.lattice_points(1)
-    if order is None:
-        order = sorted(pts)
-    rank = {p: i for i, p in enumerate(order)}
-    missing = pts - rank.keys()
-    if missing:
-        raise ValueError(f"order is missing lattice points: {sorted(missing)}")
+    rank = _ranks(cx.lattice_points(1), order)
     return SimplicialComplex(s for cell in cx.maximal_cells
                              for s in cell.pull_maximal_simplices(rank))
 
@@ -310,6 +327,112 @@ def relative_f_vector(delta, gamma):
     for s in kept:
         f[len(s) - 1] += 1
     return tuple(f)
+
+
+def _mask_reader(cell, bit):
+    """Map a face's vertex set to the mask of its lattice points' bits.
+
+    A lattice point of the cell that is not a vertex lies in a face exactly
+    when the smallest face holding it does.
+    """
+    pts = cell.lattice_points(1)
+    verts = frozenset(cell.vertices)
+    extra = [(bit[q], _smallest_face_at(cell, q, 1))
+             for q in pts if q not in verts] if len(pts) > len(verts) else []
+
+    def mask(vs):
+        m = 0
+        for v in vs:
+            m |= bit[v]
+        for b, carrier in extra:
+            if carrier <= vs:
+                m |= b
+        return m
+    return mask
+
+
+def _bits(m):
+    """The set bits of m, lowest first, each as a mask of its own."""
+    while m:
+        low = m & -m
+        yield low
+        m ^= low
+
+
+def _facets_of(m, around):
+    """Facets of the face m, given the facets `around` of a face holding m.
+
+    Every facet r of m is a face of the outer face, so some facet h of that
+    face holds r but not m, and r is the maximal nonempty meet m & h short
+    of m.  Larger meets come first, so a meet inside another is dropped.
+    """
+    meets = sorted({m & h for h in around} - {0, m},
+                   key=int.bit_count, reverse=True)
+    out = []
+    for c in meets:
+        if all(c & ~d for d in out):
+            out.append(c)
+    return out
+
+
+class _FacePulling:
+    """Pulling of the faces of a complex, once per face, under one order.
+
+    A face is keyed by the mask of its lattice points, bit i standing for
+    the i-th lattice point of the complex in the order, so its first point
+    v in the order is the mask's lowest bit.  `memo` maps a face F to
+    (facets, simplices, interior): the masks of F's facets, of the maximal
+    simplices of F's pulling, and I(F), the number of its simplices of
+    each dimension lying in the relative interior of F.
+
+    A simplex whose only lattice points are its vertices stays whole and
+    has I = e_dim; so do its faces.  Otherwise F's pulling is the cone from
+    v over the pullings of the facets that miss v, which are the memoized
+    ones, as pulling a face is the restriction of pulling any face around
+    it.  The cone over a simplex lying in the relative interior of a
+    proper face H is interior to F exactly when no facet of F through v
+    holds H; and v alone is when v lies on no facet.  So I(F)[0] is that,
+    and I(F)[i+1] the sum of I(H)[i] over those H.
+    """
+
+    def __init__(self):
+        self.memo = {}
+        self.below = {}  # mask -> masks of all its nonempty faces
+
+    def visit(self, m, dim, around):
+        """The memo entry of the face m of dimension dim, which lies in a
+        face whose facets are `around` (a cell passes its own facets)."""
+        memo = self.memo
+        if m.bit_count() == dim + 1:
+            facets = [m ^ low for low in _bits(m)] if dim else []
+            for g in facets:
+                if g not in memo:
+                    self.visit(g, dim - 1, ())
+            got = facets, [m], [0] * dim + [1]
+        else:
+            facets = _facets_of(m, around)
+            subs = [memo.get(g) or self.visit(g, dim - 1, facets)
+                    for g in facets]
+            v = m & -m
+            near = [g for g in facets if g & v]
+            far = [g for g in facets if not g & v]
+            inside = set().union(*map(self.faces, far)).difference(
+                *map(self.faces, near))
+            got = (facets,
+                   [s | v for g, sub in zip(facets, subs) if not g & v
+                    for s in sub[1]],
+                   [int(not near), *map(sum, itertools.zip_longest(
+                       *(memo[h][2] for h in inside), fillvalue=0))])
+        memo[m] = got
+        return got
+
+    def faces(self, m):
+        """Masks of every nonempty face of the memoized face m."""
+        got = self.below.get(m)
+        if got is None:
+            got = self.below[m] = {m}.union(
+                *map(self.faces, self.memo[m][0]))
+        return got
 
 
 class RelativeComplex:
@@ -392,14 +515,52 @@ class RelativeComplex:
         """
         return pull_complex(self.complex, order), pull_complex(self.sub, order)
 
+    def _pull_by_face(self, order=None):
+        """(Delta, f): the pulling of C and the relative f-vector of the
+        pulled pair, as pulled_pair and relative_f_vector give them, read
+        off one pulling of each face of C (`_FacePulling`).
+
+        f is the sum of the interior counts I(F) over the kept faces of
+        `_open_faces`; Gamma is never built.  No simplex is checked here.
+        """
+        faces = self.complex.all_faces
+        for cell in self.sub.maximal_cells:
+            if frozenset(cell.vertices) not in faces:
+                raise ValueError(f"C' cell {list(cell.vertices)} is not a "
+                                 f"face of C, so C' is not a subcomplex")
+        pts = self.complex.lattice_points(1)
+        rank = _ranks(pts, order)
+        ranked = sorted(pts, key=rank.__getitem__)
+        bit = {p: 1 << i for i, p in enumerate(ranked)}
+        pulling, simplices, kept_counts = _FacePulling(), set(), []
+        for cell, kept, _ in self._open_faces:
+            mask = _mask_reader(cell, bit)
+            m = mask(frozenset(cell.vertices))
+            top = pulling.memo.get(m) or pulling.visit(
+                m, cell.dim, [mask(t) for t in cell._facet_vertex_sets])
+            simplices.update(top[1])
+            kept_counts += [pulling.memo[mask(vs)][2] for vs in kept]
+        delta = SimplicialComplex(
+            [ranked[low.bit_length() - 1] for low in _bits(s)]
+            for s in simplices)
+        return delta, tuple(map(sum, itertools.zip_longest(
+            *kept_counts, fillvalue=0)))
+
     def pulled_f_vector(self, order=None):
         """Relative f-vector of the pulled pair; demands unimodular cells.
 
         This is the vector feeding the binomial count sum_i f_i C(k-1, i),
-        which only counts points when every open simplex is unimodular.
+        which only counts points when every open simplex is unimodular.  It
+        is read off one pulling of each face of C (`_pull_by_face`), and
+        every maximal simplex of that pulling is checked unimodular;
+        NotCompressedError names the least failing one in sorted order.
+        The trade against the literal pair: Gamma inside Delta is not
+        checked per call, as Gamma is read off Delta's memo and so lies in
+        it by construction; the check left is that every cell of C' is a
+        face of C (ValueError otherwise).
         """
-        delta, gamma = self.pulled_pair(order)
+        delta, f = self._pull_by_face(order)
         bad = delta.first_non_unimodular()
         if bad is not None:
             raise NotCompressedError(f"pulled simplex {bad} is not unimodular")
-        return relative_f_vector(delta, gamma)
+        return f

@@ -77,6 +77,22 @@ def simplex_is_unimodular(points):
     return len(pivots) == len(rows) and all(abs(p) == 1 for p in pivots)
 
 
+def _box(points):
+    """(least, greatest) value of each coordinate over the points."""
+    return tuple((min(c), max(c)) for c in zip(*points))
+
+
+def _in_unit_cube(box):
+    """Every side of the box of some points (`_box`) has length at most one.
+
+    The points are then vertices of one unit cube, and every lattice point
+    of their box is a cube vertex, so extreme in any convex subset of the
+    box: each point is a vertex of the hull, and the hull has no other
+    lattice point.
+    """
+    return all(hi - lo <= 1 for lo, hi in box)
+
+
 def _facet_row(verts, tight):
     """((a, b), rank) for the vertex set `tight` of a facet of conv(verts).
 
@@ -319,8 +335,7 @@ class LatticePolytope:
         if len(pts) <= self.dim + 1:
             # affinely independent: every point is extreme
             return tuple(pts)
-        if all(max(c) - min(c) <= 1 for c in zip(*pts)):
-            # all vertices of one unit cube, so extreme in any convex subset
+        if _in_unit_cube(_box(pts)):
             return tuple(pts)
         out = []
         for i, p in enumerate(pts):
@@ -444,9 +459,7 @@ class LatticePolytope:
 
     @cached_property
     def bounding_box(self):
-        return tuple(
-            (min(v[i] for v in self.vertices), max(v[i] for v in self.vertices))
-            for i in range(self.ambient_dim))
+        return _box(self.vertices)
 
     def contains(self, point, k=1):
         """Membership of a rational point in the k-th dilate."""
@@ -566,22 +579,26 @@ class LatticePolytope:
     def lattice_points(self, k=1):
         """Integer points of the k-th dilate, in ascending lex order.
 
-        The lists are cached per k, at most POINTS_CACHE_BUDGET points per
-        polytope: the oldest k is dropped first, and a longer list is not
-        cached at all.
+        At k = 1 a polytope inside one unit cube has its vertices as its
+        only lattice points, and no walk is made.  The lists are cached per
+        k, at most POINTS_CACHE_BUDGET points per polytope: the oldest k is
+        dropped first, and a longer list is not cached at all.
         """
         check_dilation(k)
         cache = self._points_cache
         got = cache.get(k)
         if got is not None:
             return got
-        rows = []
-        for h, c in self.hull_equalities:
-            rows += [(h, c), (tuple(-v for v in h), -c)]
-        rows += self.facets
-        out = []
-        _walk(_plan(rows, self.bounding_box), k, 0, out)
-        got = tuple(out)
+        if k == 1 and _in_unit_cube(self.bounding_box):
+            got = self.vertices
+        else:
+            rows = []
+            for h, c in self.hull_equalities:
+                rows += [(h, c), (tuple(-v for v in h), -c)]
+            rows += self.facets
+            out = []
+            _walk(_plan(rows, self.bounding_box), k, 0, out)
+            got = tuple(out)
         if len(got) <= POINTS_CACHE_BUDGET:
             held = sum(map(len, cache.values())) + len(got)
             while held > POINTS_CACHE_BUDGET:

@@ -52,11 +52,15 @@ def hilbert_from_f(f, k):
 
     The k = 0 value is the Euler characteristic the alternating sum computes,
     which is what the closed formula degenerates to; it is exposed for
-    interpolation checks rather than as a monomial count.
+    interpolation checks rather than as a monomial count.  A vector of
+    non-negative ints is summed as it is; any other goes through
+    `_face_count`, which refuses what is not a face count.
     """
     check_dilation(k, least=0)
-    f = [_face_count(c, "face counts must be non-negative integers, got {}")
-         for c in f]
+    f = tuple(f)
+    if not all(type(c) is int and c >= 0 for c in f):
+        f = [_face_count(c, "face counts must be non-negative integers, "
+                            "got {}") for c in f]
     if k == 0:
         return sum((-1) ** i * c for i, c in enumerate(f))
     return sum(c * math.comb(k - 1, i) for i, c in enumerate(f))

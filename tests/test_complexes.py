@@ -3,6 +3,7 @@
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -525,3 +526,74 @@ class TestPulling:
         gamma = SimplicialComplex([((5, 5),)])
         with pytest.raises(ValueError):
             relative_f_vector(delta, gamma)
+
+
+def literal_pulling(rel, order):
+    """The memo's reference: Delta pulled cell by cell, and the relative
+    f-vector listed off every subset of its simplices."""
+    delta, gamma = rel.pulled_pair(order)
+    return delta, relative_f_vector(delta, gamma)
+
+
+@st.composite
+def relative_pairs(draw):
+    """A polytope in [0, 2]^d (d = 2, 3), often with lattice points that
+    are not vertices, alone or with its mirror image in x_0 = 0 (the two
+    meet in a common face); C' a random set of faces; a random order."""
+    d = draw(st.sampled_from([2, 3]))
+    pts = draw(st.lists(st.tuples(*[st.integers(0, 2)] * d), min_size=1,
+                        max_size=6, unique=True))
+    cells = [LatticePolytope(pts)]
+    if draw(st.booleans()):
+        cells.append(LatticePolytope([(-p[0], *p[1:]) for p in pts]))
+    cx = PolytopalComplex(cells)
+    faces = sorted(cx.all_faces, key=sorted)
+    chosen = draw(st.lists(st.sampled_from(faces), max_size=4))
+    sub = PolytopalComplex.generated_by(
+        [cx.all_faces[vs].face(vs) for vs in chosen], ambient_dim=d)
+    order = draw(st.permutations(sorted(cx.lattice_points(1))))
+    return RelativeComplex(cx, sub), order
+
+
+class TestPullByFace:
+    """One pulling per face of C gives the literal pulled pair's Delta and
+    relative f-vector."""
+
+    def test_suite_pairs_in_sorted_and_shuffled_orders(self, suite):
+        cx = PolytopalComplex.generated_by([UNIT_SQUARE, RIGHT_SQUARE])
+        sub = cx.faces_in_hyperplanes(
+            [((0, 1), 0), ((0, 1), 1), ((1, 0), 0)])
+        cases = [RelativeComplex(cx, sub),
+                 realize_polynomial((1, 0, 2, 1))] + [
+            build_family(kind, g).relative
+            for g in suite.values() for kind in KINDS]
+        for rel in cases:
+            pts = sorted(rel.complex.lattice_points(1))
+            orders = [None]
+            for seed in range(3):
+                order = list(pts)
+                random.Random(seed).shuffle(order)
+                orders.append(order)
+            for order in orders:
+                assert rel._pull_by_face(order) \
+                    == literal_pulling(rel, order), (rel, order)
+
+    @settings(max_examples=80, deadline=None)
+    @given(relative_pairs())
+    def test_drawn_pairs_with_non_vertex_points(self, drawn):
+        rel, order = drawn
+        delta, f = literal_pulling(rel, order)
+        assert rel._pull_by_face(order) == (delta, f)
+        bad = delta.first_non_unimodular()
+        if bad is None:
+            assert rel.pulled_f_vector(order) == f
+        else:
+            with pytest.raises(NotCompressedError,
+                               match=re.escape(f"simplex {bad} is not")):
+                rel.pulled_f_vector(order)
+
+    def test_order_must_cover_the_complex(self):
+        rel = RelativeComplex(PolytopalComplex([UNIT_SQUARE]),
+                              PolytopalComplex([], ambient_dim=2))
+        with pytest.raises(ValueError, match="missing lattice points"):
+            rel.pulled_f_vector([(0, 0), (1, 1)])

@@ -14,12 +14,14 @@ from ehrhil.exact import (
     dot,
     lp_feasible,
 )
+from ehrhil.graphs import cycle_graph
 from ehrhil.polytope import (
     IntegralityError,
     LatticePolytope,
     affine_rank,
     simplex_is_unimodular,
 )
+from ehrhil.srideal import realize_polynomial
 from test_exact import minors_gcd
 
 SQUARE = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -99,13 +101,22 @@ def vertex_lp_reference(points):
                  if not in_hull(p, pts[:i] + pts[i + 1:]))
 
 
+def unit_box_points():
+    """(points in {0, 1}^n, shift) for n = 1..4: a unit box anywhere."""
+    return st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.lists(st.tuples(*[st.integers(0, 1)] * n), min_size=1,
+                 max_size=2 ** n),
+        st.tuples(*[st.integers(-3, 3)] * n)))
+
+
+def no_walk(*args):
+    raise AssertionError("a lattice walk ran")
+
+
 class TestVertexRule:
     # points in one unit box are all vertices, with no vertex LP
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
-        st.lists(st.tuples(*[st.integers(0, 1)] * n), min_size=1,
-                 max_size=2 ** n),
-        st.tuples(*[st.integers(-3, 3)] * n))))
+    @given(unit_box_points())
     def test_unit_box_points_match_the_vertex_lp(self, drawn):
         points, shift = drawn
         shifted = [tuple(x + s for x, s in zip(p, shift)) for p in points]
@@ -120,6 +131,35 @@ class TestVertexRule:
         assert CUBE.vertices == LatticePolytope(CUBE.vertices).vertices
         assert len(LatticePolytope(
             itertools.product((2, 3), (-1, 0), (5, 6))).vertices) == 8
+
+    @settings(max_examples=60, deadline=None)
+    @given(unit_box_points())
+    def test_unit_box_points_are_the_vertices_with_no_walk(self, drawn):
+        # the box's lattice points are cube vertices, so the hull's are
+        # extreme: the reference tests every point of the box
+        points, shift = drawn
+        p = LatticePolytope([tuple(x + s for x, s in zip(q, shift))
+                             for q in points])
+        box = itertools.product(*(range(lo, hi + 1)
+                                  for lo, hi in p.bounding_box))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polytope_module, "_walk", no_walk)
+            got = p.lattice_points(1)
+        assert got == p.vertices == tuple(x for x in box if p.contains(x))
+
+    def test_a_wider_box_is_still_walked(self):
+        seg = LatticePolytope([(0, 0), (2, 0)])
+        assert seg.lattice_points(1) == ((0, 0), (1, 0), (2, 0))
+
+    def test_cells_and_realized_simplices_are_never_walked(self, monkeypatch):
+        # built afresh, so no cached list answers for the walk
+        rels = [build_family.__wrapped__(kind, cycle_graph(4)).relative
+                for kind in KINDS]
+        rels.append(realize_polynomial((1, 2, 0, 1)))
+        monkeypatch.setattr(polytope_module, "_walk", no_walk)
+        for rel in rels:
+            for cell in rel.complex.maximal_cells:
+                assert cell.lattice_points(1) == cell.vertices
 
     @pytest.mark.parametrize("points, vertices", [
         ([(0,), (1,), (2,)], ((0,), (2,))),
