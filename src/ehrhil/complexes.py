@@ -3,7 +3,10 @@
 A complex is stored by its maximal cells; faces are recovered from the
 cells' own face lattices and identified across cells by vertex set.  A
 relative pair (C, C') with C' a subcomplex of C stands for the point set
-union(C) minus union(C'), which is what gets counted.
+union(C) minus union(C'), which is what gets counted.  C' is read off C
+cell by cell (`faces_in_hyperplanes`): a plane that supports a cell
+meets it in one face, its tight vertex set, so no face of C is tested
+against every plane, and only the maximal sets found are built.
 
 Validation checks that all cells meet in common faces.  It is enough to
 check maximal cells pairwise: if P cap Q is a common face R for maximal
@@ -31,8 +34,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .exact import (
-    InvariantError, LinearSystem, check_dilation, dot, lp_feasible)
+from .exact import LinearSystem, check_dilation, dot, lp_feasible
 from .polytope import simplex_is_unimodular
 
 
@@ -126,6 +128,23 @@ def meet_in_common_face(p, q):
 # complexes
 
 
+def _maximal(sets, inside):
+    """The vertex sets, largest first, that lie `inside` no earlier kept one.
+
+    `inside(vs, big)` may hold only when vs is a subset of big, so only the
+    kept sets through one vertex of vs are asked: those of the vertex that
+    the fewest kept sets hold.
+    """
+    kept, through = [], {}
+    for vs in sorted(sets, key=len, reverse=True):
+        near = min((through.get(v, ()) for v in vs), key=len)
+        if not any(inside(vs, big) for big in near):
+            kept.append(vs)
+            for v in vs:
+                through.setdefault(v, []).append(vs)
+    return kept
+
+
 class PolytopalComplex:
     """Finite polytopal complex, held by its maximal cells."""
 
@@ -151,15 +170,14 @@ class PolytopalComplex:
         Largest vertex sets first, so a polytope's strict supersets come
         earlier; a face of a face is a face, so one pass that drops every
         polytope that is a face of one already kept leaves the maximal
-        cells.  A polytope lying inside another without being its face is
-        kept, and validate() refuses the pair.
+        cells (`_maximal`, which asks only the kept polytopes through one
+        of its vertices).  A polytope lying inside another without being
+        its face is kept, and validate() refuses the pair.
         """
         unique = {frozenset(p.vertices): p for p in polytopes}
-        kept = []
-        for vs in sorted(unique, key=len, reverse=True):
-            if not any(vs in q.face_vertex_sets for q in kept):
-                kept.append(unique[vs])
-        return cls(kept, ambient_dim=ambient_dim)
+        kept = _maximal(
+            unique, lambda vs, big: vs in unique[big].face_vertex_sets)
+        return cls([unique[vs] for vs in kept], ambient_dim=ambient_dim)
 
     def __eq__(self, other):
         return (isinstance(other, PolytopalComplex)
@@ -215,16 +233,32 @@ class PolytopalComplex:
         return None if vs is None else self.all_faces[vs].face(vs)
 
     def faces_in_hyperplanes(self, planes):
-        """Subcomplex of all faces lying inside one of the given hyperplanes."""
-        # largest first, so a strict superset comes earlier; a face inside a
-        # kept one lies in its plane and is skipped, the rest are maximal
-        kept = []
-        for vs in sorted(self.all_faces, key=len, reverse=True):
-            if not any(vs < big for big in kept) and any(
-                    all(dot(a, v) == b for v in vs) for a, b in planes):
-                kept.append(vs)
-        return PolytopalComplex([self.all_faces[vs].face(vs) for vs in kept],
-                                ambient_dim=self.ambient_dim)
+        """Subcomplex of all faces lying inside one of the given hyperplanes.
+
+        Read cell by cell.  A face of C inside a plane is a face of some
+        cell; when the plane supports that cell (the cell on one side), the
+        face lies in the plane's tight set, itself a face of the cell inside
+        the plane, and when the plane cuts the cell, the face is one of the
+        cell's faces inside the plane.  So the faces sought are the maximal
+        sets among those, each read off its owner's face lattice.
+        """
+        found = set()
+        for cell in self.maximal_cells:
+            verts = cell.vertices
+            for a, b in planes:
+                values = [dot(a, v) for v in verts]
+                on = frozenset(v for v, x in zip(verts, values) if x == b)
+                if not on:
+                    continue
+                if min(values) < b < max(values):
+                    found.update(vs for vs in cell.face_vertex_sets
+                                 if vs <= on)
+                else:
+                    found.add(on)
+        faces = self.all_faces
+        return PolytopalComplex(
+            [faces[vs].face(vs) for vs in _maximal(found, frozenset.__lt__)],
+            ambient_dim=self.ambient_dim)
 
     def validate(self):
         """Raise InvalidComplexError unless all cells meet in common faces."""
@@ -439,16 +473,23 @@ class RelativeComplex:
     """Pair (C, C') standing for the lattice point set union(C) - union(C')."""
 
     def __init__(self, complex, sub):
-        if not sub.is_empty:
-            if sub.ambient_dim != complex.ambient_dim:
-                raise ValueError("ambient spaces differ")
-            faces = complex.all_faces
-            for cell in sub.maximal_cells:
-                if frozenset(cell.vertices) not in faces:
-                    raise ValueError(
-                        f"{list(cell.vertices)} is not a face of the complex")
+        if not sub.is_empty and sub.ambient_dim != complex.ambient_dim:
+            raise ValueError("ambient spaces differ")
         self.complex = complex
         self.sub = sub
+        self._check_sub()
+
+    def _check_sub(self):
+        """ValueError unless every cell of C' is a face of C.
+
+        The constructor checks it, and so does `_open_faces`, which both
+        counting routes read, for a pair built past the constructor: under
+        `python -O` too, so C' never holds points outside C unnoticed.
+        """
+        for cell in self.sub.maximal_cells:
+            if frozenset(cell.vertices) not in self.complex.all_faces:
+                raise ValueError(f"C' cell {list(cell.vertices)} is not a "
+                                 f"face of C, so C' is not a subcomplex")
 
     def __repr__(self):
         return f"RelativeComplex({self.complex!r} minus {self.sub!r})"
@@ -465,14 +506,11 @@ class RelativeComplex:
         kept face; count_points and the witness search both read that off
         this table.
         """
+        self._check_sub()
         faces = self.complex.all_faces
         inside = set()
         for cell in self.sub.maximal_cells:
             s = frozenset(cell.vertices)
-            if s not in faces:
-                raise InvariantError(
-                    f"C' cell {sorted(s)} is not a face of C, so C' has "
-                    f"lattice points outside C")
             inside.update(vs for vs in faces[s].face_vertex_sets if vs <= s)
         plan = []
         for cell in self.complex.maximal_cells:
@@ -521,19 +559,17 @@ class RelativeComplex:
         off one pulling of each face of C (`_FacePulling`).
 
         f is the sum of the interior counts I(F) over the kept faces of
-        `_open_faces`; Gamma is never built.  No simplex is checked here.
+        `_open_faces`, read first, so a C' that is not a subcomplex is
+        refused before any pulling; Gamma is never built.  No simplex is
+        checked here.
         """
-        faces = self.complex.all_faces
-        for cell in self.sub.maximal_cells:
-            if frozenset(cell.vertices) not in faces:
-                raise ValueError(f"C' cell {list(cell.vertices)} is not a "
-                                 f"face of C, so C' is not a subcomplex")
+        plan = self._open_faces
         pts = self.complex.lattice_points(1)
         rank = _ranks(pts, order)
         ranked = sorted(pts, key=rank.__getitem__)
         bit = {p: 1 << i for i, p in enumerate(ranked)}
         pulling, simplices, kept_counts = _FacePulling(), set(), []
-        for cell, kept, _ in self._open_faces:
+        for cell, kept, _ in plan:
             mask = _mask_reader(cell, bit)
             m = mask(frozenset(cell.vertices))
             top = pulling.memo.get(m) or pulling.visit(

@@ -14,18 +14,21 @@ point count of a relative complex:
   modtension   as modflow, with cycle sums in place of vertex balances
 
 Each construction generates candidate cells from one matrix (incidence
-rows or the cycle basis), and one loop serves all five.  That matrix is
-certified totally unimodular once per build: the incidence matrix by
-Heller-Tompkins, the cycle basis by its identity block over the incidence
-kernel.  By Hoffman-Kruskal every candidate's closed region is then the
-hull of its lattice points, so one walk of the candidate's box decides it
-without LP: it is kept when every strict row is strict on some walked
-point, and the kept cell is the hull of those points.  Those points lie in
-one unit cube, so all of them are vertices, and every facet of the cell is
-the tight set of one of its rows, so the cell's facets are read off its
-rows with no scan of vertex subsets.  `lp_family`, which
-filters by exact LP and certifies each cell by `from_inequalities`, is the
-reference the tests hold this to.
+rows or the cycle basis), and one loop serves all five.  A slice whose
+right-hand side b has lam.b != 0 for some lam in the matrix's left kernel
+holds no point at all, so it is never a candidate; the budget counts the
+candidates before that filter.  That matrix is certified totally
+unimodular once per build: the incidence matrix by Heller-Tompkins, the
+cycle basis by its identity block over the incidence kernel.  By
+Hoffman-Kruskal every candidate's closed region is then the hull of its
+lattice points, so one walk of the candidate's box decides it without
+LP: it is kept when every strict row is strict on some walked point, and
+the kept cell is the hull of those points.  Those points lie in one unit
+cube, so all of them are vertices, and every facet of the cell is the
+tight set of one of its rows, so the cell's facets are read off its rows
+with no scan of vertex subsets.  `lp_family`, which filters by exact LP
+and certifies each cell by `from_inequalities`, is the reference the
+tests hold this to.
 
 `certify` checks one counting function three ways on one graph:
 enumeration (a frontier dynamic program), the lattice points of the
@@ -47,6 +50,7 @@ from .complexes import PolytopalComplex, RelativeComplex
 from .exact import (
     InvariantError,
     LinearSystem,
+    column_echelon,
     dot,
     lp_feasible,
     rational_rank,
@@ -65,10 +69,11 @@ from .polynomials import interpolate
 from .polytope import LatticePolytope, _plan, _walk
 from .srideal import hilbert_from_f
 
-# refuse constructions beyond 2^16 candidate cells, one walk of the box
-# each: K6 chromatic (2^15, a 4.8-6.5 s build on one core, Python 3.11)
-# and K3,3 modflow (4,096) pass, K7 chromatic (2^21, 64 times K6's
-# candidates) is refused
+# refuse constructions beyond 2^16 candidate cells, counted before the
+# slices' left-kernel filter, each at most one walk of its box: K6
+# chromatic (2^15, a 4.8-6.5 s build on one core, Python 3.11) and K3,3
+# modflow (4,096 candidates, 580 walked) pass, K7 chromatic (2^21, 64
+# times K6's candidates) and Petersen modflow (4^10) are refused
 _CANDIDATE_BUDGET = 2 ** 16
 
 
@@ -246,14 +251,24 @@ def _slices(g, matrix):
 
     On the cube a row's value lies between the sum of its negative entries
     and the sum of its positive ones, which bounds every right-hand side b.
+    A slice is a candidate only when lam.b = 0 for every lam in the left
+    kernel of the matrix, as lam.b = (lam . matrix).y = 0 at any solution
+    y; one column echelon of the transpose gives that kernel.  For the
+    incidence matrix the kernel is spanned by the component indicators, so
+    the balances must sum to zero on each component; the cycle basis has
+    none.  The count returned is of every b in the ranges, so the budget
+    refuses what it refused before the filter.
     """
     n = len(g.edges)
     ranges = [range(sum(x for x in row if x < 0),
                     sum(x for x in row if x > 0) + 1) for row in matrix]
+    pivots, _, u = column_echelon(list(zip(*matrix)), len(matrix))
+    kernel = u[len(pivots):]
     planes = [(_unit(n, e), c) for e in range(n) for c in (0, 1)]
     return n, math.prod(map(len, ranges)), (
         (b, list(zip(matrix, b)), [], [(0, 1)] * n)
-        for b in itertools.product(*ranges)), planes
+        for b in itertools.product(*ranges)
+        if not any(dot(lam, b) for lam in kernel)), planes
 
 
 # kind: (candidate generator, the matrix it is fed, oracle, degree)

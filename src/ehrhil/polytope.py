@@ -17,11 +17,15 @@ full dimension a facet has many normals, so the reader gives each the one
 that `_facet_row` picks, and equal vertices give equal polytopes.  A face is
 not rebuilt from its points: its vertices and facets are read off
 the face lattice of the polytope it belongs to, which pulling recurses
-through.  An open face is counted as a polytope of its own, in lattice
-coordinates of its affine hull that the column reduction of its vertex
-differences gives, so the walk runs over dim F coordinates instead of
-the ambient ones and under F's own facets only.  That walk is compiled
-once per face into a k-free plan (`_plan`), which serves every dilate k*F.
+through.  Its affine hull (`dim`, `hull_equalities`) is taken on first
+read, by one column reduction, so a face that only lends its vertex set
+costs no elimination; a polytope built from points takes the hull of
+those points at once.  An open face is counted as a polytope of its own,
+in lattice coordinates of its affine hull that the column reduction of
+its vertex differences gives, so the walk runs over dim F coordinates
+instead of the ambient ones and under F's own facets only.  That walk is
+compiled once per face into a k-free plan (`_plan`), which serves every
+dilate k*F.
 """
 
 from __future__ import annotations
@@ -91,6 +95,22 @@ def _in_unit_cube(box):
     lattice point.
     """
     return all(hi - lo <= 1 for lo, hi in box)
+
+
+def _affine_hull(pts):
+    """(dim, equalities) of the affine hull of the sorted points.
+
+    One column echelon of the differences from the least point: its rank
+    is the dimension, and each kernel column, made primitive and sign
+    fixed, gives an equality a.x = a.p0.
+    """
+    p0 = pts[0]
+    n = len(p0)
+    pivots, _, u = column_echelon(
+        [[p[i] - p0[i] for i in range(n)] for p in pts[1:]], n)
+    dim = len(pivots)
+    return dim, tuple(sorted(
+        (a, dot(a, p0)) for a in map(canonical_direction, u[dim:])))
 
 
 def _facet_row(verts, tight):
@@ -295,7 +315,8 @@ class LatticePolytope:
             raise ValueError("a lattice polytope needs at least one point")
         if len({len(p) for p in pts}) != 1:
             raise ValueError("points live in different ambient spaces")
-        self._span(pts)
+        self._start(pts)
+        self._hull = _affine_hull(pts)
         self.vertices = verts = self._extract_vertices(pts)
         # every facet holds dim vertices spanning its hyperplane, so one
         # supporting row per such subset gives a row for each facet
@@ -319,17 +340,25 @@ class LatticePolytope:
 
     # -- construction helpers ------------------------------------------------
 
-    def _span(self, pts):
-        """Affine hull of the sorted points, and empty caches."""
-        self.ambient_dim = n = len(pts[0])
-        p0 = pts[0]
-        dirs = [[p[i] - p0[i] for i in range(n)] for p in pts[1:]]
-        pivots, _, u = column_echelon(dirs, n)
-        self.dim = len(pivots)
-        self.hull_equalities = tuple(sorted(
-            (a, dot(a, p0)) for a in map(canonical_direction, u[self.dim:])))
+    def _start(self, pts):
+        """Ambient dimension of the points, and empty caches."""
+        self.ambient_dim = len(pts[0])
         self._face_cache = {}
         self._points_cache = {}
+
+    @cached_property
+    def _hull(self):
+        """(dim, hull_equalities) of the vertices, on first read."""
+        return _affine_hull(self.vertices)
+
+    @cached_property
+    def dim(self):
+        return self._hull[0]
+
+    @cached_property
+    def hull_equalities(self):
+        """Rows (a, c) with a.x = c on the affine hull, sorted."""
+        return self._hull[1]
 
     def _extract_vertices(self, pts):
         if len(pts) <= self.dim + 1:
@@ -366,7 +395,7 @@ class LatticePolytope:
         if not verts or list(verts) != sorted(set(verts)):
             raise ValueError("expected sorted distinct vertices")
         poly = cls.__new__(cls)
-        poly._span(verts)
+        poly._start(verts)
         poly.vertices = verts
         poly._read_facets(rows)
         return poly
@@ -519,7 +548,7 @@ class LatticePolytope:
         """
         face = LatticePolytope.__new__(LatticePolytope)
         face.vertices = tuple(sorted(fs))
-        face._span(face.vertices)
+        face._start(face.vertices)
         cuts = {}
         for ab, tight in zip(self.facets, self._facet_vertex_sets):
             sub = fs & tight

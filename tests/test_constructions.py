@@ -1,5 +1,6 @@
 """Geometric counting complexes against the enumeration oracles."""
 
+import hashlib
 import itertools
 import random
 import re
@@ -22,7 +23,8 @@ from ehrhil.constructions import (
     degree_bound,
     oracle,
 )
-from ehrhil.exact import InvariantError, det, rational_kernel
+from ehrhil.exact import (
+    InvariantError, LinearSystem, det, lp_feasible, rational_kernel)
 from ehrhil.graphs import (
     Graph,
     complete_graph,
@@ -159,7 +161,9 @@ class TestLPCounts:
     def test_suite_builds_make_the_pinned_lp_calls(self, suite, monkeypatch):
         # one walk per candidate and no LP: the unimodularity certificate
         # makes the filter, certify and vertex LPs of the reference
-        # (lp_family, from_inequalities) unnecessary
+        # (lp_family, from_inequalities) unnecessary; the slices' left
+        # kernel leaves 204 of the 602 slices to walk (996 candidates
+        # before that filter)
         calls = Counter()
 
         def counting(module, name, tag):
@@ -183,8 +187,75 @@ class TestLPCounts:
                         for g in suite.values() for kind in KINDS)
         finally:
             build_family.cache_clear()
-        assert dict(calls) == {"walk": 996, "certificate": 50}
+        assert dict(calls) == {"walk": 598, "certificate": 50}
         assert cells == 216
+
+
+SLICE_KINDS = ("modflow", "modtension")
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(tuple(range(10)), tuple(outer + inner + [
+        (i, i + 5) for i in range(5)]))
+
+
+def raw_slices(kind, g):
+    """(matrix, every right-hand side in the cube's ranges), unfiltered."""
+    matrix = constructions._spec(kind)[1](g)
+    return matrix, list(itertools.product(*(
+        range(sum(x for x in row if x < 0), sum(x for x in row if x > 0) + 1)
+        for row in matrix)))
+
+
+def assert_filter_drops_only_empty_slices(kind, g):
+    """The slices the left kernel drops have no open point, by exact LP, so
+    lp_family agrees with the walks whether or not it sees them; the
+    budget still counts every right-hand side."""
+    matrix, raw = raw_slices(kind, g)
+    generator, of = constructions._spec(kind)[:2]
+    n, count, candidates, _ = generator(g, of(g))
+    kept = [b for b, *_ in candidates]
+    assert count == len(raw)
+    assert len(set(kept)) == len(kept) and set(kept) <= set(raw)
+    walls = constructions._walls(n, [(0, 1)] * n)
+    for b in set(raw) - set(kept):
+        open_part = LinearSystem(n, eq=list(zip(matrix, b)), lt=walls)
+        assert lp_feasible(open_part) is None, (kind, g, b)
+    if kind == "modflow":
+        # the left kernel of an incidence matrix: component indicators
+        parts = [[g.vertices.index(v) for v in part]
+                 for part in g.components()]
+        assert kept == [b for b in raw
+                        if all(sum(b[i] for i in p) == 0 for p in parts)]
+    else:
+        assert kept == raw  # a cycle basis has independent rows
+
+
+class TestSliceFilter:
+    @pytest.mark.parametrize("kind", SLICE_KINDS)
+    def test_suite_slices(self, kind, suite):
+        for g in {**suite, "C5": cycle_graph(5)}.values():
+            assert_filter_drops_only_empty_slices(kind, g)
+
+    @settings(max_examples=25, deadline=None)
+    @given(graphs(max_edges=4))
+    def test_drawn_multigraphs(self, g):
+        for kind in SLICE_KINDS:
+            assert_filter_drops_only_empty_slices(kind, g)
+            assert_matches_lp_reference(kind, g)
+
+    def test_budget_counts_slices_before_the_filter(self, monkeypatch):
+        # 4^10 right-hand sides, counted before the filter: refused
+        def no_walk(*args):
+            raise AssertionError("a slice was walked before the budget check")
+
+        monkeypatch.setattr(constructions, "_walk", no_walk)
+        with pytest.raises(ValueError,
+                           match=r"modflow: 1048576 candidate cells "
+                                 r"exceed the budget of 65536"):
+            build_family("modflow", petersen())
 
 
 def _cell_fields(cx):
@@ -213,6 +284,20 @@ class TestLPReference:
     def test_drawn_multigraphs(self, g):
         for kind in KINDS:
             assert_matches_lp_reference(kind, g)
+
+
+class TestSubcomplexFields:
+    def test_suite_sub_cells_are_pinned(self, suite):
+        # every field of every C' cell on the 50 suite pairs, facet normals
+        # included, hashed; pinned when C' was read by a scan of all faces
+        rows = [(name, kind, [(c.vertices, c.facets,
+                               [sorted(t) for t in c._facet_vertex_sets],
+                               c.hull_equalities)
+                              for c in build_family(kind, suite[name])
+                              .relative.sub.maximal_cells])
+                for name in sorted(suite) for kind in KINDS]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "e4513915cacac5df654c81834448fb0b946dfb797f52fd442c18f5623df11b77")
 
 
 class TestCellsFromRows:

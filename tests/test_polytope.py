@@ -670,6 +670,31 @@ class TestTrustedFaces:
                     == set(ref._facet_vertex_sets)
 
 
+class TestLazyHull:
+    def test_face_makes_no_elimination_until_its_hull_is_read(
+            self, monkeypatch):
+        # dim and hull_equalities are taken by one elimination on first
+        # read; a face read off the face lattice makes none until then
+        reduce, calls = polytope_module.column_echelon, []
+
+        def counting_reduce(*args):
+            calls.append(args)
+            return reduce(*args)
+
+        p = LatticePolytope(CUBE.vertices)
+        monkeypatch.setattr(polytope_module, "column_echelon", counting_reduce)
+        faces = [p.face(vs) for vs in sorted(p.face_vertex_sets, key=sorted)]
+        for f in faces:
+            f.face_vertex_sets, f.bounding_box, f.lattice_points(1)
+            for vs in f.face_vertex_sets:
+                f.face(vs)
+        assert calls == []
+        for f in faces:
+            f.dim, f.hull_equalities, f.dim
+        # the cube is its own face, its hull taken when it was built
+        assert len(calls) == len(faces) - 1
+
+
 class TestRandomized:
     @settings(max_examples=60, deadline=None)
     @given(small_polytopes())
