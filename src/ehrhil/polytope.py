@@ -10,22 +10,28 @@ vertices, whose inclusion-maximal nonempty proper tight sets are the facet
 vertex sets when every facet is the tight set of some row
 (`_read_facets`).  The rows come from one of two sources.  A polytope built
 from points scans the C(vertices, dim) subsets and keeps one supporting
-row per subset that spans a hyperplane inside the affine hull.  A polytope
+row per hyperplane inside the affine hull that a subset spans, at one
+column reduction per hyperplane: a subset inside the tight vertices of a
+hyperplane already met would span it again, so it is skipped.  A polytope
 whose inequalities are known, such as a cell of a totally unimodular
 system, passes those (`from_certified_rows`) and skips the scan.  Below
 full dimension a facet has many normals, so the reader gives each the one
-that `_facet_row` picks, and equal vertices give equal polytopes.  A face is
-not rebuilt from its points: its vertices and facets are read off
-the face lattice of the polytope it belongs to, which pulling recurses
-through.  Its affine hull (`dim`, `hull_equalities`) is taken on first
-read, by one column reduction, so a face that only lends its vertex set
-costs no elimination; a polytope built from points takes the hull of
-those points at once.  An open face is counted as a polytope of its own,
-in lattice coordinates of its affine hull that the column reduction of
-its vertex differences gives, so the walk runs over dim F coordinates
-instead of the ambient ones and under F's own facets only.  That walk is
-compiled once per face into a k-free plan (`_plan`), which serves every
-dilate k*F.
+that `_facet_row` picks, and two polytopes built from equal vertices, from
+either source, are equal field for field.  A face is not rebuilt from its
+points: its vertices and facets are read off the face lattice of the
+polytope it belongs to, which pulling recurses through.  It has the
+vertices, affine hull and facet vertex sets of the polytope built from its
+vertices, but each of its facets keeps the least facet row tight on it of
+the polytope it was read off: a valid normal, which below full dimension
+may differ from `_facet_row`'s by a hull equality.  Its affine hull
+(`dim`, `hull_equalities`) is taken on first read, by one column
+reduction, so a face that only lends its vertex set costs no elimination;
+a polytope built from points takes the hull of those points at once.  An
+open face is counted as a polytope of its own, in lattice coordinates of
+its affine hull that the column reduction of its vertex differences
+gives, so the walk runs over dim F coordinates instead of the ambient ones
+and under F's own facets only.  That walk is compiled once per face into
+a k-free plan (`_plan`), which serves every dilate k*F.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from functools import cached_property
+from functools import cache, cached_property
 
 from .exact import (
     InvariantError,
@@ -319,18 +325,29 @@ class LatticePolytope:
         self._hull = _affine_hull(pts)
         self.vertices = verts = self._extract_vertices(pts)
         # every facet holds dim vertices spanning its hyperplane, so one
-        # supporting row per such subset gives a row for each facet
-        n, dim, rows = self.ambient_dim, self.dim, []
-        for sub in itertools.combinations(verts, dim) if dim else ():
-            s0 = sub[0]
+        # supporting row per such subset gives a row for each facet.  A
+        # spanning subset has one hyperplane inside the affine hull, so a
+        # subset inside the tight vertices of a hyperplane already seen
+        # (`seen`, as bitmasks over verts) would give that hyperplane again
+        n, dim, rows, seen = self.ambient_dim, self.dim, [], []
+        subsets = itertools.combinations(range(len(verts)), dim) if dim else ()
+        for sub in subsets:
+            mask = sum(1 << i for i in sub)
+            if any(mask & m == mask for m in seen):
+                continue
+            s0 = verts[sub[0]]
             pivots, _, u = column_echelon(
-                [[q[i] - s0[i] for i in range(n)] for q in sub[1:]], n)
+                [[verts[j][i] - s0[i] for i in range(n)] for j in sub[1:]], n)
             if len(pivots) != dim - 1:
                 continue
             for a in u[len(pivots):]:
                 b, values = dot(a, s0), [dot(a, v) for v in verts]
                 lo, hi = min(values), max(values)
+                # a column constant on verts is a hull equality, tight on
+                # every vertex: its mask would hide every later subset
                 if lo < hi:
+                    seen.append(sum(1 << i for i, x in enumerate(values)
+                                    if x == b))
                     if b == hi:
                         rows.append((a, b))
                     elif b == lo:
@@ -496,7 +513,15 @@ class LatticePolytope:
                 and all(dot(a, point) <= k * b for a, b in self.facets))
 
     def is_simplex(self):
-        return len(self.vertices) == self.dim + 1
+        """Every facet misses exactly one vertex.
+
+        A polytope whose facet F misses only v is a pyramid over F with
+        apex v, whose other facets are pyramids over the facets of F; so F
+        has the same property, and by induction the polytope is a simplex.
+        Read off the facet sets, so a face costs no affine hull here.
+        """
+        n = len(self.vertices)
+        return all(len(t) == n - 1 for t in self._facet_vertex_sets)
 
     def is_empty_polytope(self):
         """No lattice points besides the vertices."""
@@ -697,28 +722,44 @@ class LatticePolytope:
 
     # -- pulling triangulations --------------------------------------------------
 
-    def pull_maximal_simplices(self, rank):
+    def pull_maximal_simplices(self, rank, memo=None):
         """Maximal cells of the pulling triangulation for a point order.
 
         `rank` maps every lattice point to its priority (lower pulls first).
         The recursion is literal: an empty simplex stays whole; otherwise the
         lowest lattice point v is coned over the pulling of every facet that
-        misses v.
+        misses v.  Pulling a face is the restriction of pulling any face
+        around it (De Loera, Rambau & Santos 2010, section 4.3), so it
+        depends only on the face's lattice points in rank order; `memo`
+        maps that tuple to the face's cells, and a face the recursion
+        reaches twice, such as a ridge from both of its facets, is pulled
+        once.  Without a memo each call starts its own.  A memo may be
+        shared across calls and orders; the polytope itself is never
+        stored, as its key differs with every order.  The cells are the
+        same set with any memo; their order in the list may depend on
+        which face around a face reached it first.
         """
-        return self._pull(rank, self.lattice_points())
+        return self._pull(rank, self.lattice_points(),
+                          {} if memo is None else memo)
 
-    def _pull(self, rank, pts):
+    def _pull(self, rank, pts, memo):
         # a facet's lattice points are the points p of pts with a.p == b, so
-        # one walk of this polytope's box serves the whole recursion
-        if self.is_simplex() and len(pts) == len(self.vertices):
+        # one walk of this polytope's box serves the whole recursion; with
+        # no lattice points besides the vertices they are its vertex set
+        bare = len(pts) == len(self.vertices)
+        if bare and self.is_simplex():
             return [self.vertices]
         v = min(pts, key=rank.__getitem__)
         cells = []
         for (a, b), tight in zip(self.facets, self._facet_vertex_sets):
-            if dot(a, v) == b:
+            if v in tight if bare else dot(a, v) == b:
                 continue
-            on = [p for p in pts if dot(a, p) == b]
-            for cell in self.face(tight)._pull(rank, on):
+            on = tight if bare else [p for p in pts if dot(a, p) == b]
+            key = tuple(sorted(on, key=rank.__getitem__))
+            sub = memo.get(key)
+            if sub is None:
+                sub = memo[key] = self.face(tight)._pull(rank, on, memo)
+            for cell in sub:
                 cells.append(tuple(sorted({*cell, v})))
         return cells
 
@@ -728,7 +769,10 @@ class LatticePolytope:
         Exhaustive over all orders when there are few enough lattice points
         (n! <= order_budget); otherwise the lex order plus order_budget
         seeded shuffles.  A non-vertex lattice point already rules the
-        property out, so that case returns early.
+        property out, so that case returns early.  The orders share one
+        pulling memo (see pull_maximal_simplices), so a face whose points
+        fall in the same relative order under two orders is pulled once,
+        and each distinct simplex is tested for unimodularity once.
         """
         if not self.is_empty_polytope():
             return False
@@ -743,9 +787,10 @@ class LatticePolytope:
                 perm = list(pts)
                 rng.shuffle(perm)
                 orders.append(tuple(perm))
+        memo, unimodular = {}, cache(simplex_is_unimodular)
         for order in orders:
             rank = {p: i for i, p in enumerate(order)}
-            for cell in self.pull_maximal_simplices(rank):
-                if not simplex_is_unimodular(cell):
+            for cell in self.pull_maximal_simplices(rank, memo):
+                if not unimodular(cell):
                     return False
         return True

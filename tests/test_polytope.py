@@ -1,6 +1,9 @@
 """Lattice polytope structure: facets, faces, points, pulling."""
 
+import hashlib
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -557,6 +560,46 @@ def mapped(matrix):
     return image
 
 
+def reference_is_compressed(p, order_budget, seed):
+    """is_compressed by the literal loop: the same orders and draws, one
+    fresh pulling per order and a unimodularity test of every cell."""
+    if not p.is_empty_polytope():
+        return False
+    pts = p.lattice_points()
+    if math.factorial(len(pts)) <= order_budget:
+        orders = itertools.permutations(pts)
+    else:
+        rng = random.Random(seed)
+        orders = [pts]
+        for _ in range(order_budget):
+            perm = list(pts)
+            rng.shuffle(perm)
+            orders.append(perm)
+    for order in orders:
+        rank = {q: i for i, q in enumerate(order)}
+        for cell in p.pull_maximal_simplices(rank):
+            if not simplex_is_unimodular(cell):
+                return False
+    return True
+
+
+def cube_shapes():
+    """Full-dimensional 0/1 polytopes of dimension 3 and 4, some carried
+    into a hyperplane one dimension up, the same on every run."""
+    rng = random.Random(3)
+    shapes = []
+    for dim, sizes in ((3, range(4, 9)), (4, range(5, 11))):
+        cube = list(itertools.product((0, 1), repeat=dim))
+        for size in sizes:
+            for _ in range(4):
+                pts = rng.sample(cube, size)
+                while affine_rank(pts) != dim:
+                    pts = rng.sample(cube, size)
+                shapes.append(LatticePolytope(pts))
+    shapes.append(LatticePolytope(itertools.product((0, 1), repeat=4)))
+    return shapes + [lifted(p) for p in shapes[::5]]
+
+
 def assert_face_is_rebuilt(face, vs):
     """A face read off its parent equals the polytope rebuilt from vs.
 
@@ -585,6 +628,45 @@ def fields(p):
 
 
 SQUARE_WALLS = [((-1, 0), 0), ((1, 0), 1), ((0, -1), 0), ((0, 1), 1)]
+
+
+class TestSubsetScan:
+    @pytest.mark.parametrize("dim, echelons", [
+        (3, 27),   # 1 hull, 20 planes and 6 facet rows
+        (4, 150),  # 1 hull, 140 hyperplanes, 1 subset that spans none
+                   # met before its hyperplanes, and 8 facet rows
+    ])
+    def test_one_elimination_per_hyperplane(self, dim, echelons,
+                                            monkeypatch):
+        reduce, calls = polytope_module.column_echelon, []
+
+        def counting_reduce(*args):
+            calls.append(args)
+            return reduce(*args)
+
+        monkeypatch.setattr(polytope_module, "column_echelon", counting_reduce)
+        cube = LatticePolytope(itertools.product((0, 1), repeat=dim))
+        assert len(calls) == echelons
+        assert len(cube.facets) == 2 * dim
+
+    @pytest.mark.parametrize("axis", range(3))
+    def test_hull_equalities_hide_no_subset(self, axis):
+        # below full dimension the kernel columns constant on the vertices
+        # are hull equalities, tight on every vertex; a scan that took
+        # them for hyperplanes would skip every later subset.  Which column
+        # the elimination gives first depends on the plane's axis.
+        def lift(x, y):
+            p = [x, y]
+            p.insert(axis, 1)
+            return tuple(p)
+
+        square = LatticePolytope(lift(x, y) for x in (0, 1) for y in (0, 1))
+        normal = tuple(int(i == axis) for i in range(3))
+        assert square.hull_equalities == ((normal, 1),)
+        assert sorted(map(sorted, square._facet_vertex_sets)) == sorted(
+            [lift(x, y) for x, y in edge] for edge in (
+                ((0, 0), (0, 1)), ((0, 0), (1, 0)),
+                ((0, 1), (1, 1)), ((1, 0), (1, 1))))
 
 
 class TestFromCertifiedRows:
@@ -654,6 +736,29 @@ class TestTrustedFaces:
                     for vs in cell.face_vertex_sets:
                         assert_face_is_rebuilt(cell.face(vs), vs)
 
+    def test_suite_faces_keep_their_owners_rows(self, suite):
+        # a face read off its owner has the vertices, hull and facet sets
+        # of the polytope rebuilt from its vertices, while its facet rows
+        # are its owner's, each valid on the face and tight on its own set
+        for name, g in suite.items():
+            for kind in KINDS:
+                cx = build_family(kind, g).relative.complex
+                for vs, owner in cx.all_faces.items():
+                    face, ref = owner.face(vs), LatticePolytope(vs)
+                    assert face.vertices == ref.vertices
+                    assert face.dim == ref.dim
+                    assert face.hull_equalities == ref.hull_equalities
+                    assert set(face._facet_vertex_sets) \
+                        == set(ref._facet_vertex_sets)
+                    for row, tight in zip(face.facets,
+                                          face._facet_vertex_sets):
+                        assert row in owner.facets
+                        a, b = row
+                        values = [dot(a, v) for v in face.vertices]
+                        assert max(values) == b
+                        assert {v for v, x in zip(face.vertices, values)
+                                if x == b} == tight
+
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(small_polytopes(), small_polytopes().map(lifted),
                      small_solids().map(lifted)))
@@ -693,6 +798,66 @@ class TestLazyHull:
             f.dim, f.hull_equalities, f.dim
         # the cube is its own face, its hull taken when it was built
         assert len(calls) == len(faces) - 1
+
+
+class TestPullingOnce:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(small_polytopes(), small_solids(),
+                     small_polytopes().map(lifted),
+                     small_solids().map(lifted),
+                     small_polytopes().map(mapped(SATURATED_MAP)),
+                     small_polytopes().map(mapped(INDEX_TWO_MAPS[0]))),
+           st.integers(-1, 0), st.integers(0, 5))
+    def test_is_compressed_matches_the_literal_loop(self, p, past, seed):
+        # the budget sits at n! (every order) or one below it (the lex
+        # order and n! - 1 shuffles), or is small where n! is too large
+        n = len(p.lattice_points())
+        budget = math.factorial(n) + past if n <= 5 else 10 + past
+        assert p.is_compressed(budget, seed) \
+            == reference_is_compressed(p, budget, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(small_polytopes(), small_solids(),
+                     small_solids().map(lifted)),
+           st.randoms(use_true_random=False))
+    def test_a_shared_memo_gives_the_fresh_cells(self, p, rng):
+        # a memo kept across orders hands a face's pulling to every order
+        # that restricts to the same order on its points, and only to those
+        memo, pts = {}, list(p.lattice_points())
+        for _ in range(5):
+            rng.shuffle(pts)
+            rank = {q: i for i, q in enumerate(pts)}
+            fresh = LatticePolytope(p.vertices).pull_maximal_simplices(rank)
+            assert sorted(p.pull_maximal_simplices(rank, memo)) \
+                == sorted(fresh)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(small_polytopes(), small_solids(),
+                     small_solids().map(lifted)))
+    def test_simplices_by_facet_sets(self, p):
+        # is_simplex reads the facet sets instead of the affine hull
+        for vs in p.face_vertex_sets:
+            face = p.face(vs)
+            assert face.is_simplex() == (len(vs) == face.dim + 1)
+
+    def test_cube_shapes_are_pinned(self):
+        # facets, compressedness under sampled orders and the pulled cells
+        # of 0/1 polytopes, hashed; pinned when every face was pulled
+        # afresh under every order, every simplex tested each time it
+        # appeared and the scan took one elimination per subset
+        rows = []
+        for i, p in enumerate(cube_shapes()):
+            pts, rng = list(p.lattice_points()), random.Random(i)
+            orders = [rng.sample(pts, len(pts)) for _ in range(3)]
+            rows.append((p.vertices, p.facets,
+                         [sorted(t) for t in p._facet_vertex_sets],
+                         p.hull_equalities,
+                         p.is_compressed(order_budget=20, seed=i),
+                         [sorted(p.pull_maximal_simplices(
+                             {q: j for j, q in enumerate(order)}))
+                          for order in orders]))
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "e4162ed7cd8e52f8ffd5222091e9c54c56fcdb6fb394bbb7825f394bd905773e")
 
 
 class TestRandomized:
