@@ -8,6 +8,13 @@ cell by cell (`faces_in_hyperplanes`): a plane that supports a cell
 meets it in one face, its tight vertex set, so no face of C is tested
 against every plane, and only the maximal sets found are built.
 
+The count of a pair is a sum over the open faces of C outside C': one
+walk of each face's own lattice frame, or of a cell closed less its
+dropped faces.  A walk's count depends only on the frame's rows, its box
+and whether it is open, so the terms are grouped by those once
+(`RelativeComplex._count_program`), and each distinct frame is walked
+once per k: the constructions repeat a few shapes many times.
+
 Validation checks that all cells meet in common faces.  It is enough to
 check maximal cells pairwise: if P cap Q is a common face R for maximal
 P, Q, then for any faces F of P and G of Q the set F cap G equals
@@ -35,7 +42,7 @@ import itertools
 from functools import cached_property
 
 from .exact import LinearSystem, check_dilation, dot, lp_feasible
-from .polytope import simplex_is_unimodular
+from .polytope import _walk, simplex_is_unimodular
 
 
 class InvalidComplexError(ValueError):
@@ -523,26 +530,50 @@ class RelativeComplex:
             plan.append((cell, kept, dropped))
         return plan
 
+    @cached_property
+    def _count_program(self):
+        """The count as k-free terms (c, plan, step): c times a frame's walk.
+
+        A kept face of `_open_faces` gives (+1, step 1), its open dilate; a
+        cell dropping fewer faces than it keeps is counted closed, (+1,
+        step 0), less each dropped face, (-1, step 1).  A walk's count
+        depends only on its frame's rows, taken as a set, its box and the
+        step, so terms with equal keys are merged and those that cancel are
+        left out.
+        """
+        terms = {}
+
+        def add(face, c, step):
+            _, rows, plan = face._frame
+            key = (tuple(sorted(rows)), tuple(plan[1]), step)
+            got = terms.setdefault(key, [0, plan, step])
+            got[0] += c
+
+        for cell, kept, dropped in self._open_faces:
+            if len(dropped) < len(kept):
+                add(cell, 1, 0)
+                for vs in dropped:
+                    add(cell.face(vs), -1, 1)
+            else:
+                for vs in kept:
+                    add(cell.face(vs), 1, 1)
+        return tuple(tuple(t) for t in terms.values() if t[0])
+
     def count_points(self, k):
         """Number of lattice points of k * (union(C) - union(C')).
 
         Every point of k * union(C) lies in the relative interior of exactly
         one face of C, so the count is the sum, over the faces of C lying in
-        no cell of C', of the points in their open dilates; no point is
-        listed; a cell dropping fewer faces than it keeps is counted closed
-        less those.  The sum is exact when C is a valid complex (cells
+        no cell of C', of the points in their open dilates: the terms of
+        `_count_program`, each distinct frame walked once.  No point is
+        listed.  The sum is exact when C is a valid complex (cells
         meeting in common faces), which the Hilbert-function route assumes
         as well: build_family's complexes are checked by the test suite and
         JSON complexes when they are loaded.
         """
         check_dilation(k)
-        total = 0
-        for cell, kept, dropped in self._open_faces:
-            closed = len(dropped) < len(kept)
-            part = sum(cell.count_points(k, vs)
-                       for vs in (dropped if closed else kept))
-            total += cell.count_points(k) - part if closed else part
-        return total
+        return sum(c * _walk(plan, k, step)
+                   for c, plan, step in self._count_program)
 
     def pulled_pair(self, order=None):
         """Pullings (Delta, Gamma) of C and of C' under the same order.

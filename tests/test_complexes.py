@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_graphs import graphs
 
 from ehrhil.complexes import (
     InvalidComplexError,
@@ -27,6 +28,8 @@ from ehrhil import constructions
 from ehrhil.constructions import KINDS, build_family, degree_bound
 from ehrhil.exact import dot, lp_feasible, solve_rational
 from ehrhil.graphs import SUITE, Graph, cycle_graph
+from ehrhil.io import complex_from_json, complex_to_json
+from ehrhil.normal_sr import homogenize
 from ehrhil.polytope import LatticePolytope, affine_rank
 from ehrhil.srideal import realize_polynomial
 
@@ -632,3 +635,117 @@ class TestPullByFace:
                               PolytopalComplex([], ambient_dim=2))
         with pytest.raises(ValueError, match="missing lattice points"):
             rel.pulled_f_vector([(0, 0), (1, 1)])
+
+
+def per_face_count(rel, k):
+    """count_points face by face, the reference for its grouped terms: each
+    cell's kept faces walked open, or the cell walked closed less its
+    dropped faces."""
+    total = 0
+    for cell, kept, dropped in rel._open_faces:
+        closed = len(dropped) < len(kept)
+        part = sum(cell.count_points(k, vs)
+                   for vs in (dropped if closed else kept))
+        total += cell.count_points(k) - part if closed else part
+    return total
+
+
+def assert_counts_per_face(rel, kmax=6):
+    for k in range(1, kmax + 1):
+        assert rel.count_points(k) == per_face_count(rel, k), (rel, k)
+
+
+def as_read_back(rel, how):
+    if how == "homogenized":
+        return homogenize(rel)
+    if how == "json":
+        return complex_from_json(complex_to_json(rel))
+    return rel
+
+
+class TestCountProgram:
+    """count_points walks each distinct frame once per k: its grouped terms
+    sum to the per-face count over _open_faces."""
+
+    def test_suite_builds(self, suite_builds):
+        for name, kind, family, _, _ in suite_builds:
+            for how in ("built", "homogenized", "json"):
+                assert_counts_per_face(as_read_back(family.relative, how))
+
+    @settings(max_examples=25, deadline=None)
+    @given(graphs(max_edges=4), st.sampled_from(KINDS),
+           st.sampled_from(["built", "homogenized", "json"]))
+    def test_drawn_multigraphs(self, g, kind, how):
+        assert_counts_per_face(as_read_back(build_family(kind, g).relative,
+                                            how))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    def test_drawn_realized_vectors(self, f):
+        assert_counts_per_face(realize_polynomial(f))
+
+    @settings(max_examples=60, deadline=None)
+    @given(relative_pairs())
+    def test_drawn_pairs(self, drawn):
+        rel, _ = drawn
+        assert_counts_per_face(rel)
+        for k in (1, 2):
+            assert rel.count_points(k) == listed_count(rel, k), k
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(lambda d: st.lists(
+        st.tuples(*[st.integers(0, 2)] * d), min_size=1, max_size=6,
+        unique=True)))
+    def test_one_cell_with_empty_sub_is_one_closed_term(self, pts):
+        cell = LatticePolytope(pts)
+        rel = RelativeComplex(PolytopalComplex([cell]),
+                              PolytopalComplex([], ambient_dim=len(pts[0])))
+        assert rel._count_program == ((1, cell._frame[2], 0),)
+        assert_counts_per_face(rel)
+
+    def test_k3_chromatic_terms(self, suite):
+        rel = build_family("chromatic", suite["K3"]).relative
+        assert sum(len(kept) for _, kept, _ in rel._open_faces) == 12
+        # six open triangles and six open edges, one frame each
+        assert sorted((len(plan[1]), c, step)
+                      for c, plan, step in rel._count_program) \
+            == [(2, 6, 1), (3, 6, 1)]
+
+    def test_realized_vector_terms(self):
+        # one frame per dimension: two closed points, three open triangles
+        # and an open tetrahedron
+        rel = realize_polynomial((2, 0, 3, 1))
+        assert sorted((len(plan[1]), c, step)
+                      for c, plan, step in rel._count_program) \
+            == [(0, 2, 0), (2, 3, 1), (3, 1, 1)]
+
+    def test_a_closed_cell_and_an_open_copy_stay_apart(self):
+        # [0, 1] counted closed and [3, 4] open share one frame: only the
+        # step tells their walks apart
+        cx = PolytopalComplex([poly((0,), (1,)), poly((3,), (4,))])
+        sub = PolytopalComplex([poly((3,)), poly((4,))])
+        rel = RelativeComplex(cx, sub)
+        assert len(rel._count_program) == 2
+        assert [rel.count_points(k) for k in (1, 2, 3)] == [2, 4, 6]
+        assert_counts_per_face(rel)
+
+    def test_equal_normals_and_boxes_with_other_sides_stay_apart(self):
+        # two pentagons in [0, 3]^2 cut by x + y <= 5 and <= 4: the same
+        # rows but for one right-hand side, and the same box
+        cx = PolytopalComplex([
+            poly((0, 0), (3, 0), (3, 2), (2, 3), (0, 3)),
+            poly((5, 0), (8, 0), (8, 1), (6, 3), (5, 3))])
+        rel = RelativeComplex(cx, PolytopalComplex([], ambient_dim=2))
+        assert len(rel._count_program) == 2
+        assert rel.count_points(1) == 15 + 13
+        for k in (1, 2, 3):
+            assert rel.count_points(k) == listed_count(rel, k), k
+
+    def test_dropped_faces_are_subtracted(self):
+        # a square less one corner: counted closed, less the corner
+        cx = PolytopalComplex([UNIT_SQUARE])
+        sub = PolytopalComplex([poly((1, 1))])
+        rel = RelativeComplex(cx, sub)
+        assert sorted((c, step) for c, _, step in rel._count_program) \
+            == [(-1, 1), (1, 0)]
+        assert [rel.count_points(k) for k in (1, 2, 3)] == [3, 8, 15]
