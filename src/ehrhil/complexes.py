@@ -25,7 +25,7 @@ along facet hyperplanes, with no LP, and what remains is decided from the
 shared vertices with at most one LP (`_lp_face_check`).
 
 The Hilbert route pulls each face of C once under one global order
-(`_FacePulling`; De Loera, Rambau & Santos, *Triangulations*, 4.3): pulling
+(`_pull_face`; De Loera, Rambau & Santos, *Triangulations*, 4.3): pulling
 a face restricts pulling any face around it, so a memo keyed by a face's
 lattice points holds its maximal simplices and its interior counts, and
 the relative f-vector is the sum of those counts over the faces of C that
@@ -42,7 +42,7 @@ import itertools
 from functools import cached_property
 
 from .exact import LinearSystem, check_dilation, dot, lp_feasible
-from .polytope import _walk, simplex_is_unimodular
+from .polytope import _faces_below, _walk, simplex_is_unimodular
 
 
 class InvalidComplexError(ValueError):
@@ -416,15 +416,17 @@ def _facets_of(m, around):
     return out
 
 
-class _FacePulling:
-    """Pulling of the faces of a complex, once per face, under one order.
+def _pull_face(memo, m, dim, around):
+    """The memo entry of the face m of dimension dim, which lies in a face
+    whose facets are `around` (a cell passes its own facets).
 
-    A face is keyed by the mask of its lattice points, bit i standing for
-    the i-th lattice point of the complex in the order, so its first point
-    v in the order is the mask's lowest bit.  `memo` maps a face F to
-    (facets, simplices, interior): the masks of F's facets, of the maximal
-    simplices of F's pulling, and I(F), the number of its simplices of
-    each dimension lying in the relative interior of F.
+    Pulls the faces of a complex, once per face, under one order.  A face
+    is keyed by the mask of its lattice points, bit i standing for the i-th
+    lattice point of the complex in the order, so its first point v in the
+    order is the mask's lowest bit.  `memo` maps a face F to (simplices,
+    interior): the masks of the maximal simplices of F's pulling, and
+    I(F), the number of its simplices of each dimension lying in the
+    relative interior of F.
 
     A simplex whose only lattice points are its vertices stays whole and
     has I = e_dim; so do its faces.  Otherwise F's pulling is the cone from
@@ -433,47 +435,31 @@ class _FacePulling:
     it.  The cone over a simplex lying in the relative interior of a
     proper face H is interior to F exactly when no facet of F through v
     holds H; and v alone is when v lies on no facet.  So I(F)[0] is that,
-    and I(F)[i+1] the sum of I(H)[i] over those H.
+    and I(F)[i+1] the sum of I(H)[i] over those H.  Every facet holding
+    such an H misses v, so H is an intersection of those facets, read off
+    them by `_faces_below`.
     """
-
-    def __init__(self):
-        self.memo = {}
-        self.below = {}  # mask -> masks of all its nonempty faces
-
-    def visit(self, m, dim, around):
-        """The memo entry of the face m of dimension dim, which lies in a
-        face whose facets are `around` (a cell passes its own facets)."""
-        memo = self.memo
-        if m.bit_count() == dim + 1:
-            facets = [m ^ low for low in _bits(m)] if dim else []
-            for g in facets:
-                if g not in memo:
-                    self.visit(g, dim - 1, ())
-            got = facets, [m], [0] * dim + [1]
-        else:
-            facets = _facets_of(m, around)
-            subs = [memo.get(g) or self.visit(g, dim - 1, facets)
-                    for g in facets]
-            v = m & -m
-            near = [g for g in facets if g & v]
-            far = [g for g in facets if not g & v]
-            inside = set().union(*map(self.faces, far)).difference(
-                *map(self.faces, near))
-            got = (facets,
-                   [s | v for g, sub in zip(facets, subs) if not g & v
-                    for s in sub[1]],
-                   [int(not near), *map(sum, itertools.zip_longest(
-                       *(memo[h][2] for h in inside), fillvalue=0))])
-        memo[m] = got
-        return got
-
-    def faces(self, m):
-        """Masks of every nonempty face of the memoized face m."""
-        got = self.below.get(m)
-        if got is None:
-            got = self.below[m] = {m}.union(
-                *map(self.faces, self.memo[m][0]))
-        return got
+    if m.bit_count() == dim + 1:
+        facets = [m ^ low for low in _bits(m)] if dim else []
+        for g in facets:
+            if g not in memo:
+                _pull_face(memo, g, dim - 1, ())
+        got = [m], [0] * dim + [1]
+    else:
+        facets = _facets_of(m, around)
+        for g in facets:
+            if g not in memo:
+                _pull_face(memo, g, dim - 1, facets)
+        v = m & -m
+        near = [g for g in facets if g & v]
+        far = [g for g in facets if not g & v]
+        inside = [h for h in _faces_below(m, far)
+                  if h != m and all(h & ~g for g in near)]
+        got = ([s | v for g in far for s in memo[g][0]],
+               [int(not near), *map(sum, itertools.zip_longest(
+                   *(memo[h][1] for h in inside), fillvalue=0))])
+    memo[m] = got
+    return got
 
 
 class RelativeComplex:
@@ -587,7 +573,7 @@ class RelativeComplex:
     def _pull_by_face(self, order=None):
         """(Delta, f): the pulling of C and the relative f-vector of the
         pulled pair, as pulled_pair and relative_f_vector give them, read
-        off one pulling of each face of C (`_FacePulling`).
+        off one memo that pulls each face of C once (`_pull_face`).
 
         f is the sum of the interior counts I(F) over the kept faces of
         `_open_faces`, read first, so a C' that is not a subcomplex is
@@ -599,14 +585,14 @@ class RelativeComplex:
         rank = _ranks(pts, order)
         ranked = sorted(pts, key=rank.__getitem__)
         bit = {p: 1 << i for i, p in enumerate(ranked)}
-        pulling, simplices, kept_counts = _FacePulling(), set(), []
+        memo, simplices, kept_counts = {}, set(), []
         for cell, kept, _ in plan:
             mask = _mask_reader(cell, bit)
             m = mask(frozenset(cell.vertices))
-            top = pulling.memo.get(m) or pulling.visit(
-                m, cell.dim, [mask(t) for t in cell._facet_vertex_sets])
-            simplices.update(top[1])
-            kept_counts += [pulling.memo[mask(vs)][2] for vs in kept]
+            top = memo.get(m) or _pull_face(
+                memo, m, cell.dim, [mask(t) for t in cell._facet_vertex_sets])
+            simplices.update(top[0])
+            kept_counts += [memo[mask(vs)][1] for vs in kept]
         delta = SimplicialComplex(
             [ranked[low.bit_length() - 1] for low in _bits(s)]
             for s in simplices)

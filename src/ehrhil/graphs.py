@@ -190,15 +190,16 @@ def cycle_basis(g):
     return tuple(basis)
 
 
-def _guard(states):
+def _check_budget(states, what):
+    """ValueError when a walk of `states` states would exceed the budget."""
     if states > _DP_BUDGET:
-        raise ValueError(
-            f"enumeration space of {states} states exceeds {_DP_BUDGET}")
+        raise ValueError(f"{what} {states} states exceeds the budget of "
+                         f"{_DP_BUDGET}")
 
 
 def _count(rows, values, n, modulus=None):
     """Count vectors in values^n orthogonal to all rows (mod the modulus)."""
-    _guard(len(values) ** n)
+    _check_budget(len(values) ** n, "enumeration space of")
     if modulus is None:
         ok = lambda s: s == 0
     else:
@@ -214,7 +215,7 @@ def chromatic_bf(g, k):
     check_dilation(k)
     if g.has_loop():
         return 0
-    _guard(k ** len(g.vertices))
+    _check_budget(k ** len(g.vertices), "enumeration space of")
     idx = {v: i for i, v in enumerate(g.vertices)}
     pairs = [(idx[t], idx[h]) for t, h in g.edges]
     return sum(
@@ -334,12 +335,6 @@ def _row_steps(rows, n):
     return tuple(steps)
 
 
-def _check_budget(estimate):
-    if estimate > _DP_BUDGET:
-        raise ValueError(f"dynamic program of an estimated {estimate} "
-                         f"states exceeds the budget of {_DP_BUDGET}")
-
-
 def _count_dp(rows, values, n, modulus=None):
     """`_count` edge by edge; the rows' entries lie in {0, +1, -1}.
 
@@ -364,7 +359,7 @@ def _count_dp(rows, values, n, modulus=None):
         if modulus:
             sums = min(sums, modulus ** len(keep))
         bound = min(bound * branch, sums)
-    _check_budget(estimate)
+    _check_budget(estimate, "dynamic program of an estimated")
     allowed = frozenset(values)
     states = {(): 1}
     for new, coefs, closes, keep, _ in steps:
@@ -435,7 +430,7 @@ def chromatic_dp(g, k):
     for _, keep, stays in steps:
         estimate += k ** (size + stays)
         size = len(keep) + stays
-    _check_budget(estimate)
+    _check_budget(estimate, "dynamic program of an estimated")
     states = {(): 1}
     for nbrs, keep, stays in steps:
         nxt = {}

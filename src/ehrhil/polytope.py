@@ -87,6 +87,21 @@ def simplex_is_unimodular(points):
     return len(pivots) == len(rows) and all(abs(p) == 1 for p in pivots)
 
 
+def _faces_below(top, facets):
+    """Every nonempty intersection of `top` with some of `facets`.
+
+    Starting from {top}, every set found so far is intersected with one
+    facet at a time.  Given all the facets of a face, these are all its
+    nonempty faces, as each is an intersection of facets (Ziegler,
+    *Lectures on Polytopes*, Lecture 2).  The sets may be frozensets of
+    vertices or integer masks of lattice points.
+    """
+    found = {top}
+    for f in facets:
+        found |= {s & f for s in found}
+    return {s for s in found if s}
+
+
 def _box(points):
     """(least, greatest) value of each coordinate over the points."""
     return tuple((min(c), max(c)) for c in zip(*points))
@@ -531,24 +546,10 @@ class LatticePolytope:
 
     @cached_property
     def face_vertex_sets(self):
-        """All nonempty faces as vertex sets, the polytope itself included.
-
-        Every proper face is an intersection of facets, so closing the facet
-        sets under pairwise intersection enumerates the whole lattice.
-        """
-        full = frozenset(self.vertices)
-        sets = {full, *self._facet_vertex_sets}
-        frontier = list(self._facet_vertex_sets)
-        while frontier:
-            fresh = []
-            for f in frontier:
-                for g in self._facet_vertex_sets:
-                    h = f & g
-                    if h and h not in sets:
-                        sets.add(h)
-                        fresh.append(h)
-            frontier = fresh
-        return frozenset(sets)
+        """All nonempty faces as vertex sets, the polytope itself included:
+        the vertex set closed under its facet sets (`_faces_below`)."""
+        return frozenset(_faces_below(frozenset(self.vertices),
+                                      self._facet_vertex_sets))
 
     def face(self, vertex_set):
         fs = frozenset(vertex_set)

@@ -19,6 +19,8 @@ from ehrhil.complexes import (
     RelativeComplex,
     SimplicialComplex,
     _lp_face_check,
+    _mask_reader,
+    _pull_face,
     meet_in_common_face,
     pull_complex,
     relative_f_vector,
@@ -637,6 +639,78 @@ class TestPullByFace:
             rel.pulled_f_vector([(0, 0), (1, 1)])
 
 
+def face_memo(cell, order):
+    """The pulling memo of one cell under `order`, as _pull_by_face fills
+    it, and the cell's map from vertex sets to masks."""
+    bit = {p: 1 << i for i, p in enumerate(order)}
+    mask = _mask_reader(cell, bit)
+    memo = {}
+    _pull_face(memo, mask(frozenset(cell.vertices)), cell.dim,
+               [mask(t) for t in cell._facet_vertex_sets])
+    return memo, mask
+
+
+def assert_interior_counts_add_up(cell, order):
+    """Every face of the cell is memoized, and the interior counts of a
+    face's faces sum to the f-vector of its pulling, listed off every
+    nonempty subset of its maximal simplices."""
+    memo, mask = face_memo(cell, order)
+    masks = {vs: mask(vs) for vs in cell.face_vertex_sets}
+    assert set(memo) == set(masks.values())
+    for vs, m in masks.items():
+        faces = set()
+        for s in memo[m][0]:
+            sub = s
+            while sub:  # every nonempty sub-mask of s
+                faces.add(sub)
+                sub = (sub - 1) & s
+        listed = [0] * max(map(int.bit_count, faces))
+        for sub in faces:
+            listed[sub.bit_count() - 1] += 1
+        summed = map(sum, itertools.zip_longest(
+            *(memo[masks[ws]][1] for ws in masks if ws <= vs), fillvalue=0))
+        assert tuple(summed) == tuple(listed), (cell, order, m)
+
+
+class TestPullFace:
+    """The memo of `_pull_face`, one face's entry against its faces'."""
+
+    @pytest.mark.parametrize("points", [
+        list(itertools.product((0, 1), repeat=4)),
+        list(itertools.product((0, 1, 2), repeat=2)),
+        [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)],
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)],
+        [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
+         (0, 0, -1)],
+    ], ids=["4-cube", "3x3 square", "doubled 3-simplex", "square pyramid",
+            "octahedron"])
+    def test_fixed_cells(self, points):
+        cell = LatticePolytope(points)
+        pts = sorted(cell.lattice_points(1))
+        for seed in range(3):
+            order = list(pts)
+            random.Random(seed).shuffle(order)
+            assert_interior_counts_add_up(cell, order)
+
+    def test_a_meet_of_far_facets_on_a_near_one(self):
+        # the first point (1, 0, 1) lies inside an edge; the apex (2, 1, 1)
+        # lies on four facets, so the facets missing that point meet in it
+        # while a facet through the point holds it too
+        cell = LatticePolytope(
+            [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 2), (2, 1, 1)])
+        assert_interior_counts_add_up(cell, [
+            (1, 0, 1), (1, 0, 0), (1, 0, 2), (0, 0, 1), (2, 1, 1), (0, 0, 0)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(relative_pairs())
+    def test_drawn_cells(self, drawn):
+        rel, order = drawn
+        for cell in rel.complex.maximal_cells:
+            pts = set(cell.lattice_points(1))
+            assert_interior_counts_add_up(
+                cell, [p for p in order if p in pts])
+
+
 def per_face_count(rel, k):
     """count_points face by face, the reference for its grouped terms: each
     cell's kept faces walked open, or the cell walked closed less its
@@ -749,3 +823,18 @@ class TestCountProgram:
         assert sorted((c, step) for c, _, step in rel._count_program) \
             == [(-1, 1), (1, 0)]
         assert [rel.count_points(k) for k in (1, 2, 3)] == [3, 8, 15]
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PolytopalComplex([UNIT_SQUARE, poly((0, 0, 0), (1, 0, 0))]),
+         r"^cells live in different ambient spaces$"),
+        (lambda: PolytopalComplex([UNIT_SQUARE], ambient_dim=3),
+         r"^ambient_dim does not match the cells$"),
+        (lambda: RelativeComplex(PolytopalComplex([UNIT_SQUARE]),
+                                 PolytopalComplex([poly((0, 0, 0))])),
+         r"^ambient spaces differ$"),
+    ], ids=["mixed cells", "ambient_dim", "pair"])
+    def test_ambient_spaces_must_agree(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()

@@ -489,3 +489,14 @@ class TestCertify:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="'chromatic', 'flow'"):
             certify("colouring", K2)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_cell_of_the_wrong_dimension(self, kind, monkeypatch):
+        # build_family holds every cell to the degree bound; the uncached
+        # function is called, so no cached family skips the check
+        monkeypatch.setattr(constructions, "degree_bound", lambda *_: -1)
+        with pytest.raises(InvariantError, match=(
+                rf"^{kind} cell of dimension \d+, expected -1$")):
+            build_family.__wrapped__(kind, C3)

@@ -19,6 +19,7 @@ from ehrhil.exact import (
     fourier_motzkin_feasible,
     lp_feasible,
     lp_maximize,
+    rational_kernel,
     rational_rank,
     reduce_content,
     rref,
@@ -413,3 +414,19 @@ class TestClosedSystems:
         _, point = lp_maximize(sys, (0,) * sys.n_vars)
         assert feasible_pivots == len(pivots)
         assert witness == point
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: rational_kernel([]),
+         r"^ncols required for a matrix with no rows$"),
+        (lambda: solve_rational([], []),
+         r"^ncols required for a system with no rows$"),
+        (lambda: LinearSystem(2, le=[((1,), 0)]),
+         r"^constraint arity does not match n_vars$"),
+        (lambda: lp_maximize(LinearSystem(1, lt=[((1,), 0)]), (1,)),
+         r"^lp_maximize expects a closed system$"),
+    ], ids=["kernel", "solve", "arity", "open system"])
+    def test_bad_input(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ehrhil import graphs as graphs_module
+from ehrhil.exact import InvariantError
 from ehrhil.graphs import (
     Graph,
     chromatic_bf,
@@ -314,3 +315,18 @@ class TestDynamicProgram:
         assert chromatic_dp(LOOP, 7) == 0
         assert int_tension_dp(P3, 7) == 12 ** 2  # a tree has no cycle
         assert mod_flow_dp(Graph((0,), ((0, 0),) * 2), 7) == 36
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("patch, message", [
+        (lambda mp: mp.setattr(Graph, "cyclomatic_number", lambda g: 2),
+         r"^1 basis cycles, cyclomatic number 2$"),
+        (lambda mp: mp.setattr(graphs_module, "incidence_matrix",
+                               lambda g: ((1,) * len(g.edges),)),
+         r"^a basis vector is not a cycle$"),
+    ], ids=["count", "orthogonality"])
+    def test_cycle_basis_invariants(self, patch, message, monkeypatch):
+        # the uncached function, so no cached basis skips the checks
+        patch(monkeypatch)
+        with pytest.raises(InvariantError, match=message):
+            cycle_basis.__wrapped__(C3)

@@ -15,6 +15,7 @@ from ehrhil.io import (
     graph_to_json,
     polynomial_to_json,
     polytope_from_json,
+    read_json_file,
 )
 from ehrhil.polynomials import BinomialPolynomial, interpolate
 from ehrhil.srideal import realize_polynomial
@@ -147,3 +148,28 @@ class TestPolynomialJson:
         assert doc == {"monomial": ["0", "2", "-3", "1"],
                        "binomial": ["0", "0", "6", "6"]}
         assert BinomialPolynomial(tuple(map(Fraction, doc["monomial"]))) == p
+
+
+def _not_json(tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text("vertices: [a, b]\n", encoding="utf-8")
+    return read_json_file(path)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("read, message", [
+        (_not_json, r"graph\.json is not valid JSON: Expecting value"),
+        (lambda _: graph_from_json({"vertices": ["a"], "edges": "a->a"}),
+         r"^graph edges must be a list$"),
+        (lambda _: complex_from_json({"vertices": [[0], [1]], "faces": 0}),
+         r"^faces must be a list of faces$"),
+        (lambda _: complex_from_json({"vertices": [[0], [1]],
+                                      "faces": [[0, 1]],
+                                      "sub_faces": {"0": [0]}}),
+         r"^sub_faces must be a list of faces$"),
+        (lambda _: complex_from_json({"vertices": "0 1", "faces": [[0, 1]]}),
+         r"^complex vertices must be a list of lattice points$"),
+    ], ids=["not JSON", "edges", "faces", "sub_faces", "vertices"])
+    def test_bad_input(self, read, message, tmp_path):
+        with pytest.raises(InputError, match=message):
+            read(tmp_path)

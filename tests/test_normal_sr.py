@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ehrhil import normal_sr
 from ehrhil.complexes import PolytopalComplex, RelativeComplex
 from ehrhil.constructions import build_family, oracle
-from ehrhil.exact import dot
+from ehrhil.exact import InvariantError, dot
 from ehrhil.graphs import SUITE, complete_graph
 from ehrhil.normal_sr import (
     GREVLEX,
@@ -399,3 +399,16 @@ class TestNormalityRejection:
     def test_empty_complex(self):
         empty = PolytopalComplex([], ambient_dim=2)
         assert hilbert_normal(RelativeComplex(empty, empty), 3) == 0
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("pair", [segment_pair, open_square_pair])
+    def test_a_target_off_its_height(self, pair, monkeypatch):
+        # every target of a homogenized pair lies at height k; one lifted
+        # a level up is refused before any search
+        inner = LatticePolytope.interior_lattice_points
+        monkeypatch.setattr(
+            LatticePolytope, "interior_lattice_points",
+            lambda p, k=1: tuple((*z[:-1], z[-1] + 1) for z in inner(p, k)))
+        with pytest.raises(InvariantError, match=r"\) is not at height 2$"):
+            minimal_representatives(pair(), 2)

@@ -21,6 +21,7 @@ from ehrhil.graphs import cycle_graph
 from ehrhil.polytope import (
     IntegralityError,
     LatticePolytope,
+    _faces_below,
     affine_rank,
     simplex_is_unimodular,
 )
@@ -775,6 +776,74 @@ class TestTrustedFaces:
                     == set(ref._facet_vertex_sets)
 
 
+def facet_intersections(p):
+    """Every nonempty intersection of the vertex set with some of the facet
+    sets, listed subset by subset: the faces, by definition."""
+    facets = p._facet_vertex_sets
+    out = set()
+    for r in range(len(facets) + 1):
+        for chosen in itertools.combinations(facets, r):
+            meet = frozenset(p.vertices).intersection(*chosen)
+            if meet:
+                out.add(meet)
+    return out
+
+
+def closure_shapes():
+    return st.one_of(
+        small_polytopes(), small_solids(),
+        small_polytopes().map(lifted), small_solids().map(lifted),
+        small_polytopes().map(mapped(SATURATED_MAP)),
+        small_polytopes().map(mapped(INDEX_TWO_MAPS[0])),
+        small_solids().map(mapped(INDEX_TWO_MAPS[1])))
+
+
+class TestFaceClosure:
+    """face_vertex_sets closes the vertex set under the facet sets one facet
+    at a time (`_faces_below`); the pulling memo closes masks the same way."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(closure_shapes())
+    def test_every_facet_intersection(self, p):
+        assert p.face_vertex_sets == facet_intersections(p)
+
+    @pytest.mark.parametrize("points, faces", [
+        (list(itertools.product((0, 1), repeat=4)), 81),  # 3^4
+        ([(0,) * 5] + [tuple(int(i == j) for i in range(5))
+                       for j in range(5)], 63),  # 2^6 - 1
+        ([(3, -1)], 1),
+    ], ids=["4-cube", "unimodular 5-simplex", "point"])
+    def test_face_counts(self, points, faces):
+        p = LatticePolytope(points)
+        assert len(p.face_vertex_sets) == faces
+        assert p.face_vertex_sets == facet_intersections(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(closure_shapes(), st.randoms(use_true_random=False))
+    def test_masks_follow_the_vertex_sets(self, p, rng):
+        order = list(p.vertices)
+        rng.shuffle(order)
+        bit = {v: 1 << i for i, v in enumerate(order)}
+
+        def mask(vs):
+            return sum(bit[v] for v in vs)
+        got = _faces_below(mask(p.vertices),
+                           [mask(t) for t in p._facet_vertex_sets])
+        assert got == set(map(mask, p.face_vertex_sets))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_a_bare_simplex_has_every_nonempty_sub_mask(self, n):
+        top = (1 << n) - 1
+        facets = [top ^ (1 << i) for i in range(n)] if n > 1 else []
+        assert _faces_below(top, facets) == set(range(1, top + 1))
+
+    def test_frozensets_and_no_facets(self):
+        top = frozenset("abc")
+        assert _faces_below(top, []) == {top}
+        assert _faces_below(top, [frozenset("ab"), frozenset("c")]) \
+            == {top, frozenset("ab"), frozenset("c")}
+
+
 class TestLazyHull:
     def test_face_makes_no_elimination_until_its_hull_is_read(
             self, monkeypatch):
@@ -944,3 +1013,21 @@ class TestRandomized:
             for f in faces:
                 total += len(LatticePolytope(f).interior_lattice_points(k))
             assert total == len(p.lattice_points(k))
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: LatticePolytope([]),
+         r"^a lattice polytope needs at least one point$"),
+        (lambda: LatticePolytope([(0, 0), (1,)]),
+         r"^points live in different ambient spaces$"),
+        (lambda: LatticePolytope.from_inequalities(
+            LinearSystem(1, le=[((1,), 1)], lt=[((-1,), 0)]), [(0, 1)]),
+         r"^from_inequalities expects a closed system$"),
+        (lambda: LatticePolytope.from_inequalities(
+            LinearSystem(1, le=[((1,), 1), ((-1,), 0)]), [(0, 1), (0, 1)]),
+         r"^box arity mismatch$"),
+    ], ids=["no points", "mixed points", "open system", "box"])
+    def test_bad_input(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
