@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import io
-from .complexes import NotCompressedError, relative_f_vector
+from .complexes import NotCompressedError
 from .constructions import (
     KINDS,
     METHODS,
@@ -148,9 +148,9 @@ def cmd_complex(args):
 
 def cmd_triangulate(args):
     rel = io.complex_from_json(io.read_json_file(args.complex))
-    delta, gamma = rel.pulled_pair()
+    delta, gamma, f_rel = rel._pull_by_face(
+        faces=[frozenset(c.vertices) for c in rel.sub.maximal_cells])
     doc = io.cells_to_json(delta.maximal_simplices, gamma.maximal_simplices)
-    f_rel = relative_f_vector(delta, gamma)
     if args.as_json:
         print(json.dumps({"triangulation": doc,
                           "f_vector": list(delta.f_vector()),
@@ -203,8 +203,7 @@ def _parse_coeffs(text):
 def cmd_realize(args):
     f = _parse_coeffs(args.coeffs)
     rel = realize_polynomial(f)
-    delta, gamma = rel.pulled_pair()
-    f_check = relative_f_vector(delta, gamma)
+    f_check = rel.pulled_f_vector()
     counts = [rel.count_points(k) for k in range(1, len(f) + 2)]
     doc = io.complex_to_json(rel)
     if args.as_json:

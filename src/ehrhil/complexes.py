@@ -29,11 +29,10 @@ The Hilbert route pulls each face of C once under one global order
 a face restricts pulling any face around it, so a memo keyed by a face's
 lattice points holds its maximal simplices and its interior counts, and
 the relative f-vector is the sum of those counts over the faces of C that
-lie in no cell of C'.  The pulling of C' is never built, so it lies in the
-pulling of C by construction.  The literal pair, each complex pulled cell
-by cell (`pull_complex`) and the relative f-vector listed off every subset
-of the simplices (`relative_f_vector`), serves the CLI's `triangulate` and
-`realize` and is the reference the tests hold the memo to.
+lie in no cell of C'.  The pulling of C' is read off the same memo, so it
+lies in the pulling of C by construction.  The tests hold the memo to the
+literal pair: each complex pulled cell by cell (`pull_complex`), and the
+relative f-vector listed off their simplices (`relative_f_vector`).
 """
 
 from __future__ import annotations
@@ -400,6 +399,24 @@ def _bits(m):
         m ^= low
 
 
+def _components(plan):
+    """The entries (cell, ...) of `plan` by the connected components of the
+    cells, first seen first; a union-find joins cells sharing a vertex."""
+    root = {}
+
+    def find(v):
+        while root.setdefault(v, v) != v:
+            root[v] = v = root[root[v]]
+        return v
+    for cell, *_ in plan:
+        for v in cell.vertices[1:]:
+            root[find(v)] = find(cell.vertices[0])
+    groups = {}
+    for entry in plan:
+        groups.setdefault(find(entry[0].vertices[0]), []).append(entry)
+    return groups.values()
+
+
 def _facets_of(m, around):
     """Facets of the face m, given the facets `around` of a face holding m.
 
@@ -570,34 +587,40 @@ class RelativeComplex:
         """
         return pull_complex(self.complex, order), pull_complex(self.sub, order)
 
-    def _pull_by_face(self, order=None):
-        """(Delta, f): the pulling of C and the relative f-vector of the
-        pulled pair, as pulled_pair and relative_f_vector give them, read
-        off one memo that pulls each face of C once (`_pull_face`).
-
-        f is the sum of the interior counts I(F) over the kept faces of
-        `_open_faces`, read first, so a C' that is not a subcomplex is
-        refused before any pulling; Gamma is never built.  No simplex is
-        checked here.
+    def _pull_by_face(self, order=None, faces=()):
+        """(Delta, pulled, f): the pullings of C and of the faces of C named by
+        vertex set in `faces` (Gamma for the cells of C'), and the relative
+        f-vector, off one memo per connected component of C (`_components`),
+        for short masks: a cell's pulling depends only on its points' order.  A
+        named face is read with its owner in `all_faces`.  f sums I(F) over the
+        kept faces of `_open_faces`, read first, so a C' that is not a
+        subcomplex is refused before any pulling.  No simplex is checked.
         """
         plan = self._open_faces
-        pts = self.complex.lattice_points(1)
-        rank = _ranks(pts, order)
-        ranked = sorted(pts, key=rank.__getitem__)
-        bit = {p: 1 << i for i, p in enumerate(ranked)}
-        memo, simplices, kept_counts = {}, set(), []
-        for cell, kept, _ in plan:
-            mask = _mask_reader(cell, bit)
-            m = mask(frozenset(cell.vertices))
-            top = memo.get(m) or _pull_face(
-                memo, m, cell.dim, [mask(t) for t in cell._facet_vertex_sets])
-            simplices.update(top[0])
-            kept_counts += [memo[mask(vs)][1] for vs in kept]
-        delta = SimplicialComplex(
-            [ranked[low.bit_length() - 1] for low in _bits(s)]
-            for s in simplices)
-        return delta, tuple(map(sum, itertools.zip_longest(
-            *kept_counts, fillvalue=0)))
+        rank = _ranks(self.complex.lattice_points(1), order)
+        owned = {}
+        for vs in faces:
+            owned.setdefault(id(self.complex.all_faces[vs]), []).append(vs)
+        delta, pulled, kept_counts = set(), set(), []
+        for part in _components(plan):
+            pts = set().union(*(c.lattice_points(1) for c, _, _ in part))
+            ranked = sorted(pts, key=rank.__getitem__)
+            bit = {p: 1 << i for i, p in enumerate(ranked)}
+            memo, tops, named = {}, set(), set()
+            for cell, kept, _ in part:
+                mask = _mask_reader(cell, bit)
+                m = mask(frozenset(cell.vertices))
+                tops.update((memo.get(m) or _pull_face(
+                    memo, m, cell.dim,
+                    [mask(t) for t in cell._facet_vertex_sets]))[0])
+                kept_counts += [memo[mask(vs)][1] for vs in kept]
+                for vs in owned.get(id(cell), ()):
+                    named.update(memo[mask(vs)][0])
+            for masks, out in ((tops, delta), (named, pulled)):
+                out.update(frozenset(ranked[low.bit_length() - 1]
+                                     for low in _bits(s)) for s in masks)
+        f = map(sum, itertools.zip_longest(*kept_counts, fillvalue=0))
+        return SimplicialComplex(delta), SimplicialComplex(pulled), tuple(f)
 
     def pulled_f_vector(self, order=None):
         """Relative f-vector of the pulled pair; demands unimodular cells.
@@ -607,12 +630,9 @@ class RelativeComplex:
         is read off one pulling of each face of C (`_pull_by_face`), and
         every maximal simplex of that pulling is checked unimodular;
         NotCompressedError names the least failing one in sorted order.
-        The trade against the literal pair: Gamma inside Delta is not
-        checked per call, as Gamma is read off Delta's memo and so lies in
-        it by construction; the check left is that every cell of C' is a
-        face of C (ValueError otherwise).
+        Gamma is not read; every cell of C' must be a face of C (ValueError).
         """
-        delta, f = self._pull_by_face(order)
+        delta, _, f = self._pull_by_face(order)
         bad = delta.first_non_unimodular()
         if bad is not None:
             raise NotCompressedError(f"pulled simplex {bad} is not unimodular")

@@ -128,9 +128,10 @@ def _cells_from_rows(rows, table, what):
         if (not isinstance(row, list) or not row
                 or not all(isinstance(i, int) and not isinstance(i, bool)
                            and 0 <= i < len(table) for i in row)):
-            raise InputError(
-                f"{what}: each face must be a nonempty list of vertex indices "
-                f"in range 0..{len(table) - 1}")
+            where = (f"in range 0..{len(table) - 1}" if table
+                     else "(the vertex list is empty)")
+            raise InputError(f"{what}: each face must be a nonempty list of "
+                             f"vertex indices {where}")
         cells.append(LatticePolytope([table[i] for i in row]))
     return cells
 
@@ -138,9 +139,9 @@ def _cells_from_rows(rows, table, what):
 def complex_from_json(data):
     _require_dict(data, ("vertices", "faces"), "a complex")
     raw = data["vertices"]
-    if not isinstance(raw, list):
+    if not isinstance(raw, list) or not all(isinstance(v, list) for v in raw):
         raise InputError("complex vertices must be a list of lattice points")
-    ambient = len(raw[0]) if raw and isinstance(raw[0], list) else 0
+    ambient = len(raw[0]) if raw else 0
     table = [_lattice_point(v, ambient, "complex vertices") for v in raw]
     cells = _cells_from_rows(data["faces"], table, "faces")
     sub_cells = _cells_from_rows(data.get("sub_faces", []), table, "sub_faces")

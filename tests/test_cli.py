@@ -7,7 +7,9 @@ import time
 
 import pytest
 
+from ehrhil import io
 from ehrhil.cli import main
+from ehrhil.complexes import relative_f_vector
 from ehrhil.constructions import KindReport, MethodRun
 from ehrhil.polynomials import BinomialPolynomial
 
@@ -148,6 +150,23 @@ class TestComplexAndTriangulate:
         assert report["relative_f_vector"] == [0, 1]
         assert report["triangulation"]["faces"] == [[0, 1]]
         assert report["triangulation"]["sub_faces"] == [[0], [1]]
+
+    def test_triangulate_reads_both_components(self, tmp_path, capsys):
+        # two squares, and far off a doubled triangle with points that are
+        # not vertices; C' has faces in both components
+        data = {"vertices": [[0, 0], [1, 0], [0, 1], [1, 1], [2, 0], [2, 1],
+                             [10, 0], [12, 0], [10, 2]],
+                "faces": [[0, 1, 2, 3], [1, 3, 4, 5], [6, 7, 8]],
+                "sub_faces": [[0, 2], [4, 5], [6, 7]]}
+        assert main(["triangulate", write(tmp_path, "two.json", data),
+                     "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        delta, gamma = io.complex_from_json(data).pulled_pair()
+        assert report == {
+            "triangulation": io.cells_to_json(delta.maximal_simplices,
+                                              gamma.maximal_simplices),
+            "f_vector": list(delta.f_vector()),
+            "relative_f_vector": list(relative_f_vector(delta, gamma))}
 
     def test_non_unimodular_simplex_warned(self, tmp_path, capsys):
         # [0, 2] has 3 lattice points, but f = [2, 1] counts 2 at k = 1

@@ -18,6 +18,7 @@ from ehrhil.complexes import (
     PolytopalComplex,
     RelativeComplex,
     SimplicialComplex,
+    _components,
     _lp_face_check,
     _mask_reader,
     _pull_face,
@@ -441,6 +442,8 @@ class TestRelativeComplex:
         rel.sub = PolytopalComplex([poly((2,), (3,))])
         with pytest.raises(ValueError, match="not a subcomplex"):
             rel.pulled_f_vector()
+        with pytest.raises(ValueError, match="not a subcomplex"):
+            memo_pulling(rel, None)
 
 
 def carved_gamma(rel, delta):
@@ -569,23 +572,32 @@ class TestPulling:
 
 
 def literal_pulling(rel, order):
-    """The memo's reference: Delta pulled cell by cell, and the relative
-    f-vector listed off every subset of its simplices."""
+    """The memo's reference: Delta and Gamma pulled cell by cell, and the
+    relative f-vector listed off every subset of their simplices."""
     delta, gamma = rel.pulled_pair(order)
-    return delta, relative_f_vector(delta, gamma)
+    return delta, gamma, relative_f_vector(delta, gamma)
+
+
+def memo_pulling(rel, order):
+    """Delta, Gamma and f off the face memo, as `triangulate` reads them."""
+    return rel._pull_by_face(
+        order, [frozenset(c.vertices) for c in rel.sub.maximal_cells])
 
 
 @st.composite
 def relative_pairs(draw):
     """A polytope in [0, 2]^d (d = 2, 3), often with lattice points that
     are not vertices, alone or with its mirror image in x_0 = 0 (the two
-    meet in a common face); C' a random set of faces; a random order."""
+    meet in a common face), and sometimes with a far translate, a second
+    connected component; C' a random set of faces; a random order."""
     d = draw(st.sampled_from([2, 3]))
     pts = draw(st.lists(st.tuples(*[st.integers(0, 2)] * d), min_size=1,
                         max_size=6, unique=True))
     cells = [LatticePolytope(pts)]
     if draw(st.booleans()):
         cells.append(LatticePolytope([(-p[0], *p[1:]) for p in pts]))
+    if draw(st.booleans()):
+        cells.append(LatticePolytope([(p[0] + 10, *p[1:]) for p in pts]))
     cx = PolytopalComplex(cells)
     faces = sorted(cx.all_faces, key=sorted)
     chosen = draw(st.lists(st.sampled_from(faces), max_size=4))
@@ -596,8 +608,8 @@ def relative_pairs(draw):
 
 
 class TestPullByFace:
-    """One pulling per face of C gives the literal pulled pair's Delta and
-    relative f-vector."""
+    """One pulling per face of C gives the literal pulled pair's Delta,
+    Gamma and relative f-vector."""
 
     def test_suite_pairs_in_sorted_and_shuffled_orders(self, suite):
         cx = PolytopalComplex.generated_by([UNIT_SQUARE, RIGHT_SQUARE])
@@ -615,15 +627,17 @@ class TestPullByFace:
                 random.Random(seed).shuffle(order)
                 orders.append(order)
             for order in orders:
-                assert rel._pull_by_face(order) \
+                assert memo_pulling(rel, order) \
                     == literal_pulling(rel, order), (rel, order)
 
     @settings(max_examples=80, deadline=None)
     @given(relative_pairs())
     def test_drawn_pairs_with_non_vertex_points(self, drawn):
         rel, order = drawn
-        delta, f = literal_pulling(rel, order)
-        assert rel._pull_by_face(order) == (delta, f)
+        delta, gamma, f = literal_pulling(rel, order)
+        assert memo_pulling(rel, order) == (delta, gamma, f)
+        # with no face named, no pulling of C' is read
+        assert rel._pull_by_face(order) == (delta, SimplicialComplex([]), f)
         bad = delta.first_non_unimodular()
         if bad is None:
             assert rel.pulled_f_vector(order) == f
@@ -631,6 +645,16 @@ class TestPullByFace:
             with pytest.raises(NotCompressedError,
                                match=re.escape(f"simplex {bad} is not")):
                 rel.pulled_f_vector(order)
+
+    def test_components_join_cells_through_shared_vertices(self):
+        # segments a and b stand apart until c joins them, through a vertex
+        # of b that is not its first; d stays apart, and each part keeps
+        # the plan's order
+        a, b, c, d = (poly(*ends) for ends in (
+            ((0, 0), (1, 0)), ((5, 0), (6, 1)), ((1, 0), (6, 1)),
+            ((9, 0), (10, 0))))
+        parts = _components([(a, 0), (d, 1), (b, 2), (c, 3)])
+        assert list(parts) == [[(a, 0), (b, 2), (c, 3)], [(d, 1)]]
 
     def test_order_must_cover_the_complex(self):
         rel = RelativeComplex(PolytopalComplex([UNIT_SQUARE]),

@@ -169,7 +169,15 @@ class TestRefusals:
          r"^sub_faces must be a list of faces$"),
         (lambda _: complex_from_json({"vertices": "0 1", "faces": [[0, 1]]}),
          r"^complex vertices must be a list of lattice points$"),
-    ], ids=["not JSON", "edges", "faces", "sub_faces", "vertices"])
+        # the first point is not a list, so it gives no ambient dimension
+        (lambda _: complex_from_json({"vertices": [5, [1]], "faces": [[1]]}),
+         r"^complex vertices must be a list of lattice points$"),
+        # no index range to name when there are no vertices
+        (lambda _: complex_from_json({"vertices": [], "faces": [[0]]}),
+         r"^faces: each face must be a nonempty list of vertex indices "
+         r"\(the vertex list is empty\)$"),
+    ], ids=["not JSON", "edges", "faces", "sub_faces", "vertices",
+            "first point not a list", "no vertices"])
     def test_bad_input(self, read, message, tmp_path):
         with pytest.raises(InputError, match=message):
             read(tmp_path)
