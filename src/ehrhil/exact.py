@@ -10,7 +10,8 @@ Matrices are plain lists of lists in row major order; vectors are lists or
 tuples.  One integer elimination, `column_echelon`, brings a matrix to
 column echelon form by unimodular column operations; `det` and
 `rational_rank` read their answers off it, and polytopes read their
-hull equalities and lattice coordinates off it.  `rref`,
+hull equalities and lattice coordinates off it; `staircase_basis` maps
+those coordinates back to lattice points.  `rref`,
 `rational_kernel` and `solve_rational` eliminate over Fraction and serve
 the tests as independent references.  The structured pieces are
 `LinearSystem` (a block of equalities, weak inequalities and strict
@@ -147,6 +148,37 @@ def column_echelon(m, ncols):
                 if q:
                     cols[j] = [x - q * y for x, y in zip(cols[j], piv)]
     return pivots, sign, [col[k:] for col in cols]
+
+
+def staircase_basis(points, coords, what):
+    """Columns of the lattice basis B with p - p0 = y B for each point p.
+
+    p0 is the first point, and `coords` holds y for each p: the first d
+    entries of z U, z = p - p0, U from `column_echelon` of the rows z, where
+    they sit on a staircase.  As U is unimodular, y maps the lattice points
+    of the span of the z one to one onto Z^d, and B_j, the one with y = e_j,
+    is integral.  The row z_j that opens pivot column j gives it by forward
+    substitution, B_j = (z_j - sum_{i<j} y_j[i] B_i) / y_j[j], each division
+    exact.  The len(p0) columns come back with d entries each, so d = 0
+    keeps every coordinate.  InvariantError naming `what` on a remainder or
+    a missing pivot row.
+    """
+    p0, d = points[0], len(coords[0])
+    basis = []
+    for p, y in zip(points, coords):
+        j = len(basis)
+        if j < d and y[j]:
+            z = [x - o for x, o in zip(p, p0)]
+            for yi, b in zip(y, basis):
+                z = [x - yi * c for x, c in zip(z, b)]
+            quotients = [divmod(x, y[j]) for x in z]
+            if any(r for _, r in quotients):
+                raise InvariantError(f"pivot row {j} of the staircase of "
+                                     f"{what} leaves a remainder")
+            basis.append([q for q, _ in quotients])
+    if len(basis) != d:
+        raise InvariantError(f"the staircase of {what} misses a pivot row")
+    return [tuple(b[c] for b in basis) for c in range(len(p0))]
 
 
 def det(m):

@@ -10,10 +10,12 @@ of k(union C minus union C') is hit by exactly one kept monomial, and the
 search below produces it as an explicit witness.
 
 Witnesses are read off the kept open faces of `RelativeComplex._open_faces`,
-the table `count_points` is compiled from: one exponent per point of the
-face being walked is fixed in the order's direction, the first whose
-remainder is still an integer sum of the points left.  One table per face
-(`_suffix_sums`) decides that, no LP.
+the table `count_points` is compiled from.  A face's targets are listed by
+the walk of its own lattice frame that counts it
+(`LatticePolytope.interior_lattice_points`), over dim F coordinates.  For
+each, one exponent per point of the face being walked is fixed in the
+order's direction, the first whose remainder is still an integer sum of
+the points left.  One table per face (`_suffix_sums`) decides that, no LP.
 
 Monomials stay implicit throughout: an exponent vector aligned with the
 point-variable table is all there is, no ring arithmetic happens anywhere.

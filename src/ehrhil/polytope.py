@@ -27,11 +27,11 @@ may differ from `_facet_row`'s by a hull equality.  Its affine hull
 (`dim`, `hull_equalities`) is taken on first read, by one column
 reduction, so a face that only lends its vertex set costs no elimination;
 a polytope built from points takes the hull of those points at once.  An
-open face is counted as a polytope of its own, in lattice coordinates of
-its affine hull that the column reduction of its vertex differences
-gives, so the walk runs over dim F coordinates instead of the ambient ones
-and under F's own facets only.  That walk is compiled once per face into
-a k-free plan (`_plan`), which serves every dilate k*F.
+open face is counted and listed as a polytope of its own, in lattice
+coordinates of its affine hull that the column reduction of its vertex
+differences gives, so the walk runs over dim F coordinates instead of the
+ambient ones and under F's own facets only.  That walk is compiled once
+per face into a k-free plan (`_plan`), which serves every dilate k*F.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .exact import (
     lp_maximize,
     rational_rank,
     reduce_content,
+    staircase_basis,
 )
 
 
@@ -164,13 +165,12 @@ def _facet_row(verts, tight):
 def _plan(rows, box):
     """The k-free tables of a walk over the box under the rows (a, s).
 
-    `_walk(plan, k, step)` visits the integer points x of k times the box
-    with a.x <= k*s - step for every row.  The least value that the
-    coordinates after i can add to a row on the box (its tail) is linear
-    in the box, so dilating by k scales the box and every tail by k, and
-    one plan serves every k.  The plan holds the right-hand sides s, the
-    box, one level per coordinate before the last, and the last
-    coordinate's tables:
+    `_walk(plan, k, step)` visits the integer points x of k times the box with
+    a.x <= k*s - step for every row.  The least value that the coordinates
+    after i can add to a row on the box (its tail) is linear in the box, so
+    dilating by k scales the box and every tail by k, and one plan serves every
+    k.  The plan holds the right-hand sides s, the box, one level per
+    coordinate before the last, and the last coordinate's tables:
 
     - a level is the coordinate's column and its rows split by the sign of
       a_i: (row, tail) where a_i = 0, (row, |a_i|, tail) otherwise;
@@ -393,10 +393,8 @@ class LatticePolytope:
         return self._hull[1]
 
     def _extract_vertices(self, pts):
-        if len(pts) <= self.dim + 1:
-            # affinely independent: every point is extreme
-            return tuple(pts)
-        if _in_unit_cube(_box(pts)):
+        if len(pts) <= self.dim + 1 or _in_unit_cube(_box(pts)):
+            # affinely independent, or in one unit cube: all are extreme
             return tuple(pts)
         out = []
         for i, p in enumerate(pts):
@@ -435,13 +433,12 @@ class LatticePolytope:
     def _read_facets(self, rows):
         """Facets and facet vertex sets off rows a.x <= r valid on the hull.
 
-        Every facet of the hull is the tight set of one of the rows, and
-        every nonempty proper tight set is a face (Schrijver 1986, ch. 8),
-        so the facet vertex sets are the inclusion-maximal ones.  Each gets
-        its normal from `_facet_row`, and the facets are sorted by it.
-        InvariantError when the rows cannot describe the hull: a row fails
-        on a vertex, a kept set does not span dim - 1, or a vertex lies on
-        fewer than dim facets.
+        Every facet of the hull is the tight set of one of the rows, and every
+        nonempty proper tight set is a face (Schrijver 1986, ch. 8), so the
+        facet vertex sets are the inclusion-maximal ones.  Each gets its normal
+        from `_facet_row`, and the facets are sorted by it.  InvariantError
+        when the rows cannot describe the hull: a row fails on a vertex, a kept
+        set does not span dim - 1, or a vertex lies on fewer than dim facets.
         """
         verts, dim = self.vertices, self.dim
         tights = set()
@@ -486,20 +483,17 @@ class LatticePolytope:
             raise ValueError("from_inequalities expects a closed system")
         if len(box) != system.n_vars:
             raise ValueError("box arity mismatch")
-        rows = list(system.le)
-        for a, b in system.eq:
-            rows += [(a, b), (tuple(-c for c in a), -b)]
+        rows = [*system.le, *system.eq,
+                *((tuple(-c for c in a), -b) for a, b in system.eq)]
         pts = []
         _walk(_plan(rows, box), 1, 0, pts)
         if not pts:
             raise IntegralityError(
                 "region has no lattice points in the given box")
         poly = cls(pts)
-        to_check = list(poly.facets)
-        for h, c in poly.hull_equalities:
-            to_check.append((h, c))
-            to_check.append((tuple(-v for v in h), -c))
-        for a, b in to_check:
+        eqs = poly.hull_equalities
+        for a, b in [*poly.facets, *eqs,
+                     *((tuple(-c for c in a), -b) for a, b in eqs)]:
             got = lp_maximize(system, a)
             if got is not None and got[0] > b:
                 raise IntegralityError(
@@ -559,8 +553,7 @@ class LatticePolytope:
         if got is None:
             if fs not in self.face_vertex_sets:
                 raise ValueError(f"{sorted(fs)} is not a face")
-            got = self._read_face(fs)
-            self._face_cache[fs] = got
+            got = self._face_cache[fs] = self._read_face(fs)
         return got
 
     def _read_face(self, fs):
@@ -677,11 +670,21 @@ class LatticePolytope:
             return _walk(self._frame[2], k)
         return _walk(self.face(face)._frame[2], k, 1)
 
+    @cached_property
+    def _basis(self):
+        """Columns of a basis B of the lattice of aff(P): v - p0 = y B."""
+        return staircase_basis(self.vertices, self._frame[0], self)
+
     def interior_lattice_points(self, k=1):
-        """Lattice points in the relative interior of the k-th dilate."""
-        return tuple(
-            p for p in self.lattice_points(k)
-            if all(dot(a, p) < k * b for a, b in self.facets))
+        """Lattice points in the relative interior of the k-th dilate, in
+        ascending lex order: the frame walk that `count_points` makes of an
+        open face lists their coordinates y, each mapped to k*p0 + y B."""
+        check_dilation(k)
+        ys = []
+        _walk(self._frame[2], k, 1, ys)
+        kp0, cols = [k * x for x in self.vertices[0]], self._basis
+        return tuple(sorted(tuple(x + dot(y, c) for x, c in zip(kp0, cols))
+                            for y in ys))
 
     # -- lattice geometry predicates -------------------------------------------
 
@@ -700,17 +703,15 @@ class LatticePolytope:
     def normality_counterexample(self):
         """First (k, point) where k-fold sums of height-1 points fall short.
 
-        Checking degrees up to max(2, dim - 1) decides normality: beyond
-        dim - 1 the dilate points are always sums of lower ones.  Returns
-        None when the polytope is normal.  The answer is cached: polytopes
-        are immutable.
+        Checking degrees up to max(2, dim - 1) decides normality: past dim - 1
+        the dilate points are always sums of lower ones.  Returns None when
+        the polytope is normal.  The answer is cached: polytopes are immutable.
         """
         return self._normality_counterexample
 
     @cached_property
     def _normality_counterexample(self):
-        base = set(self.lattice_points(1))
-        level = base
+        level = base = set(self.lattice_points(1))
         for k in range(2, max(2, self.dim - 1) + 1):
             sums = {tuple(p[i] + q[i] for i in range(self.ambient_dim))
                     for p in level for q in base}
@@ -729,16 +730,15 @@ class LatticePolytope:
         `rank` maps every lattice point to its priority (lower pulls first).
         The recursion is literal: an empty simplex stays whole; otherwise the
         lowest lattice point v is coned over the pulling of every facet that
-        misses v.  Pulling a face is the restriction of pulling any face
-        around it (De Loera, Rambau & Santos 2010, section 4.3), so it
-        depends only on the face's lattice points in rank order; `memo`
-        maps that tuple to the face's cells, and a face the recursion
-        reaches twice, such as a ridge from both of its facets, is pulled
-        once.  Without a memo each call starts its own.  A memo may be
-        shared across calls and orders; the polytope itself is never
-        stored, as its key differs with every order.  The cells are the
-        same set with any memo; their order in the list may depend on
-        which face around a face reached it first.
+        misses v.  Pulling a face is the restriction of pulling any face around
+        it (De Loera, Rambau & Santos 2010, section 4.3), so it depends only on
+        the face's lattice points in rank order; `memo` maps that tuple to the
+        face's cells, and a face the recursion reaches twice, such as a ridge
+        from both of its facets, is pulled once.  Without a memo each call
+        starts its own.  A memo may be shared across calls and orders; the
+        polytope itself is never stored, as its key differs with every order.
+        The cells are the same set with any memo; their order in the list may
+        depend on which face around a face reached it first.
         """
         return self._pull(rank, self.lattice_points(),
                           {} if memo is None else memo)

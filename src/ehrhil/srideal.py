@@ -93,7 +93,8 @@ def realize_polynomial(f):
     i-simplices with all boundaries removed.
 
     Simplex number j sits in the hyperplane (first coordinate) = 2j, so the
-    cells never touch and the placement is deterministic.  Negative or
+    cells never touch and the placement is deterministic.  Each is built
+    from its rows (`from_certified_rows`), with no subset scan.  Negative or
     fractional coefficients admit no such complex and are rejected, and so
     is a vector whose simplices have more nonempty faces, sum_i f_i
     (2^(i+1) - 1), than REALIZE_FACE_BUDGET, before anything is built.
@@ -111,6 +112,10 @@ def realize_polynomial(f):
     ambient = max(dims) + 1
     cells = []
     for i, c in enumerate(coeffs):
+        # x_a >= 0 for each axis 0 < a <= i, and their sum at most 1
+        rows = [(tuple(-(b == a) for b in range(ambient)), 0)
+                for a in range(1, i + 1)]
+        rows.append((tuple(int(0 < b <= i) for b in range(ambient)), 1))
         for _ in range(c):
             base = [0] * ambient
             base[0] = 2 * len(cells)
@@ -119,7 +124,8 @@ def realize_polynomial(f):
                 v = list(base)
                 v[axis] += 1
                 verts.append(tuple(v))
-            cells.append(LatticePolytope(verts))
+            cells.append(LatticePolytope.from_certified_rows(sorted(verts),
+                                                             rows))
     # disjoint simplices: no cell, and no facet, lies in another
     total = PolytopalComplex(cells, ambient_dim=ambient)
     boundary = PolytopalComplex(

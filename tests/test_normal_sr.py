@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ehrhil import normal_sr
 from ehrhil.complexes import PolytopalComplex, RelativeComplex
-from ehrhil.constructions import build_family, oracle
+from ehrhil.constructions import KINDS, build_family, oracle
 from ehrhil.exact import InvariantError, dot
 from ehrhil.graphs import SUITE, complete_graph
 from ehrhil.normal_sr import (
@@ -24,6 +24,7 @@ from ehrhil.normal_sr import (
 )
 from ehrhil.polytope import LatticePolytope
 from ehrhil.srideal import realize_polynomial
+from test_graphs import graphs
 
 DEGREE2 = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
 
@@ -350,6 +351,22 @@ class TestOpenFaceWalk:
         for (k, kind), witnesses in want.items():
             assert minimal_representatives(rel, k, TermOrder(kind)) \
                 == witnesses
+
+
+class TestDrawnMultigraphs:
+    """Loops, parallel edges and components, in every kind, homogenized."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(graphs(max_edges=3))
+    def test_matches_the_listed_points(self, g):
+        for kind in KINDS:
+            rel = homogenize(build_family(kind, g).relative)
+            for k in (1, 2):
+                for order in (GRLEX, GREVLEX):
+                    found = minimal_representatives(rel, k, order)
+                    want = listed_witnesses(rel, k, order)
+                    assert list(found.items()) == list(want.items()), \
+                        (kind, k, order.kind)
 
 
 class TestMinimalFace:

@@ -18,6 +18,7 @@ from ehrhil.exact import (
     lp_feasible,
 )
 from ehrhil.graphs import cycle_graph
+from ehrhil.normal_sr import homogenize
 from ehrhil.polytope import (
     IntegralityError,
     LatticePolytope,
@@ -44,6 +45,13 @@ def in_hull(point, vertices, k=1):
     eq.append(((1,) * m, 1))
     le = [(tuple(-1 if j == t else 0 for j in range(m)), 0) for t in range(m)]
     return lp_feasible(LinearSystem(m, eq=eq, le=le)) is not None
+
+
+def open_points_reference(p, k):
+    """The open k-th dilate by the ambient listing: every lattice point of
+    k*p strictly inside each facet."""
+    return tuple(q for q in p.lattice_points(k)
+                 if all(dot(a, q) < k * b for a, b in p.facets))
 
 
 class TestBasicStructure:
@@ -289,7 +297,9 @@ class TestLatticePoints:
         monkeypatch.setattr(polytope_module, "_walk", None)
         square = LatticePolytope(SQUARE.vertices)
         for call in (square.count_points, square.lattice_points,
-                     lambda k: square.count_points(k, [(0, 0)])):
+                     lambda k: square.count_points(k, [(0, 0)]),
+                     square.interior_lattice_points,
+                     square.face([(0, 0), (1, 0)]).interior_lattice_points):
             with pytest.raises(ValueError, match="dilation factor k"):
                 call(k)
 
@@ -312,6 +322,84 @@ class TestLatticePoints:
                         (1, [4, 1]), (10, [4, 1]), (4, [4, 1])]:
             assert seg.lattice_points(k) == tuple((i,) for i in range(k + 1))
             assert list(seg._points_cache) == kept
+
+
+def assert_listing_matches_the_filter(p, ks=(1, 2, 3)):
+    """Every face of p, read off p, lists its open dilates as the filter."""
+    for vs in p.face_vertex_sets:
+        face = p.face(vs)
+        for k in ks:
+            assert face.interior_lattice_points(k) \
+                == open_points_reference(face, k), (sorted(vs), k)
+
+
+class TestOpenListing:
+    """interior_lattice_points walks the frame and maps each point back;
+    the ambient listing, filtered by the facets, is the reference."""
+
+    def test_suite_faces(self, suite):
+        for g in suite.values():
+            for kind in KINDS:
+                rel = build_family(kind, g).relative
+                for cx in (rel.complex, homogenize(rel).complex):
+                    for cell in cx.maximal_cells:
+                        assert_listing_matches_the_filter(cell)
+
+    def test_images_below_full_dimension(self):
+        # index-two images hold lattice points that are not images of
+        # lattice points; the saturated image and the lifted triangle do not
+        for p in (*(mapped(m)(q) for m, q in zip(INDEX_TWO_MAPS,
+                                                 (SQUARE, CUBE))),
+                  mapped(SATURATED_MAP)(CROSS),
+                  lifted(LatticePolytope([(0, 0), (2, 1), (1, 3)]))):
+            assert p.dim < p.ambient_dim
+            assert_listing_matches_the_filter(p, ks=(1, 2, 3, 4))
+        # the unit square's image holds the image of its centre inside
+        p = mapped(INDEX_TWO_MAPS[0])(SQUARE)
+        assert p.interior_lattice_points(1) == ((1, 0, 2),)
+
+    def test_vertices_and_ambient_dimension_zero(self):
+        # a vertex has an empty basis, and keeps every coordinate
+        point = LatticePolytope([()])
+        assert point._basis == []
+        for k in (1, 2, 3):
+            assert point.interior_lattice_points(k) == ((),)
+            assert SQUARE.face([(1, 1)]).interior_lattice_points(k) \
+                == ((k, k),)
+            v = lifted(TRIANGLE).vertices[-1]
+            assert lifted(TRIANGLE).face([v]).interior_lattice_points(k) \
+                == (tuple(k * x for x in v),)
+            assert LatticePolytope([(3, -1, 2)]).interior_lattice_points(k) \
+                == ((3 * k, -k, 2 * k),)
+
+    def test_the_basis_is_built_once(self, monkeypatch):
+        # the frame and the basis live on the polytope: a second listing,
+        # at any k, makes no column reduction and builds no basis
+        p = mapped(INDEX_TWO_MAPS[1])(CUBE)
+        first = p.interior_lattice_points(2)
+        calls = []
+        monkeypatch.setattr(polytope_module, "column_echelon",
+                            lambda *args: calls.append(args))
+        monkeypatch.setattr(polytope_module, "staircase_basis",
+                            lambda *args: calls.append(args))
+        assert p.interior_lattice_points(2) == first
+        assert len(p.interior_lattice_points(3)) \
+            == p.count_points(3, p.vertices)
+        assert calls == []
+
+    @pytest.mark.parametrize("patch, message", [
+        (lambda y: tuple(2 * c for c in y), "leaves a remainder"),
+        (lambda y: (0,) * len(y), "misses a pivot row"),
+    ], ids=["doubled", "zeroed"])
+    def test_a_broken_staircase_is_refused(self, patch, message):
+        # a staircase that does not come from a unimodular reduction is
+        # caught by the basis, which names the polytope
+        square = LatticePolytope(SQUARE.vertices)
+        coords, rows, plan = square._frame
+        square._frame = (tuple(map(patch, coords)), rows, plan)
+        with pytest.raises(InvariantError,
+                           match=rf"LatticePolytope\(dim=2.*{message}"):
+            square.interior_lattice_points(1)
 
 
 def brute_walk(rows, box, k, step):
@@ -977,8 +1065,22 @@ class TestRandomized:
             if vs is None:
                 assert got == len(p.lattice_points(k)), k
             else:
-                want = len(LatticePolytope(vs).interior_lattice_points(k))
+                want = len(open_points_reference(LatticePolytope(vs), k))
                 assert got == want, (sorted(vs), k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(
+        small_polytopes(), small_solids().map(lifted),
+        small_polytopes().map(mapped(SATURATED_MAP)),
+        small_polytopes().map(mapped(INDEX_TWO_MAPS[0])),
+        small_solids().map(mapped(INDEX_TWO_MAPS[1]))))
+    def test_open_listing_matches_the_filter(self, p):
+        # every face, vertices included, read off p and rebuilt
+        for vs in p.face_vertex_sets:
+            for face in (p.face(vs), LatticePolytope(vs)):
+                for k in (1, 2, 3):
+                    assert face.interior_lattice_points(k) \
+                        == open_points_reference(face, k), (sorted(vs), k)
 
     @settings(max_examples=60, deadline=None)
     @given(small_polytopes())

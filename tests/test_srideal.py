@@ -4,7 +4,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ehrhil.srideal as srideal
 from ehrhil.complexes import (
@@ -172,26 +172,47 @@ class TestRealizePolynomial:
                 "not realizable: 1.0 is not a non-negative integer")):
             realize_polynomial((1, 1.0))
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(0, 2), min_size=1, max_size=7))
+    @example((1,))
+    @example((0, 0, 0, 0, 0, 0, 1))
+    def test_cells_equal_the_scanned_simplices(self, f):
+        # each simplex, built from its rows, equals the one the subset scan
+        # builds from its vertices, field for field, in every dimension
+        cells = realize_polynomial(f).complex.maximal_cells
+        assert sorted(len(c.vertices) - 1 for c in cells) \
+            == [i for i, c in enumerate(f) for _ in range(c)]
+        for cell in cells:
+            ref = LatticePolytope(cell.vertices)
+            assert (cell.vertices, cell.facets, cell._facet_vertex_sets,
+                    cell.hull_equalities, cell.dim) \
+                == (ref.vertices, ref.facets, ref._facet_vertex_sets,
+                    ref.hull_equalities, ref.dim)
+
     def test_budget_admits_k6_chromatic(self, monkeypatch):
         # K6's chromatic vector has 720 * 63 + 720 * 127 = 136,800 faces;
         # the build starts, and is stopped at its first simplex
         class Started(Exception):
             pass
 
-        def start(points):
-            raise Started
+        class Start:
+            @staticmethod
+            def from_certified_rows(vertices, rows):
+                raise Started
 
-        monkeypatch.setattr(srideal, "LatticePolytope", start)
+        monkeypatch.setattr(srideal, "LatticePolytope", Start)
         with pytest.raises(Started):
             realize_polynomial((0, 0, 0, 0, 0, 720, 720))
         with pytest.raises(Started):
             realize_polynomial((REALIZE_FACE_BUDGET,))
 
     def test_budget_refuses_before_building(self, monkeypatch):
-        def start(points):
-            raise AssertionError("built a simplex")
+        class Start:
+            @staticmethod
+            def from_certified_rows(vertices, rows):
+                raise AssertionError("built a simplex")
 
-        monkeypatch.setattr(srideal, "LatticePolytope", start)
+        monkeypatch.setattr(srideal, "LatticePolytope", Start)
         with pytest.raises(BudgetError,
                            match=f"1000000 faces.* {REALIZE_FACE_BUDGET}"):
             realize_polynomial((1000000,))
