@@ -369,13 +369,13 @@ def relative_f_vector(delta, gamma):
     return tuple(f)
 
 
-def _mask_reader(cell, bit):
-    """Map a face's vertex set to the mask of its lattice points' bits.
+def _mask_reader(cell, pts, bit):
+    """Map a face's vertex set to the mask of its lattice points' bits,
+    given the cell's lattice points `pts`.
 
     A lattice point of the cell that is not a vertex lies in a face exactly
     when the smallest face holding it does.
     """
-    pts = cell.lattice_points(1)
     verts = frozenset(cell.vertices)
     extra = [(bit[q], _smallest_face_at(cell, q, 1))
              for q in pts if q not in verts] if len(pts) > len(verts) else []
@@ -595,20 +595,22 @@ class RelativeComplex:
         named face is read with its owner in `all_faces`.  f sums I(F) over the
         kept faces of `_open_faces`, read first, so a C' that is not a
         subcomplex is refused before any pulling.  No simplex is checked.
+        Each cell's lattice points are listed once per call.
         """
-        plan = self._open_faces
-        rank = _ranks(self.complex.lattice_points(1), order)
+        plan = [(cell, kept, cell.lattice_points(1))
+                for cell, kept, _ in self._open_faces]
+        rank = _ranks(set().union(*(pts for _, _, pts in plan)), order)
         owned = {}
         for vs in faces:
             owned.setdefault(id(self.complex.all_faces[vs]), []).append(vs)
         delta, pulled, kept_counts = set(), set(), []
         for part in _components(plan):
-            pts = set().union(*(c.lattice_points(1) for c, _, _ in part))
-            ranked = sorted(pts, key=rank.__getitem__)
+            ranked = sorted(set().union(*(pts for _, _, pts in part)),
+                            key=rank.__getitem__)
             bit = {p: 1 << i for i, p in enumerate(ranked)}
             memo, tops, named = {}, set(), set()
-            for cell, kept, _ in part:
-                mask = _mask_reader(cell, bit)
+            for cell, kept, pts in part:
+                mask = _mask_reader(cell, pts, bit)
                 m = mask(frozenset(cell.vertices))
                 tops.update((memo.get(m) or _pull_face(
                     memo, m, cell.dim,

@@ -23,15 +23,19 @@ polytope it belongs to, which pulling recurses through.  It has the
 vertices, affine hull and facet vertex sets of the polytope built from its
 vertices, but each of its facets keeps the least facet row tight on it of
 the polytope it was read off: a valid normal, which below full dimension
-may differ from `_facet_row`'s by a hull equality.  Its affine hull
-(`dim`, `hull_equalities`) is taken on first read, by one column
-reduction, so a face that only lends its vertex set costs no elimination;
-a polytope built from points takes the hull of those points at once.  An
-open face is counted and listed as a polytope of its own, in lattice
-coordinates of its affine hull that the column reduction of its vertex
-differences gives, so the walk runs over dim F coordinates instead of the
-ambient ones and under F's own facets only.  That walk is compiled once
-per face into a k-free plan (`_plan`), which serves every dilate k*F.
+may differ from `_facet_row`'s by a hull equality.
+
+Every polytope has one lattice frame, read off one column reduction of
+its vertex differences (`_echelon`) on first read: its dimension, its hull
+equalities and lattice coordinates of its affine hull.  So a face that
+only lends its vertex set costs no elimination, and a polytope built from
+points ranks them all only when they leave one unit cube, to tell whether
+every point is a vertex.  A polytope, and each open face as a polytope of
+its own, is counted and listed in those coordinates, so the walk runs over
+dim F coordinates instead of the ambient ones and under F's own facets
+only.  That walk is compiled once per polytope into a k-free plan
+(`_plan`), which serves every dilate k*F, closed or open; a listing maps
+the coordinates back by a basis of the hull lattice.  No point is cached.
 """
 
 from __future__ import annotations
@@ -54,10 +58,6 @@ from .exact import (
     reduce_content,
     staircase_basis,
 )
-
-
-# Most lattice points LatticePolytope.lattice_points caches per polytope.
-POINTS_CACHE_BUDGET = 2 ** 16
 
 
 class IntegralityError(ValueError):
@@ -117,22 +117,6 @@ def _in_unit_cube(box):
     lattice point.
     """
     return all(hi - lo <= 1 for lo, hi in box)
-
-
-def _affine_hull(pts):
-    """(dim, equalities) of the affine hull of the sorted points.
-
-    One column echelon of the differences from the least point: its rank
-    is the dimension, and each kernel column, made primitive and sign
-    fixed, gives an equality a.x = a.p0.
-    """
-    p0 = pts[0]
-    n = len(p0)
-    pivots, _, u = column_echelon(
-        [[p[i] - p0[i] for i in range(n)] for p in pts[1:]], n)
-    dim = len(pivots)
-    return dim, tuple(sorted(
-        (a, dot(a, p0)) for a in map(canonical_direction, u[dim:])))
 
 
 def _facet_row(verts, tight):
@@ -337,7 +321,6 @@ class LatticePolytope:
         if len({len(p) for p in pts}) != 1:
             raise ValueError("points live in different ambient spaces")
         self._start(pts)
-        self._hull = _affine_hull(pts)
         self.vertices = verts = self._extract_vertices(pts)
         # every facet holds dim vertices spanning its hyperplane, so one
         # supporting row per such subset gives a row for each facet.  A
@@ -376,25 +359,35 @@ class LatticePolytope:
         """Ambient dimension of the points, and empty caches."""
         self.ambient_dim = len(pts[0])
         self._face_cache = {}
-        self._points_cache = {}
 
     @cached_property
-    def _hull(self):
-        """(dim, hull_equalities) of the vertices, on first read."""
-        return _affine_hull(self.vertices)
+    def _echelon(self):
+        """(dim, U): one column echelon of the rows v - p0, p0 the least
+        vertex, on first read.  Its rank is the dimension; U's first dim
+        columns give the lattice coordinates of `_frame`, and the others
+        span the kernel lattice that `hull_equalities` reads."""
+        p0 = self.vertices[0]
+        pivots, _, u = column_echelon(
+            [[x - o for x, o in zip(v, p0)] for v in self.vertices],
+            self.ambient_dim)
+        return len(pivots), u
 
     @cached_property
     def dim(self):
-        return self._hull[0]
+        return self._echelon[0]
 
     @cached_property
     def hull_equalities(self):
-        """Rows (a, c) with a.x = c on the affine hull, sorted."""
-        return self._hull[1]
+        """Rows (a, c) with a.x = c on the affine hull, sorted: each kernel
+        column of `_echelon`, made primitive and sign fixed, with c = a.p0."""
+        dim, u = self._echelon
+        p0 = self.vertices[0]
+        return tuple(sorted(
+            (a, dot(a, p0)) for a in map(canonical_direction, u[dim:])))
 
     def _extract_vertices(self, pts):
-        if len(pts) <= self.dim + 1 or _in_unit_cube(_box(pts)):
-            # affinely independent, or in one unit cube: all are extreme
+        if _in_unit_cube(_box(pts)) or len(pts) <= affine_rank(pts) + 1:
+            # in one unit cube, or affinely independent: all are extreme
             return tuple(pts)
         out = []
         for i, p in enumerate(pts):
@@ -516,6 +509,12 @@ class LatticePolytope:
     def bounding_box(self):
         return _box(self.vertices)
 
+    @cached_property
+    def _in_unit_cube(self):
+        """`_in_unit_cube` of the bounding box, cached, as every call of
+        `lattice_points(1)` tests it."""
+        return _in_unit_cube(self.bounding_box)
+
     def contains(self, point, k=1):
         """Membership of a rational point in the k-th dilate."""
         return (all(dot(h, point) == k * c for h, c in self.hull_equalities)
@@ -589,10 +588,10 @@ class LatticePolytope:
     def _frame(self):
         """This polytope in its own lattice coordinates: (coords, rows, plan).
 
-        One unimodular column reduction of the rows v - p0, p0 the least
-        vertex, gives D U = [L | 0] with L on a staircase (Cohen 1993,
-        section 2.4).  The lattice points of aff(k*P) are k*p0 + z for the
-        integer z with z U zero past its first d = dim P entries, and those
+        The column reduction of the rows v - p0 (`_echelon`) gives
+        D U = [L | 0] with L on a staircase (Cohen 1993, section 2.4).  The
+        lattice points of aff(k*P) are k*p0 + z for the integer z with
+        z U zero past its first d = dim P entries, and those
         d entries, y(z), are lattice coordinates for them.  `coords` holds
         y(v - p0) for each vertex v: the rows of L.  Each facet a.x <= b
         becomes the row (r, b - a.p0) with r.y(z) = a.z, solved by forward
@@ -603,8 +602,8 @@ class LatticePolytope:
         """
         p0 = self.vertices[0]
         diffs = [[x - o for x, o in zip(v, p0)] for v in self.vertices]
-        pivots, _, u = column_echelon(diffs, self.ambient_dim)
-        u = u[:len(pivots)]
+        dim, u = self._echelon
+        u = u[:dim]
         coords = tuple(tuple(dot(z, col) for col in u) for z in diffs)
         stair = []  # the rows of D and L that open the pivot columns
         for z, y in zip(diffs, coords):
@@ -625,34 +624,15 @@ class LatticePolytope:
             rows, [(min(c), max(c)) for c in zip(*coords)])
 
     def lattice_points(self, k=1):
-        """Integer points of the k-th dilate, in ascending lex order.
-
-        At k = 1 a polytope inside one unit cube has its vertices as its
-        only lattice points, and no walk is made.  The lists are cached per
-        k, at most POINTS_CACHE_BUDGET points per polytope: the oldest k is
-        dropped first, and a longer list is not cached at all.
+        """Integer points of the k-th dilate, in ascending lex order: one
+        walk of the frame (`_listed`).  At k = 1 a polytope inside one unit
+        cube has its vertices as its only lattice points, and no walk is
+        made.  No list is cached; the frame is, and serves every k.
         """
         check_dilation(k)
-        cache = self._points_cache
-        got = cache.get(k)
-        if got is not None:
-            return got
-        if k == 1 and _in_unit_cube(self.bounding_box):
-            got = self.vertices
-        else:
-            rows = []
-            for h, c in self.hull_equalities:
-                rows += [(h, c), (tuple(-v for v in h), -c)]
-            rows += self.facets
-            out = []
-            _walk(_plan(rows, self.bounding_box), k, 0, out)
-            got = tuple(out)
-        if len(got) <= POINTS_CACHE_BUDGET:
-            held = sum(map(len, cache.values())) + len(got)
-            while held > POINTS_CACHE_BUDGET:
-                held -= len(cache.pop(next(iter(cache))))
-            cache[k] = got
-        return got
+        if k == 1 and self._in_unit_cube:
+            return self.vertices
+        return self._listed(k, 0)
 
     def count_points(self, k=1, face=None):
         """Number of integer points of the k-th dilate, without listing them.
@@ -677,11 +657,16 @@ class LatticePolytope:
 
     def interior_lattice_points(self, k=1):
         """Lattice points in the relative interior of the k-th dilate, in
-        ascending lex order: the frame walk that `count_points` makes of an
-        open face lists their coordinates y, each mapped to k*p0 + y B."""
+        ascending lex order: the open walk of `_listed`."""
         check_dilation(k)
+        return self._listed(k, 1)
+
+    def _listed(self, k, step):
+        """The points of the k-th dilate a.x <= k*b - step for every facet,
+        sorted: the frame walk that `count_points` makes lists their
+        coordinates y, each mapped to k*p0 + y B."""
         ys = []
-        _walk(self._frame[2], k, 1, ys)
+        _walk(self._frame[2], k, step, ys)
         kp0, cols = [k * x for x in self.vertices[0]], self._basis
         return tuple(sorted(tuple(x + dot(y, c) for x, c in zip(kp0, cols))
                             for y in ys))
@@ -745,8 +730,8 @@ class LatticePolytope:
 
     def _pull(self, rank, pts, memo):
         # a facet's lattice points are the points p of pts with a.p == b, so
-        # one walk of this polytope's box serves the whole recursion; with
-        # no lattice points besides the vertices they are its vertex set
+        # one listing of this polytope's points serves the whole recursion;
+        # with no lattice points besides the vertices they are its vertices
         bare = len(pts) == len(self.vertices)
         if bare and self.is_simplex():
             return [self.vertices]

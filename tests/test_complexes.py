@@ -667,7 +667,7 @@ def face_memo(cell, order):
     """The pulling memo of one cell under `order`, as _pull_by_face fills
     it, and the cell's map from vertex sets to masks."""
     bit = {p: 1 << i for i, p in enumerate(order)}
-    mask = _mask_reader(cell, bit)
+    mask = _mask_reader(cell, cell.lattice_points(1), bit)
     memo = {}
     _pull_face(memo, mask(frozenset(cell.vertices)), cell.dim,
                [mask(t) for t in cell._facet_vertex_sets])

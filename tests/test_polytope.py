@@ -47,11 +47,37 @@ def in_hull(point, vertices, k=1):
     return lp_feasible(LinearSystem(m, eq=eq, le=le)) is not None
 
 
-def open_points_reference(p, k):
-    """The open k-th dilate by the ambient listing: every lattice point of
-    k*p strictly inside each facet."""
-    return tuple(q for q in p.lattice_points(k)
+def points_reference(p, k):
+    """The k-th dilate by brute force, in lex order: every integer point of
+    k times the bounding box with a.x == k*c on each hull equality and
+    a.x <= k*b on each facet.  It shares no walk, plan or frame with the
+    listing it checks."""
+    box = [range(k * lo, k * hi + 1) for lo, hi in p.bounding_box]
+    return tuple(x for x in itertools.product(*box)
+                 if all(dot(h, x) == k * c for h, c in p.hull_equalities)
+                 and all(dot(a, x) <= k * b for a, b in p.facets))
+
+
+def open_points_reference(p, k, closed=None):
+    """The open k-th dilate: the points of the brute closed one (or of
+    `closed`, when given) strictly inside each facet."""
+    if closed is None:
+        closed = points_reference(p, k)
+    return tuple(q for q in closed
                  if all(dot(a, q) < k * b for a, b in p.facets))
+
+
+def record_reductions(monkeypatch):
+    """From now on, append the arguments of every `column_echelon` call
+    that polytope.py makes to the returned list."""
+    reduce, calls = polytope_module.column_echelon, []
+
+    def counting_reduce(*args):
+        calls.append(args)
+        return reduce(*args)
+
+    monkeypatch.setattr(polytope_module, "column_echelon", counting_reduce)
+    return calls
 
 
 class TestBasicStructure:
@@ -194,6 +220,9 @@ class TestLatticePoints:
         pts = SQUARE.lattice_points(2)
         assert pts == tuple(sorted(pts))
         assert pts[0] == (0, 0) and pts[-1] == (2, 2)
+        for k in (3, 70):  # no list is kept, so each is walked afresh
+            assert SQUARE.lattice_points(k) \
+                == tuple(itertools.product(range(k + 1), repeat=2))
 
     def test_triangle_counts(self):
         for k in range(1, 6):
@@ -220,15 +249,11 @@ class TestLatticePoints:
             assert SQUARE.count_points(k, [(1, 1)]) == 1
             assert sum(SQUARE.count_points(k, vs)
                        for vs in SQUARE.face_vertex_sets) == (k + 1) ** 2
-        # counting lists no points, so it leaves the point cache empty
-        square = LatticePolytope(SQUARE.vertices)
-        assert square.count_points(7) == 64
-        assert square._points_cache == {}
 
     def test_frames_are_built_once_per_face(self, monkeypatch):
         # each face's frame and walk plan live on the face and serve every
-        # k, so a second round of counts, or a new k, makes no column
-        # reduction and builds no plan
+        # k, so a second round of counts, a new k, or a listing, makes no
+        # column reduction and builds no plan
         p = LatticePolytope([(x, y, -x - y, 1) for x, y in
                              [(0, 0), (2, 0), (0, 1), (1, 2)]])
         faces = p.face_vertex_sets
@@ -246,7 +271,7 @@ class TestLatticePoints:
         assert p.count_points(5) == opened
         assert calls == [] and plans == []
         assert opened == len(p.lattice_points(5))
-        assert calls == [] and len(plans) == 1  # the listing's ambient plan
+        assert calls == [] and plans == []
 
     def test_counts_in_an_index_two_image(self):
         # the unit square's image holds the image of its centre, (1, 0, 2)
@@ -303,39 +328,23 @@ class TestLatticePoints:
             with pytest.raises(ValueError, match="dilation factor k"):
                 call(k)
 
-    def test_points_cache_is_bounded_by_entries(self, monkeypatch):
-        # many k under the real budget: every answer right, the cache bounded
-        square = LatticePolytope(SQUARE.vertices)
-        for k in range(1, 71):
-            got = square.lattice_points(k)
-            assert len(got) == (k + 1) ** 2 and got[0] == (0, 0)
-            assert got[-1] == (k, k) and got == tuple(sorted(set(got)))
-            assert sum(map(len, square._points_cache.values())) \
-                <= polytope_module.POINTS_CACHE_BUDGET
-        assert square.lattice_points(3) == tuple(
-            itertools.product(range(4), repeat=2))
-        # the oldest k is dropped first, and a list longer than the budget
-        # is never cached; the segment's k-th list has k + 1 points
-        monkeypatch.setattr(polytope_module, "POINTS_CACHE_BUDGET", 10)
-        seg = LatticePolytope([(0,), (1,)])
-        for k, kept in [(1, [1]), (2, [1, 2]), (3, [1, 2, 3]), (4, [3, 4]),
-                        (1, [4, 1]), (10, [4, 1]), (4, [4, 1])]:
-            assert seg.lattice_points(k) == tuple((i,) for i in range(k + 1))
-            assert list(seg._points_cache) == kept
 
-
-def assert_listing_matches_the_filter(p, ks=(1, 2, 3)):
-    """Every face of p, read off p, lists its open dilates as the filter."""
+def assert_listing_matches_the_reference(p, ks=(1, 2, 3), closed=False):
+    """Every face of p, read off p, lists its open dilates, and its closed
+    ones too when asked, as the brute reference does."""
     for vs in p.face_vertex_sets:
         face = p.face(vs)
         for k in ks:
+            want = points_reference(face, k)
+            if closed:
+                assert face.lattice_points(k) == want, (sorted(vs), k)
             assert face.interior_lattice_points(k) \
-                == open_points_reference(face, k), (sorted(vs), k)
+                == open_points_reference(face, k, want), (sorted(vs), k)
 
 
 class TestOpenListing:
-    """interior_lattice_points walks the frame and maps each point back;
-    the ambient listing, filtered by the facets, is the reference."""
+    """lattice_points and interior_lattice_points walk the frame and map
+    each point back; a brute enumeration of the box is the reference."""
 
     def test_suite_faces(self, suite):
         for g in suite.values():
@@ -343,7 +352,8 @@ class TestOpenListing:
                 rel = build_family(kind, g).relative
                 for cx in (rel.complex, homogenize(rel).complex):
                     for cell in cx.maximal_cells:
-                        assert_listing_matches_the_filter(cell)
+                        assert_listing_matches_the_reference(cell,
+                                                             closed=True)
 
     def test_images_below_full_dimension(self):
         # index-two images hold lattice points that are not images of
@@ -353,7 +363,7 @@ class TestOpenListing:
                   mapped(SATURATED_MAP)(CROSS),
                   lifted(LatticePolytope([(0, 0), (2, 1), (1, 3)]))):
             assert p.dim < p.ambient_dim
-            assert_listing_matches_the_filter(p, ks=(1, 2, 3, 4))
+            assert_listing_matches_the_reference(p, ks=(1, 2, 3, 4))
         # the unit square's image holds the image of its centre inside
         p = mapped(INDEX_TWO_MAPS[0])(SQUARE)
         assert p.interior_lattice_points(1) == ((1, 0, 2),)
@@ -505,24 +515,38 @@ class TestPredicates:
         assert not CROSS.is_two_level()  # diagonal facets jump by 2
 
     def test_two_level_reads_the_hull_lattice_once(self, monkeypatch):
-        # is_two_level and the closed count share one frame, so the two
-        # together make one column reduction
-        reduce = polytope_module.column_echelon
-        calls = []
-
-        def counting_reduce(*args):
-            calls.append(args)
-            return reduce(*args)
-
+        # is_two_level and the closed count share one frame, read off the
+        # column reduction that construction took for the dimension, so
+        # the two together make no further one
         # full-dimensional with 6 facets, and a square in 3-space with 4
         flat = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
         polys = [LatticePolytope(CUBE.vertices), LatticePolytope(flat)]
-        monkeypatch.setattr(polytope_module, "column_echelon", counting_reduce)
+        calls = record_reductions(monkeypatch)
         for p in polys:
             calls.clear()
             assert p.is_two_level()
             assert p.count_points(2) == 3 ** p.dim
-            assert len(calls) == 1, len(p.facets)
+            assert calls == [], len(p.facets)
+
+    def test_a_face_makes_one_reduction_for_everything(self, monkeypatch):
+        # a face read off a lattice has no hull yet; its dimension, hull
+        # equalities, two-level test, counts and listings, closed and open,
+        # all read one column reduction of its vertex differences; here
+        # the facet x + y + z = 2 of twice the standard simplex, lifted
+        p = LatticePolytope([(x, y, z, 1) for x, y, z in
+                             [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)]])
+        top = frozenset(v for v in p.vertices if v[0] + v[1] + v[2] == 2)
+        calls = record_reductions(monkeypatch)
+        face = p.face(top)
+        assert calls == []
+        assert face.dim == 2
+        assert face.hull_equalities == (((0, 0, 0, 1), 1),
+                                        ((1, 1, 1, 0), 2))
+        assert not face.is_two_level()
+        assert face.count_points(2) == 15
+        assert len(face.lattice_points(2)) == 15
+        assert len(face.interior_lattice_points(2)) == 3
+        assert len(calls) == 1
 
     def test_empty_polytope(self):
         assert SQUARE.is_empty_polytope()
@@ -727,13 +751,7 @@ class TestSubsetScan:
     ])
     def test_one_elimination_per_hyperplane(self, dim, echelons,
                                             monkeypatch):
-        reduce, calls = polytope_module.column_echelon, []
-
-        def counting_reduce(*args):
-            calls.append(args)
-            return reduce(*args)
-
-        monkeypatch.setattr(polytope_module, "column_echelon", counting_reduce)
+        calls = record_reductions(monkeypatch)
         cube = LatticePolytope(itertools.product((0, 1), repeat=dim))
         assert len(calls) == echelons
         assert len(cube.facets) == 2 * dim
@@ -937,14 +955,8 @@ class TestLazyHull:
             self, monkeypatch):
         # dim and hull_equalities are taken by one elimination on first
         # read; a face read off the face lattice makes none until then
-        reduce, calls = polytope_module.column_echelon, []
-
-        def counting_reduce(*args):
-            calls.append(args)
-            return reduce(*args)
-
         p = LatticePolytope(CUBE.vertices)
-        monkeypatch.setattr(polytope_module, "column_echelon", counting_reduce)
+        calls = record_reductions(monkeypatch)
         faces = [p.face(vs) for vs in sorted(p.face_vertex_sets, key=sorted)]
         for f in faces:
             f.face_vertex_sets, f.bounding_box, f.lattice_points(1)
@@ -1057,16 +1069,12 @@ class TestRandomized:
     def test_count_points_matches_listed_points(self, p):
         # lower-dimensional polytopes are counted in their own lattice
         # coordinates, and every face, vertices included, in its own; the
-        # listed points of the ambient walk are the reference
-        counts = {(k, vs): p.count_points(k, vs)
-                  for k in (1, 2, 3) for vs in [None, *p.face_vertex_sets]}
-        assert p._points_cache == {}
-        for (k, vs), got in counts.items():
-            if vs is None:
-                assert got == len(p.lattice_points(k)), k
-            else:
-                want = len(open_points_reference(LatticePolytope(vs), k))
-                assert got == want, (sorted(vs), k)
+        # brute enumeration of the box is the reference
+        for k in (1, 2, 3):
+            assert p.count_points(k) == len(points_reference(p, k)), k
+            for vs in p.face_vertex_sets:
+                want = open_points_reference(LatticePolytope(vs), k)
+                assert p.count_points(k, vs) == len(want), (sorted(vs), k)
 
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(
