@@ -19,10 +19,10 @@ Validation checks that all cells meet in common faces.  It is enough to
 check maximal cells pairwise: if P cap Q is a common face R for maximal
 P, Q, then for any faces F of P and G of Q the set F cap G equals
 (F cap R) cap (G cap R), an intersection of two faces of the polytope R,
-hence a face of R contained in F and G, hence a face of each.  A pair
-whose bounding boxes lie apart is disjoint; any other is first shrunk
-along facet hyperplanes, with no LP, and what remains is decided from the
-shared vertices with at most one LP (`_lp_face_check`).
+hence a face of R contained in F and G, hence a face of each.  A pair is
+decided by cutting the two vertex sets along the cells' facet rows, with
+no LP and no face built (`meet_in_common_face`); what the cuts leave open
+is decided from the shared vertices with at most one LP.
 
 The Hilbert route pulls each face of C once under one global order
 (`_pull_face`; De Loera, Rambau & Santos, *Triangulations*, 4.3): pulling
@@ -41,7 +41,7 @@ import itertools
 from functools import cached_property
 
 from .exact import LinearSystem, check_dilation, dot, lp_feasible
-from .polytope import _faces_below, _walk, simplex_is_unimodular
+from .polytope import _box, _faces_below, _walk, simplex_is_unimodular
 
 
 class InvalidComplexError(ValueError):
@@ -54,28 +54,6 @@ class NotCompressedError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # pairwise intersection checking
-
-
-def _separating_reduction(p, q):
-    """Shrink the pair along a hyperplane that has p and q on opposite sides.
-
-    Returns ("disjoint", None), ("pair", (fp, fq)) with fp, fq faces and
-    fp cap fq == p cap q, or None when no facet hyperplane of either side
-    has the other side weakly beyond it; _lp_face_check decides those.
-    """
-    for a_poly, b_poly, swap in ((p, q, False), (q, p, True)):
-        for (a, b), tight in zip(a_poly.facets, a_poly._facet_vertex_sets):
-            vals = [dot(a, w) for w in b_poly.vertices]
-            mn = min(vals)
-            if mn > b:
-                return "disjoint", None
-            if mn == b:
-                other = frozenset(w for w, v in zip(b_poly.vertices, vals)
-                                  if v == b)
-                fa = a_poly.face(tight)
-                fb = b_poly.face(other)
-                return "pair", ((fb, fa) if swap else (fa, fb))
-    return None
 
 
 def _smallest_face_at(poly, z, k):
@@ -114,20 +92,47 @@ def _lp_face_check(p, q):
                                     lt=[(c, peak)])) is None
 
 
+def _on_unless_below(a, b, points):
+    """The points on a.x = b, or None when one lies below it."""
+    on = []
+    for w in points:
+        x = dot(a, w)
+        if x < b:
+            return None
+        if x == b:
+            on.append(w)
+    return frozenset(on)
+
+
 def meet_in_common_face(p, q):
-    """True when p cap q is a face of both polytopes (the empty set counts)."""
-    if frozenset(p.vertices) == frozenset(q.vertices):
-        return True
-    if any(ph < ql or qh < pl for (pl, ph), (ql, qh)
-           in zip(p.bounding_box, q.bounding_box)):
-        return True  # apart in one coordinate, so disjoint
-    step = _separating_reduction(p, q)
-    if step is None:
-        return _lp_face_check(p, q)
-    kind, pair = step
-    if kind == "disjoint":
-        return True
-    return meet_in_common_face(*pair)
+    """True when p cap q is a face of both polytopes (the empty set counts).
+
+    Two vertex sets, first p's and q's, are cut along the facet rows of
+    both.  A row a.x <= b of one side holds on its set; when the other set
+    lies weakly beyond it, a.x = b supports both hulls, so cutting both sets
+    to their points on it keeps their meet and keeps each set a face.  The
+    pair is disjoint when a cut empties a set or the sets' boxes lie apart,
+    and meets in a common face when the sets are equal.  When no row cuts
+    further, `_lp_face_check` decides p and q themselves.
+    """
+    sets = [frozenset(p.vertices), frozenset(q.vertices)]
+    rows = [(ab, tight, side) for side, poly in enumerate((p, q))
+            for ab, tight in zip(poly.facets, poly._facet_vertex_sets)]
+    boxes = p.bounding_box, q.bounding_box
+    while sets[0] != sets[1] and not any(
+            ph < ql or qh < pl for (pl, ph), (ql, qh) in zip(*boxes)):
+        before = sets
+        for (a, b), tight, side in rows:
+            on = _on_unless_below(a, b, sets[1 - side])
+            if on is not None:
+                sets = [s & tight if i == side else on
+                        for i, s in enumerate(sets)]
+                if not all(sets):
+                    return True
+        if sets == before:
+            return _lp_face_check(p, q)
+        boxes = map(_box, sets)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +221,12 @@ class PolytopalComplex:
 
     def lattice_points(self, k=1):
         check_dilation(k)
-        pts = set()
-        for cell in self.maximal_cells:
-            pts.update(cell.lattice_points(k))
-        return pts
+        return set().union(*(c.lattice_points(k) for c in self.maximal_cells))
+
+    @cached_property
+    def points(self):
+        """The cells' lattice points, sorted: listed once per complex."""
+        return tuple(sorted(self.lattice_points(1)))
 
     def minimal_face_at(self, z, k):
         """Smallest face containing z/k, or None when it lies outside.
@@ -361,9 +368,7 @@ def relative_f_vector(delta, gamma):
     if not gamma.faces <= delta.faces:
         raise ValueError("gamma is not a subcomplex of delta")
     kept = [s for s in delta.faces - gamma.faces if s]
-    if not kept:
-        return ()
-    f = [0] * max(len(s) for s in kept)
+    f = [0] * max(map(len, kept), default=0)
     for s in kept:
         f[len(s) - 1] += 1
     return tuple(f)

@@ -77,10 +77,10 @@ class PointVariableTable:
 
     @classmethod
     def from_complex(cls, cx):
-        pts = sorted(cx.lattice_points(1))
-        if any(p[-1] != 1 for p in pts):
+        """The table of cx, off its cached sorted points (`cx.points`)."""
+        if any(p[-1] != 1 for p in cx.points):
             raise ValueError("complex is not homogenized; lift it to height 1")
-        return cls(tuple(pts))
+        return cls(cx.points)
 
     def __len__(self):
         return len(self.points)

@@ -412,7 +412,11 @@ class LatticePolytope:
         (Hoffman-Kruskal).  So no subset scan is needed: the rows go to
         the reader (`_read_facets`) that the scan's rows go to, and the
         result equals `LatticePolytope(vertices)` field for field.  The
-        reader raises InvariantError when the rows cannot describe the hull.
+        reader raises InvariantError on a row that fails on a vertex, a kept
+        tight set that does not span dim - 1, or a vertex on fewer than dim
+        kept facets.  Rows missing a facet can pass all three, so that they
+        hold every facet is the caller's certificate (Hoffman-Kruskal for
+        the cells).
         """
         verts = tuple(vertices)
         if not verts or list(verts) != sorted(set(verts)):
@@ -430,8 +434,11 @@ class LatticePolytope:
         nonempty proper tight set is a face (Schrijver 1986, ch. 8), so the
         facet vertex sets are the inclusion-maximal ones.  Each gets its normal
         from `_facet_row`, and the facets are sorted by it.  InvariantError
-        when the rows cannot describe the hull: a row fails on a vertex, a kept
-        set does not span dim - 1, or a vertex lies on fewer than dim facets.
+        exactly when a row fails on a vertex, a kept set does not span dim - 1,
+        or a vertex lies on fewer than dim kept facets.  A missing facet can
+        pass all three: the octahedron's rows (+-1, +-1, +-1).x <= 1 less one
+        give seven facets and a wrong face lattice.  So the caller vouches
+        that the rows hold every facet.
         """
         verts, dim = self.vertices, self.dim
         tights = set()

@@ -53,6 +53,11 @@ def f_vector(cx):
     return tuple(f)
 
 
+POINT_SETS = st.integers(2, 3).flatmap(lambda n: st.tuples(*[st.lists(
+    st.tuples(*[st.integers(0, 2)] * n),
+    min_size=1, max_size=5, unique=True)] * 2))
+
+
 class TestMeetInCommonFace:
     def test_shared_edge(self):
         assert meet_in_common_face(UNIT_SQUARE, RIGHT_SQUARE)
@@ -83,14 +88,36 @@ class TestMeetInCommonFace:
         above = poly((1, 0), (2, 1), (0, 1))
         assert not meet_in_common_face(below, above)
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
-                    min_size=1, max_size=4, unique=True),
-           st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
-                    min_size=1, max_size=4, unique=True))
-    def test_reduction_agrees_with_lp(self, pts_a, pts_b):
-        a, b = LatticePolytope(pts_a), LatticePolytope(pts_b)
+    @settings(max_examples=150, deadline=None)
+    @given(POINT_SETS)
+    def test_reduction_agrees_with_lp(self, point_sets):
+        a, b = (LatticePolytope(pts) for pts in point_sets)
         assert meet_in_common_face(a, b) == _lp_face_check(a, b)
+
+    def test_suite_complexes_validate_with_no_lp_and_no_face(
+            self, suite, monkeypatch):
+        # C of every suite pair, built afresh: every pair of cells is
+        # decided by cutting vertex sets, so no face polytope is read and
+        # no LP is solved
+        complexes = [build_family.__wrapped__(kind, g).relative.complex
+                     for g in suite.values() for kind in KINDS]
+        assert len(complexes) == 50
+        calls = []
+
+        def counting(name, f):
+            def wrapped(*args):
+                calls.append(name)
+                return f(*args)
+            return wrapped
+
+        monkeypatch.setattr(ehrhil.complexes, "lp_feasible",
+                            counting("lp", lp_feasible))
+        for name in ("face", "_read_face"):
+            monkeypatch.setattr(LatticePolytope, name, counting(
+                name, getattr(LatticePolytope, name)))
+        for cx in complexes:
+            cx.validate()
+        assert calls == []
 
 
 def intersection_vertices(p, q):
@@ -110,11 +137,6 @@ def intersection_vertices(p, q):
                     and all(dot(a, x) <= b for a, b in le)):
                 found.add(x)
     return found
-
-
-POINT_SETS = st.integers(2, 3).flatmap(lambda n: st.tuples(*[st.lists(
-    st.tuples(*[st.integers(0, 2)] * n),
-    min_size=1, max_size=5, unique=True)] * 2))
 
 
 class TestLpFaceCheck:

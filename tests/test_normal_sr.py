@@ -233,6 +233,23 @@ class TestWitnesses:
                 found = minimal_representatives(rel, k, order)
                 assert len(found) == rel.count_points(k)
 
+    def test_point_table_is_listed_once_per_complex(self, monkeypatch):
+        # the table's points are cached on the complex, so a second search
+        # on the same pair lists no cell's points for it
+        rel = suite_pair("C4", "tension")
+        listed = []
+        union = PolytopalComplex.lattice_points
+
+        def counting(cx, k=1):
+            listed.append(k)
+            return union(cx, k)
+
+        monkeypatch.setattr(PolytopalComplex, "lattice_points", counting)
+        first = minimal_representatives(rel, 2)
+        assert listed == [1]
+        assert minimal_representatives(rel, 2) == first
+        assert listed == [1]
+
 
 def brute_sums(points, k, dim):
     """Every sum of at most k of the points in Z^dim, repeats allowed."""
