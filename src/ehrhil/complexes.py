@@ -20,9 +20,10 @@ check maximal cells pairwise: if P cap Q is a common face R for maximal
 P, Q, then for any faces F of P and G of Q the set F cap G equals
 (F cap R) cap (G cap R), an intersection of two faces of the polytope R,
 hence a face of R contained in F and G, hence a face of each.  A pair is
-decided by cutting the two vertex sets along the cells' facet rows, with
-no LP and no face built (`meet_in_common_face`); what the cuts leave open
-is decided from the shared vertices with at most one LP.
+decided by cutting the two vertex sets along the cells' facet rows, and
+then their hull equalities, with no LP and no face built
+(`meet_in_common_face`); what the cuts leave open is decided from the
+shared vertices with at most one LP.
 
 The Hilbert route pulls each face of C once under one global order
 (`_pull_face`; De Loera, Rambau & Santos, *Triangulations*, 4.3): pulling
@@ -41,7 +42,8 @@ import itertools
 from functools import cached_property
 
 from .exact import LinearSystem, check_dilation, dot, lp_feasible
-from .polytope import _box, _faces_below, _walk, simplex_is_unimodular
+from .polytope import (_bits, _box, _faces_below, _facets_of, _walk,
+                       simplex_is_unimodular)
 
 
 class InvalidComplexError(ValueError):
@@ -112,12 +114,17 @@ def meet_in_common_face(p, q):
     lies weakly beyond it, a.x = b supports both hulls, so cutting both sets
     to their points on it keeps their meet and keeps each set a face.  The
     pair is disjoint when a cut empties a set or the sets' boxes lie apart,
-    and meets in a common face when the sets are equal.  When no row cuts
-    further, `_lp_face_check` decides p and q themselves.
+    and meets in a common face when the sets are equal.  When a pass over
+    the rows cuts nothing, each hull equality a.x = c of either cell joins
+    them once as two rows, a.x <= c and -a.x <= -c, tight on that cell's
+    whole set: so cells in parallel planes, whose boxes may overlap, come
+    apart.  When no row cuts further, `_lp_face_check` decides p and q
+    themselves.
     """
     sets = [frozenset(p.vertices), frozenset(q.vertices)]
     rows = [(ab, tight, side) for side, poly in enumerate((p, q))
             for ab, tight in zip(poly.facets, poly._facet_vertex_sets)]
+    flat = [(0, p), (1, q)]  # the cells whose equalities are not rows yet
     boxes = p.bounding_box, q.bounding_box
     while sets[0] != sets[1] and not any(
             ph < ql or qh < pl for (pl, ph), (ql, qh) in zip(*boxes)):
@@ -130,7 +137,12 @@ def meet_in_common_face(p, q):
                 if not all(sets):
                     return True
         if sets == before:
-            return _lp_face_check(p, q)
+            if not flat:
+                return _lp_face_check(p, q)
+            rows, flat = rows + [
+                (row, frozenset(poly.vertices), side) for side, poly in flat
+                for a, c in poly.hull_equalities
+                for row in ((a, c), (tuple(-x for x in a), -c))], ()
         boxes = map(_box, sets)
     return True
 
@@ -396,14 +408,6 @@ def _mask_reader(cell, pts, bit):
     return mask
 
 
-def _bits(m):
-    """The set bits of m, lowest first, each as a mask of its own."""
-    while m:
-        low = m & -m
-        yield low
-        m ^= low
-
-
 def _components(plan):
     """The entries (cell, ...) of `plan` by the connected components of the
     cells, first seen first; a union-find joins cells sharing a vertex."""
@@ -420,22 +424,6 @@ def _components(plan):
     for entry in plan:
         groups.setdefault(find(entry[0].vertices[0]), []).append(entry)
     return groups.values()
-
-
-def _facets_of(m, around):
-    """Facets of the face m, given the facets `around` of a face holding m.
-
-    Every facet r of m is a face of the outer face, so some facet h of that
-    face holds r but not m, and r is the maximal nonempty meet m & h short
-    of m.  Larger meets come first, so a meet inside another is dropped.
-    """
-    meets = sorted({m & h for h in around} - {0, m},
-                   key=int.bit_count, reverse=True)
-    out = []
-    for c in meets:
-        if all(c & ~d for d in out):
-            out.append(c)
-    return out
 
 
 def _pull_face(memo, m, dim, around):

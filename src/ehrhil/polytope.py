@@ -19,7 +19,7 @@ full dimension a facet has many normals, so the reader gives each the one
 that `_facet_row` picks, and two polytopes built from equal vertices, from
 either source, are equal field for field.  A face is not rebuilt from its
 points: its vertices and facets are read off the face lattice of the
-polytope it belongs to, which pulling recurses through.  It has the
+polytope it belongs to.  It has the
 vertices, affine hull and facet vertex sets of the polytope built from its
 vertices, but each of its facets keeps the least facet row tight on it of
 the polytope it was read off: a valid normal, which below full dimension
@@ -36,6 +36,10 @@ dim F coordinates instead of the ambient ones and under F's own facets
 only.  That walk is compiled once per polytope into a k-free plan
 (`_plan`), which serves every dilate k*F, closed or open; a listing maps
 the coordinates back by a basis of the hull lattice.  No point is cached.
+
+Pulling runs on bitmasks over one listing of a polytope's lattice points:
+a face is the mask of its points, its facets are its maximal meets with
+the facets of the face around it, and no face polytope is built.
 """
 
 from __future__ import annotations
@@ -101,6 +105,66 @@ def _faces_below(top, facets):
     for f in facets:
         found |= {s & f for s in found}
     return {s for s in found if s}
+
+
+def _bits(m):
+    """The set bits of m, lowest first, each as a mask of its own."""
+    while m:
+        low = m & -m
+        yield low
+        m ^= low
+
+
+def _facets_of(m, around):
+    """Facets of the face m, given the facets `around` of a face holding m.
+
+    Every facet r of m is a face of the outer face, so some facet h of that
+    face holds r but not m, and r is the maximal nonempty meet m & h short
+    of m.  Larger meets come first, so a meet inside another is dropped.
+    """
+    meets = sorted({m & h for h in around} - {0, m},
+                   key=int.bit_count, reverse=True)
+    out = []
+    for c in meets:
+        if all(c & ~d for d in out):
+            out.append(c)
+    return out
+
+
+def _pull_masks(memo, order, m, dim, around):
+    """Masks of the maximal simplices of the pulling of the face m.
+
+    Bit i of a mask stands for the i-th lattice point of the polytope, and
+    `order` lists the indices, first pulled first.  The face m has
+    dimension dim and lies in a face whose facets are `around` (the
+    polytope passes its own).  With dim + 1 points it is an empty simplex
+    and stays whole; otherwise its first point v in the order is coned over
+    the pullings of its facets (`_facets_of`) that miss v.  `memo` maps the
+    face's indices in the order to its cells, as that is all its pulling
+    depends on.
+    """
+    if m.bit_count() == dim + 1:
+        return [m]
+    key = tuple(i for i in order if m >> i & 1)
+    if key not in memo:
+        v, facets = 1 << key[0], _facets_of(m, around)
+        memo[key] = [s | v for g in facets if not g & v
+                     for s in _pull_masks(memo, order, g, dim - 1, facets)]
+    return memo[key]
+
+
+def _orders(n, budget, seed):
+    """The orders of range(n) that `is_compressed` samples, drawn as they
+    are read: every permutation when n! <= budget, otherwise the identity
+    and then `budget` shuffles seeded by `seed`."""
+    if math.factorial(n) <= budget:
+        yield from itertools.permutations(range(n))
+        return
+    rng = random.Random(seed)
+    yield range(n)
+    for _ in range(budget):
+        rng.shuffle(perm := list(range(n)))
+        yield perm
 
 
 def _box(points):
@@ -356,9 +420,10 @@ class LatticePolytope:
     # -- construction helpers ------------------------------------------------
 
     def _start(self, pts):
-        """Ambient dimension of the points, and empty caches."""
+        """Ambient dimension of the points, and empty caches: the faces read
+        off this one and the facet masks of `_pulled`."""
         self.ambient_dim = len(pts[0])
-        self._face_cache = {}
+        self._face_cache, self._masks = {}, None
 
     @cached_property
     def _echelon(self):
@@ -527,17 +592,6 @@ class LatticePolytope:
         return (all(dot(h, point) == k * c for h, c in self.hull_equalities)
                 and all(dot(a, point) <= k * b for a, b in self.facets))
 
-    def is_simplex(self):
-        """Every facet misses exactly one vertex.
-
-        A polytope whose facet F misses only v is a pyramid over F with
-        apex v, whose other facets are pyramids over the facets of F; so F
-        has the same property, and by induction the polytope is a simplex.
-        Read off the facet sets, so a face costs no affine hull here.
-        """
-        n = len(self.vertices)
-        return all(len(t) == n - 1 for t in self._facet_vertex_sets)
-
     def is_empty_polytope(self):
         """No lattice points besides the vertices."""
         return len(self.lattice_points()) == len(self.vertices)
@@ -585,9 +639,6 @@ class LatticePolytope:
         face.facets = tuple(cuts[sub] for sub in ordered)
         face._facet_vertex_sets = tuple(ordered)
         return face
-
-    def facet_subpolytopes(self):
-        return [self.face(fs) for fs in self._facet_vertex_sets]
 
     # -- lattice points --------------------------------------------------------
 
@@ -716,74 +767,63 @@ class LatticePolytope:
 
     # -- pulling triangulations --------------------------------------------------
 
+    def _pulled(self, pts, order, memo):
+        """Masks of the maximal simplices of the pulling under `order`, the
+        indices of pts, this polytope's sorted lattice points, first pulled
+        first (`_pull_masks`).  Each facet is the mask of the points on its
+        row, bit i for pts[i] (its vertex set when pts are the vertices);
+        cached, as every listing of pts is the same."""
+        if self._masks is None:
+            self._masks = [
+                sum(1 << i for i, p in enumerate(pts) if dot(a, p) == b)
+                for a, b in self.facets]
+        return _pull_masks(memo, order, (1 << len(pts)) - 1, self.dim,
+                           self._masks)
+
     def pull_maximal_simplices(self, rank, memo=None):
         """Maximal cells of the pulling triangulation for a point order.
 
         `rank` maps every lattice point to its priority (lower pulls first).
         The recursion is literal: an empty simplex stays whole; otherwise the
         lowest lattice point v is coned over the pulling of every facet that
-        misses v.  Pulling a face is the restriction of pulling any face around
-        it (De Loera, Rambau & Santos 2010, section 4.3), so it depends only on
-        the face's lattice points in rank order; `memo` maps that tuple to the
-        face's cells, and a face the recursion reaches twice, such as a ridge
-        from both of its facets, is pulled once.  Without a memo each call
-        starts its own.  A memo may be shared across calls and orders; the
-        polytope itself is never stored, as its key differs with every order.
-        The cells are the same set with any memo; their order in the list may
-        depend on which face around a face reached it first.
+        misses v.  It runs on masks over one listing of the lattice points
+        (`_pull_masks`), and no face polytope is built: a facet of a face is
+        its maximal meet with a facet of the face around it.  Pulling a face
+        is the restriction of pulling any face around it (De Loera, Rambau &
+        Santos 2010, section 4.3), so it depends only on the face's lattice
+        points in rank order; `memo` maps the tuple of their indices in this
+        polytope's sorted listing, in rank order, to the face's cells, and a
+        face the recursion reaches twice, such as a ridge from both of its
+        facets, is pulled once.  Without a memo each call starts its own.  A
+        memo may be shared across calls and orders of one polytope only, as
+        its keys are indices of this polytope's points.  Each cell is a
+        sorted tuple of points.  The cells are the same set with any memo;
+        their order in the list may depend on which face around a face
+        reached it first.
         """
-        return self._pull(rank, self.lattice_points(),
-                          {} if memo is None else memo)
-
-    def _pull(self, rank, pts, memo):
-        # a facet's lattice points are the points p of pts with a.p == b, so
-        # one listing of this polytope's points serves the whole recursion;
-        # with no lattice points besides the vertices they are its vertices
-        bare = len(pts) == len(self.vertices)
-        if bare and self.is_simplex():
-            return [self.vertices]
-        v = min(pts, key=rank.__getitem__)
-        cells = []
-        for (a, b), tight in zip(self.facets, self._facet_vertex_sets):
-            if v in tight if bare else dot(a, v) == b:
-                continue
-            on = tight if bare else [p for p in pts if dot(a, p) == b]
-            key = tuple(sorted(on, key=rank.__getitem__))
-            sub = memo.get(key)
-            if sub is None:
-                sub = memo[key] = self.face(tight)._pull(rank, on, memo)
-            for cell in sub:
-                cells.append(tuple(sorted({*cell, v})))
-        return cells
+        pts = self.lattice_points()
+        order = sorted(range(len(pts)), key=[rank[p] for p in pts].__getitem__)
+        return [tuple(pts[low.bit_length() - 1] for low in _bits(s))
+                for s in self._pulled(pts, order, {} if memo is None else memo)]
 
     def is_compressed(self, order_budget=50, seed=0):
         """Every pulling triangulation unimodular, checked over point orders.
 
         Exhaustive over all orders when there are few enough lattice points
         (n! <= order_budget); otherwise the lex order plus order_budget
-        seeded shuffles.  A non-vertex lattice point already rules the
-        property out, so that case returns early.  The orders share one
-        pulling memo (see pull_maximal_simplices), so a face whose points
-        fall in the same relative order under two orders is pulled once,
-        and each distinct simplex is tested for unimodularity once.
+        seeded shuffles, drawn one at a time (`_orders`), so a failure at an
+        early order draws no later one.  The points are listed once, and a
+        non-vertex lattice point already rules the property out.  The
+        orders share one pulling memo (see pull_maximal_simplices), so a
+        face whose points fall in the same relative order under two orders
+        is pulled once, and each distinct simplex is tested for
+        unimodularity once.
         """
-        if not self.is_empty_polytope():
+        pts, memo = self.lattice_points(), {}
+        if len(pts) != len(self.vertices):
             return False
-        pts = self.lattice_points()
-        n = len(pts)
-        if math.factorial(n) <= order_budget:
-            orders = itertools.permutations(pts)
-        else:
-            rng = random.Random(seed)
-            orders = [pts]
-            for _ in range(order_budget):
-                perm = list(pts)
-                rng.shuffle(perm)
-                orders.append(tuple(perm))
-        memo, unimodular = {}, cache(simplex_is_unimodular)
-        for order in orders:
-            rank = {p: i for i, p in enumerate(order)}
-            for cell in self.pull_maximal_simplices(rank, memo):
-                if not unimodular(cell):
-                    return False
-        return True
+        unimodular = cache(lambda s: simplex_is_unimodular(
+            [pts[low.bit_length() - 1] for low in _bits(s)]))
+        return all(unimodular(s)
+                   for order in _orders(len(pts), order_budget, seed)
+                   for s in self._pulled(pts, order, memo))

@@ -129,6 +129,6 @@ def realize_polynomial(f):
     # disjoint simplices: no cell, and no facet, lies in another
     total = PolytopalComplex(cells, ambient_dim=ambient)
     boundary = PolytopalComplex(
-        [face for cell in cells for face in cell.facet_subpolytopes()],
+        [cell.face(fs) for cell in cells for fs in cell._facet_vertex_sets],
         ambient_dim=ambient)
     return RelativeComplex(total, boundary)

@@ -88,6 +88,22 @@ class TestMeetInCommonFace:
         above = poly((1, 0), (2, 1), (0, 1))
         assert not meet_in_common_face(below, above)
 
+    def test_parallel_segments_in_space_need_no_lp(self, monkeypatch):
+        # no facet row of either segment has the other weakly beyond it,
+        # and their boxes overlap; a hull equality of one is constant on
+        # the other's line, off its own, so the sets come apart
+        calls = []
+
+        def counted(system):
+            calls.append(system)
+            return lp_feasible(system)
+
+        monkeypatch.setattr(ehrhil.complexes, "lp_feasible", counted)
+        p, q = poly((0, 0, 0), (2, 2, 2)), poly((1, 0, 0), (3, 2, 2))
+        assert meet_in_common_face(p, q)
+        assert meet_in_common_face(q, p)
+        assert calls == []
+
     @settings(max_examples=150, deadline=None)
     @given(POINT_SETS)
     def test_reduction_agrees_with_lp(self, point_sets):
@@ -96,12 +112,14 @@ class TestMeetInCommonFace:
 
     def test_suite_complexes_validate_with_no_lp_and_no_face(
             self, suite, monkeypatch):
-        # C of every suite pair, built afresh: every pair of cells is
-        # decided by cutting vertex sets, so no face polytope is read and
-        # no LP is solved
-        complexes = [build_family.__wrapped__(kind, g).relative.complex
-                     for g in suite.values() for kind in KINDS]
-        assert len(complexes) == 50
+        # C and C' of every suite pair, built afresh: every pair of cells
+        # is decided by cutting vertex sets, along hull equalities too for
+        # the cells of C' in parallel planes, so no face polytope is read
+        # and no LP is solved
+        rels = [build_family.__wrapped__(kind, g).relative
+                for g in suite.values() for kind in KINDS]
+        complexes = [cx for rel in rels for cx in (rel.complex, rel.sub)]
+        assert len(complexes) == 100
         calls = []
 
         def counting(name, f):

@@ -235,7 +235,7 @@ class TestLatticePoints:
         assert seg.lattice_points(3) == tuple((i, i) for i in range(7))
 
     def test_reeve_is_empty(self):
-        assert REEVE.is_simplex()
+        assert len(REEVE.vertices) == REEVE.dim + 1
         assert REEVE.lattice_points(1) == REEVE.vertices
 
     def test_count_open_faces(self):
@@ -713,6 +713,20 @@ def cube_shapes():
     return shapes + [lifted(p) for p in shapes[::5]]
 
 
+def non_vertex_shapes():
+    """Polytopes with lattice points besides their vertices, or leaving one
+    unit cube, the same on every run: twice the unit triangle and simplex,
+    the 3 x 3 square, two empty simplices, and images under a map whose
+    image lattice has index two."""
+    twice = LatticePolytope([(0, 0), (2, 0), (0, 2)])
+    shapes = [twice, LatticePolytope([(0, 0), (2, 0), (0, 2), (2, 2)]),
+              LatticePolytope([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)]),
+              LatticePolytope([(0, 0, 0), (2, 1, 0), (1, 1, 0), (0, 0, 1)]),
+              LatticePolytope(REEVE.vertices)]
+    return shapes + [mapped(INDEX_TWO_MAPS[0])(p)
+                     for p in (TRIANGLE, SQUARE, twice)]
+
+
 def assert_face_is_rebuilt(face, vs):
     """A face read off its parent equals the polytope rebuilt from vs.
 
@@ -1000,15 +1014,6 @@ class TestPullingOnce:
             assert sorted(p.pull_maximal_simplices(rank, memo)) \
                 == sorted(fresh)
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.one_of(small_polytopes(), small_solids(),
-                     small_solids().map(lifted)))
-    def test_simplices_by_facet_sets(self, p):
-        # is_simplex reads the facet sets instead of the affine hull
-        for vs in p.face_vertex_sets:
-            face = p.face(vs)
-            assert face.is_simplex() == (len(vs) == face.dim + 1)
-
     def test_cube_shapes_are_pinned(self):
         # facets, compressedness under sampled orders and the pulled cells
         # of 0/1 polytopes, hashed; pinned when every face was pulled
@@ -1027,6 +1032,67 @@ class TestPullingOnce:
                           for order in orders]))
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
             "e4162ed7cd8e52f8ffd5222091e9c54c56fcdb6fb394bbb7825f394bd905773e")
+
+    def test_non_vertex_points_are_pinned(self):
+        # the pulled cells under seeded orders and the sampled verdicts of
+        # polytopes with lattice points besides their vertices or outside
+        # one unit cube, hashed; pinned when pulling recursed through built
+        # face polytopes.  Neither pulling nor the verdict builds a face.
+        rows = []
+        for i, p in enumerate(non_vertex_shapes()):
+            pts, rng = list(p.lattice_points()), random.Random(i)
+            orders = [rng.sample(pts, len(pts)) for _ in range(3)]
+            rows.append((p.vertices, len(pts),
+                         p.is_compressed(order_budget=20, seed=i),
+                         [sorted(p.pull_maximal_simplices(
+                             {q: j for j, q in enumerate(order)}))
+                          for order in orders]))
+            assert p._face_cache == {}
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "3b0aec770d5c017e63cfad56ceeaf500e394bf6d23e485f8c105c7748ce41111")
+
+    def test_is_compressed_lists_the_points_once(self, monkeypatch):
+        # an empty polytope outside one unit cube, under all 24 orders
+        p = LatticePolytope([(0, 0, 0), (2, 1, 0), (1, 1, 0), (0, 0, 1)])
+        walks = []
+        walk = polytope_module._walk
+
+        def counting_walk(*args):
+            walks.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(polytope_module, "_walk", counting_walk)
+        assert p.is_compressed()
+        assert len(walks) == 1
+
+    @pytest.mark.parametrize("n, budget, seed", [
+        (3, 6, 0), (3, 5, 2), (4, 10, 1), (5, 50, 0), (6, 0, 3)])
+    def test_orders_follow_the_eager_sequence(self, n, budget, seed):
+        if math.factorial(n) <= budget:
+            want = list(itertools.permutations(range(n)))
+        else:
+            rng = random.Random(seed)
+            want = [tuple(range(n))]
+            for _ in range(budget):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                want.append(tuple(perm))
+        got = polytope_module._orders(n, budget, seed)
+        assert list(map(tuple, got)) == want
+
+    def test_a_failed_order_draws_no_more(self, monkeypatch):
+        # Reeve's tetrahedron is an empty simplex, not unimodular, so the
+        # lex order already fails and no shuffle is drawn
+        drawn, orders = [], polytope_module._orders
+
+        def counting_orders(*args):
+            for order in orders(*args):
+                drawn.append(order)
+                yield order
+
+        monkeypatch.setattr(polytope_module, "_orders", counting_orders)
+        assert not LatticePolytope(REEVE.vertices).is_compressed(10)
+        assert len(drawn) == 1
 
 
 class TestRandomized:
