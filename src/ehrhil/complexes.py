@@ -368,10 +368,13 @@ def pull_complex(cx, order=None):
     Triangulating each cell with the same order is consistent across shared
     faces because pulling a face equals the restriction of pulling the cell.
     The order may hold points outside the complex; only their ranks matter.
+    Each cell's lattice points are listed once, for the ranks and its
+    pulling both.
     """
-    rank = _ranks(cx.lattice_points(1), order)
-    return SimplicialComplex(s for cell in cx.maximal_cells
-                             for s in cell.pull_maximal_simplices(rank))
+    listed = [(cell, cell.lattice_points()) for cell in cx.maximal_cells]
+    rank = _ranks(set().union(*(pts for _, pts in listed)), order)
+    return SimplicialComplex(s for cell, pts in listed
+                             for s in cell._pull_listed(pts, rank))
 
 
 def relative_f_vector(delta, gamma):

@@ -26,7 +26,7 @@ LP: it is kept when every strict row is strict on some walked point, and
 the kept cell is the hull of those points.  Those points lie in one unit
 cube, so all of them are vertices, and every facet of the cell is the
 tight set of one of its rows, so the cell's facets are read off its rows
-with no scan of vertex subsets.  `lp_family`, which filters by exact LP
+with no double description.  `lp_family`, which filters by exact LP
 and certifies each cell by `from_inequalities`, is the reference the
 tests hold this to.
 

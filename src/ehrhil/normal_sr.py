@@ -57,7 +57,7 @@ def homogenize(rel):
     """Embed a relative complex at height one by appending a coordinate 1.
 
     Each cell is lifted with its facets, a.x <= b becoming (a, 0).y <= b,
-    so the lift needs no scan of vertex subsets.
+    so the lift needs no double description.
     """
     def lift(cx):
         cells = [LatticePolytope.from_certified_rows(

@@ -5,25 +5,25 @@ derived from it (affine hull, facets, faces, lattice points in dilates,
 triangulations) is computed over exact integers and rationals; ranks,
 kernel lattices and unimodularity by one unimodular column reduction.
 
-A polytope gets its facets one way: from rows a.x <= b valid on its
-vertices, whose inclusion-maximal nonempty proper tight sets are the facet
-vertex sets when every facet is the tight set of some row
-(`_read_facets`).  The rows come from one of two sources.  A polytope built
-from points scans the C(vertices, dim) subsets and keeps one supporting
-row per hyperplane inside the affine hull that a subset spans, at one
-column reduction per hyperplane: a subset inside the tight vertices of a
-hyperplane already met would span it again, so it is skipped.  A polytope
-whose inequalities are known, such as a cell of a totally unimodular
-system, passes those (`from_certified_rows`) and skips the scan.  Below
-full dimension a facet has many normals, so the reader gives each the one
-that `_facet_row` picks, and two polytopes built from equal vertices, from
-either source, are equal field for field.  A face is not rebuilt from its
+A polytope built from points finds its facets by double description
+(`_double_description`) in its lattice frame, where it is
+full-dimensional: each extreme ray of the cone of valid rows is one facet,
+and its zero set is the facet's vertex set.  In full dimension the ray
+lifted to the ambient space is the facet's unique primitive normal, so no
+elimination runs per facet.  A polytope whose inequalities are known,
+such as a cell of a totally unimodular system, passes those instead
+(`from_certified_rows`): rows a.x <= b valid on its vertices, whose
+inclusion-maximal nonempty proper tight sets are the facet vertex sets
+when every facet is the tight set of some row (`_read_facets`).  Below
+full dimension a facet has many normals, so either way each gets the one
+that `_facet_row` picks, and two polytopes built from equal vertices, by
+either route, are equal field for field.  A face is not rebuilt from its
 points: its vertices and facets are read off the face lattice of the
-polytope it belongs to.  It has the
-vertices, affine hull and facet vertex sets of the polytope built from its
-vertices, but each of its facets keeps the least facet row tight on it of
-the polytope it was read off: a valid normal, which below full dimension
-may differ from `_facet_row`'s by a hull equality.
+polytope it belongs to.  It has the vertices, affine hull and facet vertex
+sets of the polytope built from its vertices, but each of its facets keeps
+the least facet row tight on it of the polytope it was read off: a valid
+normal, which below full dimension may differ from `_facet_row`'s by a
+hull equality.
 
 Every polytope has one lattice frame, read off one column reduction of
 its vertex differences (`_echelon`) on first read: its dimension, its hull
@@ -186,13 +186,14 @@ def _in_unit_cube(box):
 def _facet_row(verts, tight):
     """((a, b), rank) for the vertex set `tight` of a facet of conv(verts).
 
-    The normal rule of `_read_facets`, so a facet's row depends on its
-    vertex set only, not on the row it was read off.  One column echelon
-    of the differences of the sorted set from its least vertex gives its
-    rank and the kernel lattice.  The first kernel column that is not
-    constant on `verts` is a normal of the facet inside the affine hull;
-    it is oriented so that a.x <= b holds on `verts`, with content one.
-    In full dimension it is the facet's unique normal.
+    The normal rule below full dimension, of `_read_facets` and of a
+    polytope built from points alike, so a facet's row depends on its
+    vertex set only, not on the row or ray it was read off.  One column
+    echelon of the differences of the sorted set from its least vertex
+    gives its rank and the kernel lattice.  The first kernel column that
+    is not constant on `verts` is a normal of the facet inside the affine
+    hull; it is oriented so that a.x <= b holds on `verts`, with content
+    one.  In full dimension it is the facet's unique normal.
     """
     pts = sorted(tight)
     t0 = pts[0]
@@ -208,6 +209,55 @@ def _facet_row(verts, tight):
             a = reduce_content(cand)
             return (a, dot(a, t0)), len(pivots)
     return None, len(pivots)
+
+
+def _double_description(coords, stair):
+    """Facets of the hull of points y of Z^d that span it, as (h, mask).
+
+    A facet is h.(1, y) >= 0 on every point, h primitive, tight exactly on
+    the points whose indices are the bits of mask.  These h are the extreme
+    rays of the cone of all h with h.(1, y) >= 0 on the points, which the
+    double description method finds one point at a time (Motzkin, Raiffa,
+    Thompson & Thrall 1953; Fukuda & Prodon 1996).  It starts from the
+    simplex of point 0, at the origin, and the `stair` points, which are
+    lower triangular with a nonzero diagonal; its rays are its facets.
+    Each further point w = (1, y) cuts the cone by h.w >= 0: rays with
+    h.w >= 0 stay, and each adjacent pair of rays p, n with p.w > 0 > n.w
+    gives the ray (p.w) n - (n.w) p, tight at w.  Adjacency is
+    combinatorial: no other ray's zero set holds all that the zero sets of
+    p and n share, as the least face of the cone holding p and n then has
+    them as its only rays.
+    """
+    d, first = len(stair), [0, *stair]
+    ws = [(1, *y) for y in coords]
+    rows, base = [ws[i] for i in first], sum(1 << i for i in first)
+    rays = []
+    for j, row in enumerate(rows):
+        # row k of the triangle is tight on h for each k != j: forward
+        # substitution, scaling h wherever a division would not be exact
+        h = [0] * (d + 1)
+        h[j] = 1
+        for k in range(j + 1, d + 1):
+            s, c = dot(rows[k], h), rows[k][k]
+            m = abs(c) // math.gcd(s, c)
+            h = [m * x for x in h]
+            h[k] = -(m * s) // c
+        if dot(row, h) < 0:
+            h = [-x for x in h]
+        rays.append((reduce_content(h), base & ~(1 << first[j])))
+    for i in sorted(set(range(len(ws))) - set(first)):
+        w, bit = ws[i], 1 << i
+        masks = [z for _, z in rays]
+        split = [(h, z, dot(h, w)) for h, z in rays]
+        pos = [t for t in split if t[2] > 0]
+        neg = [t for t in split if t[2] < 0]
+        rays = [(h, z | bit if x == 0 else z) for h, z, x in split if x >= 0]
+        for (hp, zp, xp), (hn, zn, xn) in itertools.product(pos, neg):
+            common = zp & zn
+            if all(common & ~z for z in masks if z != zp and z != zn):
+                rays.append((reduce_content(
+                    [xp * b - xn * a for a, b in zip(hp, hn)]), common | bit))
+    return rays
 
 
 def _plan(rows, box):
@@ -386,36 +436,25 @@ class LatticePolytope:
             raise ValueError("points live in different ambient spaces")
         self._start(pts)
         self.vertices = verts = self._extract_vertices(pts)
-        # every facet holds dim vertices spanning its hyperplane, so one
-        # supporting row per such subset gives a row for each facet.  A
-        # spanning subset has one hyperplane inside the affine hull, so a
-        # subset inside the tight vertices of a hyperplane already seen
-        # (`seen`, as bitmasks over verts) would give that hyperplane again
-        n, dim, rows, seen = self.ambient_dim, self.dim, [], []
-        subsets = itertools.combinations(range(len(verts)), dim) if dim else ()
-        for sub in subsets:
-            mask = sum(1 << i for i in sub)
-            if any(mask & m == mask for m in seen):
-                continue
-            s0 = verts[sub[0]]
-            pivots, _, u = column_echelon(
-                [[verts[j][i] - s0[i] for i in range(n)] for j in sub[1:]], n)
-            if len(pivots) != dim - 1:
-                continue
-            for a in u[len(pivots):]:
-                b, values = dot(a, s0), [dot(a, v) for v in verts]
-                lo, hi = min(values), max(values)
-                # a column constant on verts is a hull equality, tight on
-                # every vertex: its mask would hide every later subset
-                if lo < hi:
-                    seen.append(sum(1 << i for i, x in enumerate(values)
-                                    if x == b))
-                    if b == hi:
-                        rows.append((a, b))
-                    elif b == lo:
-                        rows.append(([-c for c in a], -b))
-                    break  # otherwise the hyperplane cuts the hull
-        self._read_facets(rows)
+        # every polytope is full-dimensional in its lattice frame, where the
+        # double description finds each facet once, with its vertex set
+        dim, u = self._echelon
+        rays = _double_description(*self._coords) if dim else []
+        found, p0 = {}, verts[0]
+        for h, mask in rays:
+            tight = frozenset(v for i, v in enumerate(verts) if mask >> i & 1)
+            if len(tight) < dim:
+                raise InvariantError(
+                    f"facet {sorted(tight)} holds fewer than {dim} vertices")
+            if dim < self.ambient_dim:
+                found[tight] = _facet_row(verts, tight)[0]
+            else:
+                # U is unimodular, so the lift of the primitive row r.y <= h0,
+                # r = -h[1:], is the facet's unique primitive normal
+                a = tuple(-sum(r * c[i] for r, c in zip(h[1:], u))
+                          for i in range(dim))
+                found[tight] = a, h[0] + dot(a, p0)
+        self._keep_facets(found)
 
     # -- construction helpers ------------------------------------------------
 
@@ -436,6 +475,22 @@ class LatticePolytope:
             [[x - o for x, o in zip(v, p0)] for v in self.vertices],
             self.ambient_dim)
         return len(pivots), u
+
+    @cached_property
+    def _coords(self):
+        """(coords, stair): y(v - p0) for each vertex v, its first dim
+        entries under `_echelon`'s U, and the indices of the vertices whose
+        rows open the pivot columns, one per column in order.  The rows of
+        `stair` are lower triangular with a nonzero diagonal."""
+        p0 = self.vertices[0]
+        dim, u = self._echelon
+        diffs = [[x - o for x, o in zip(v, p0)] for v in self.vertices]
+        coords = tuple(tuple(dot(z, col) for col in u[:dim]) for z in diffs)
+        stair = []
+        for i, y in enumerate(coords):
+            if len(stair) < dim and y[len(stair)]:
+                stair.append(i)
+        return coords, tuple(stair)
 
     @cached_property
     def dim(self):
@@ -474,12 +529,13 @@ class LatticePolytope:
         The rows, with equations that need not be passed (they are tight
         everywhere), must describe a region whose vertices are exactly
         `vertices`; a cell of a totally unimodular system is one
-        (Hoffman-Kruskal).  So no subset scan is needed: the rows go to
-        the reader (`_read_facets`) that the scan's rows go to, and the
-        result equals `LatticePolytope(vertices)` field for field.  The
-        reader raises InvariantError on a row that fails on a vertex, a kept
-        tight set that does not span dim - 1, or a vertex on fewer than dim
-        kept facets.  Rows missing a facet can pass all three, so that they
+        (Hoffman-Kruskal).  So no double description is needed: the rows
+        go to the reader (`_read_facets`), which gives each facet the row
+        that a polytope built from points gives it, and the result equals
+        `LatticePolytope(vertices)` field for field.  The reader raises
+        InvariantError on a row that fails on a vertex, a kept tight set
+        that does not span dim - 1, or a vertex on fewer than dim kept
+        facets.  Rows missing a facet can pass all three, so that they
         hold every facet is the caller's certificate (Hoffman-Kruskal for
         the cells).
         """
@@ -523,12 +579,20 @@ class LatticePolytope:
                         f"tight set {sorted(t)} spans dimension {rank}, "
                         f"not {dim - 1}: it is no facet of the hull")
                 found[t] = key
-        for v in verts:
+        self._keep_facets(found)
+
+    def _keep_facets(self, found):
+        """Facets and facet vertex sets off {vertex set: row}, sorted by row.
+
+        InvariantError when a vertex lies on fewer than dim of them: some
+        facet is missing.
+        """
+        for v in self.vertices:
             on = sum(v in t for t in found)
-            if on < dim:
+            if on < self.dim:
                 raise InvariantError(
-                    f"vertex {v} lies on {on} of the rows' facets, fewer "
-                    f"than the dimension {dim}: the rows miss a facet")
+                    f"vertex {v} lies on {on} facets, fewer than the "
+                    f"dimension {self.dim}: a facet is missing")
         ordered = sorted(found, key=found.__getitem__)
         self.facets = tuple(found[t] for t in ordered)
         self._facet_vertex_sets = tuple(ordered)
@@ -659,14 +723,10 @@ class LatticePolytope:
         vertices' coordinates (see _plan).  Cached: the plan serves every k.
         """
         p0 = self.vertices[0]
-        diffs = [[x - o for x, o in zip(v, p0)] for v in self.vertices]
-        dim, u = self._echelon
-        u = u[:dim]
-        coords = tuple(tuple(dot(z, col) for col in u) for z in diffs)
-        stair = []  # the rows of D and L that open the pivot columns
-        for z, y in zip(diffs, coords):
-            if len(stair) < len(u) and y[len(stair)]:
-                stair.append((z, y))
+        coords, opening = self._coords
+        # the rows of D and L that open the pivot columns
+        stair = [([x - o for x, o in zip(self.vertices[i], p0)], coords[i])
+                 for i in opening]
         rows = []
         for a, b in self.facets:
             r = []
@@ -801,7 +861,11 @@ class LatticePolytope:
         their order in the list may depend on which face around a face
         reached it first.
         """
-        pts = self.lattice_points()
+        return self._pull_listed(self.lattice_points(), rank, memo)
+
+    def _pull_listed(self, pts, rank, memo=None):
+        """`pull_maximal_simplices` for a caller that holds `pts`, the
+        listing of this polytope's lattice points, already."""
         order = sorted(range(len(pts)), key=[rank[p] for p in pts].__getitem__)
         return [tuple(pts[low.bit_length() - 1] for low in _bits(s))
                 for s in self._pulled(pts, order, {} if memo is None else memo)]

@@ -94,10 +94,11 @@ def realize_polynomial(f):
 
     Simplex number j sits in the hyperplane (first coordinate) = 2j, so the
     cells never touch and the placement is deterministic.  Each is built
-    from its rows (`from_certified_rows`), with no subset scan.  Negative or
-    fractional coefficients admit no such complex and are rejected, and so
-    is a vector whose simplices have more nonempty faces, sum_i f_i
-    (2^(i+1) - 1), than REALIZE_FACE_BUDGET, before anything is built.
+    from its rows (`from_certified_rows`), with no double description.
+    Negative or fractional coefficients admit no such complex and are
+    rejected, and so is a vector whose simplices have more nonempty faces,
+    sum_i f_i (2^(i+1) - 1), than REALIZE_FACE_BUDGET, before anything is
+    built.
     """
     coeffs = [_face_count(c, "not realizable: {} is not a non-negative "
                              "integer") for c in f]

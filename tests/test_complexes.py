@@ -588,6 +588,23 @@ class TestPulling:
                                  ((2, 0), (4, 0), (2, 1))])
         assert tri.first_non_unimodular() == [(2, 0), (2, 1), (4, 0)]
 
+    def test_pulled_pair_lists_each_cell_once(self, monkeypatch):
+        # two triangles outside one unit cube, so each listing is a walk:
+        # the ranks and the cell's pulling read the same one
+        cx = PolytopalComplex.generated_by([poly((0, 0), (2, 0), (0, 2)),
+                                            poly((2, 0), (0, 2), (2, 2))])
+        rel = RelativeComplex(cx, PolytopalComplex([], ambient_dim=2))
+        walks, walk = [], ehrhil.polytope._walk
+
+        def counting_walk(*args):
+            walks.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(ehrhil.polytope, "_walk", counting_walk)
+        delta, gamma = rel.pulled_pair()
+        assert len(walks) == 2
+        assert relative_f_vector(delta, gamma) == (4, 5, 2)
+
     def test_order_must_cover(self):
         cx = PolytopalComplex.generated_by([UNIT_SQUARE])
         with pytest.raises(ValueError):

@@ -301,9 +301,10 @@ class TestSubcomplexFields:
 
 
 class TestCellsFromRows:
-    """Each kept cell is built from its certified rows; the subset scan of
-    `LatticePolytope(points)` must give the same polytope field for field,
-    the facet normals included, and so must the homogenized lifts."""
+    """Each kept cell is built from its certified rows; the double
+    description of `LatticePolytope(points)` must give the same polytope
+    field for field, the facet normals included, and so must the
+    homogenized lifts."""
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_cells_equal_the_scan(self, kind, suite):

@@ -14,6 +14,7 @@ from ehrhil.constructions import KINDS, build_family
 from ehrhil.exact import (
     InvariantError,
     LinearSystem,
+    column_echelon,
     dot,
     lp_feasible,
 )
@@ -757,25 +758,69 @@ def fields(p):
 SQUARE_WALLS = [((-1, 0), 0), ((1, 0), 1), ((0, -1), 0), ((0, 1), 1)]
 
 
+def subset_scan(vertices, dim):
+    """Supporting rows of conv(vertices) by brute force, the reference for
+    the double description: for each dim-subset spanning a hyperplane of
+    the affine hull, its first normal that is not constant on the vertices,
+    kept when every vertex lies on one side of it."""
+    n, rows = len(vertices[0]), []
+    for sub in itertools.combinations(vertices, dim) if dim else ():
+        s0 = sub[0]
+        pivots, _, u = column_echelon(
+            [[q[i] - s0[i] for i in range(n)] for q in sub[1:]], n)
+        if len(pivots) != dim - 1:
+            continue
+        for a in u[len(pivots):]:
+            b, values = dot(a, s0), [dot(a, v) for v in vertices]
+            if min(values) < max(values):
+                if b == max(values):
+                    rows.append((a, b))
+                elif b == min(values):
+                    rows.append(([-c for c in a], -b))
+                break
+    return rows
+
+
+@st.composite
+def embedded_point_sets(draw):
+    """Points of dimension 0 to 5 off the unit cube, some repeated, carried
+    into up to two more dimensions by an integer map and a shift."""
+    d = draw(st.integers(0, 5))
+    n = d + draw(st.integers(0, 2))
+    coords = st.integers(0, draw(st.integers(1, 3)))
+    base = draw(st.lists(st.tuples(*[coords] * d), min_size=1, max_size=10))
+    base += draw(st.lists(st.sampled_from(base), max_size=2))
+    entries = st.integers(-2, 2)
+    matrix = draw(st.lists(st.tuples(*[entries] * d), min_size=n, max_size=n))
+    shift = draw(st.tuples(*[st.integers(-3, 3)] * n))
+    return [tuple(dot(row, p) + c for row, c in zip(matrix, shift))
+            for p in base]
+
+
 class TestSubsetScan:
-    @pytest.mark.parametrize("dim, echelons", [
-        (3, 27),   # 1 hull, 20 planes and 6 facet rows
-        (4, 150),  # 1 hull, 140 hyperplanes, 1 subset that spans none
-                   # met before its hyperplanes, and 8 facet rows
-    ])
-    def test_one_elimination_per_hyperplane(self, dim, echelons,
-                                            monkeypatch):
-        calls = record_reductions(monkeypatch)
-        cube = LatticePolytope(itertools.product((0, 1), repeat=dim))
-        assert len(calls) == echelons
-        assert len(cube.facets) == 2 * dim
+    @settings(max_examples=150, deadline=None)
+    @given(embedded_point_sets())
+    @example([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)] * 2)
+    @example([(3, 1)])
+    # two rays of an intermediate cone share d - 1 zeros, spanning less
+    # than a ridge, so they are not adjacent: in dimension 5 and up the
+    # count of common zeros alone would add their sum
+    @example([(0, 0, 0, 0, 1), (0, 0, 1, 1, 0), (0, 0, 1, 1, 1),
+              (0, 1, 0, 0, 0), (0, 1, 1, 0, 1), (1, 0, 1, 1, 0),
+              (1, 1, 0, 1, 0), (1, 1, 0, 1, 1), (1, 1, 1, 1, 1)])
+    def test_double_description_matches_the_scan(self, points):
+        # the scan's rows go through the row reader: only the vertices and
+        # the normal rule below full dimension are shared
+        p = LatticePolytope(points)
+        ref = LatticePolytope.from_certified_rows(
+            p.vertices, subset_scan(p.vertices, p.dim))
+        assert fields(p) == fields(ref)
 
     @pytest.mark.parametrize("axis", range(3))
     def test_hull_equalities_hide_no_subset(self, axis):
         # below full dimension the kernel columns constant on the vertices
-        # are hull equalities, tight on every vertex; a scan that took
-        # them for hyperplanes would skip every later subset.  Which column
-        # the elimination gives first depends on the plane's axis.
+        # are hull equalities, tight on every vertex, and no facet; which
+        # column the elimination gives first depends on the plane's axis
         def lift(x, y):
             p = [x, y]
             p.insert(axis, 1)
@@ -788,6 +833,38 @@ class TestSubsetScan:
             [lift(x, y) for x, y in edge] for edge in (
                 ((0, 0), (0, 1)), ((0, 0), (1, 0)),
                 ((0, 1), (1, 1)), ((1, 0), (1, 1))))
+
+
+class TestDoubleDescription:
+    @pytest.mark.parametrize("dim, lift, echelons", [
+        (3, False, 1),  # the frame only: each ray lifts to its facet's
+        (4, False, 1),  # unique primitive normal
+        (3, True, 7),   # the frame and one `_facet_row` per facet
+    ])
+    def test_one_elimination_per_polytope(self, dim, lift, echelons,
+                                          monkeypatch):
+        points = list(itertools.product((0, 1), repeat=dim))
+        if lift:
+            points = [(x, y, -x - y, *rest) for x, y, *rest in points]
+        calls = record_reductions(monkeypatch)
+        cube = LatticePolytope(points)
+        assert len(calls) == echelons
+        assert len(cube.facets) == 2 * dim
+
+    def test_facet_short_of_dim_vertices_refused(self, monkeypatch):
+        # a ray tight on one vertex of the square alone is no facet
+        dd = polytope_module._double_description
+        monkeypatch.setattr(polytope_module, "_double_description",
+                            lambda *args: [*dd(*args), ((1, -1, -1), 1)])
+        with pytest.raises(InvariantError, match="holds fewer than 2"):
+            LatticePolytope(SQUARE.vertices)
+
+    def test_missing_facet_refused(self, monkeypatch):
+        dd = polytope_module._double_description
+        monkeypatch.setattr(polytope_module, "_double_description",
+                            lambda *args: dd(*args)[1:])
+        with pytest.raises(InvariantError, match="fewer than the dimension"):
+            LatticePolytope(SQUARE.vertices)
 
 
 class TestFromCertifiedRows:
@@ -1109,7 +1186,7 @@ class TestRandomized:
                      small_polytopes().map(lifted),
                      small_solids().map(lifted)))
     def test_rows_cut_out_the_polytope(self, p):
-        # the scan's facets and hull equalities, as a system over p's box,
+        # the facets and hull equalities, as a system over p's box,
         # must cut out p: exact LP bounds every facet of the region's
         # lattice hull, so a missing, loose or violated facet shows
         system = LinearSystem(p.ambient_dim, eq=p.hull_equalities,

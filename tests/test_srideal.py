@@ -177,8 +177,9 @@ class TestRealizePolynomial:
     @example((1,))
     @example((0, 0, 0, 0, 0, 0, 1))
     def test_cells_equal_the_scanned_simplices(self, f):
-        # each simplex, built from its rows, equals the one the subset scan
-        # builds from its vertices, field for field, in every dimension
+        # each simplex, built from its rows, equals the one the double
+        # description builds from its vertices, field for field, in every
+        # dimension
         cells = realize_polynomial(f).complex.maximal_cells
         assert sorted(len(c.vertices) - 1 for c in cells) \
             == [i for i, c in enumerate(f) for _ in range(c)]
