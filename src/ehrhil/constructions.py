@@ -24,11 +24,10 @@ Hoffman-Kruskal every candidate's closed region is then the hull of its
 lattice points, so one walk of the candidate's box decides it without
 LP: it is kept when every strict row is strict on some walked point, and
 the kept cell is the hull of those points.  Those points lie in one unit
-cube, so all of them are vertices, and every facet of the cell is the
-tight set of one of its rows, so the cell's facets are read off its rows
-with no double description.  `lp_family`, which filters by exact LP
-and certifies each cell by `from_inequalities`, is the reference the
-tests hold this to.
+cube, so all of them are vertices with no LP, and the cell is built from
+them like any polytope, its facets by double description.  `lp_family`,
+which filters by exact LP and certifies each cell by `from_inequalities`,
+is the reference the tests hold this to.
 
 `certify` checks one counting function three ways on one graph:
 enumeration (a frontier dynamic program), the lattice points of the
@@ -183,11 +182,9 @@ def _cells(n, candidates, planes):
     it is the hull of the lattice points one walk of the box lists.  The
     open region holds a point exactly when every strict row is strict on
     some listed point: their centroid is then strict on all of them.  The
-    kept cell is that hull, built by `LatticePolytope.from_certified_rows`
-    from the listed points, which are its vertices (they lie in one unit
-    cube), and the box walls and rows, whose maximal tight sets are its
-    facets; the equations are tight everywhere and cut out no facet.  C'
-    is the part of C lying in the hyperplanes `planes`.
+    kept cell is that hull, built from the listed points, which are its
+    vertices as they lie in one unit cube.  C' is the part of C lying in
+    the hyperplanes `planes`.
     """
     labels, cells = [], []
     for label, eq, rows, box in candidates:
@@ -199,7 +196,7 @@ def _cells(n, candidates, planes):
         strict = _walls(n, box) + rows
         if pts and all(any(dot(a, p) < r for p in pts) for a, r in strict):
             labels.append(label)
-            cells.append(LatticePolytope.from_certified_rows(pts, strict))
+            cells.append(LatticePolytope(pts))
     return _relative(n, labels, cells, planes)
 
 

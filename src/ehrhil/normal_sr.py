@@ -56,13 +56,10 @@ GREVLEX = TermOrder("grevlex")
 def homogenize(rel):
     """Embed a relative complex at height one by appending a coordinate 1.
 
-    Each cell is lifted with its facets, a.x <= b becoming (a, 0).y <= b,
-    so the lift needs no double description.
+    Each cell is built again from its lifted vertices (v, 1).
     """
     def lift(cx):
-        cells = [LatticePolytope.from_certified_rows(
-                     [(*v, 1) for v in c.vertices],
-                     [((*a, 0), b) for a, b in c.facets])
+        cells = [LatticePolytope([(*v, 1) for v in c.vertices])
                  for c in cx.maximal_cells]
         ambient = None if cx.ambient_dim is None else cx.ambient_dim + 1
         return PolytopalComplex(cells, ambient_dim=ambient)

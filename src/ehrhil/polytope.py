@@ -5,25 +5,21 @@ derived from it (affine hull, facets, faces, lattice points in dilates,
 triangulations) is computed over exact integers and rationals; ranks,
 kernel lattices and unimodularity by one unimodular column reduction.
 
-A polytope built from points finds its facets by double description
-(`_double_description`) in its lattice frame, where it is
+A polytope is built from its points only, and finds its facets by double
+description (`_double_description`) in its lattice frame, where it is
 full-dimensional: each extreme ray of the cone of valid rows is one facet,
-and its zero set is the facet's vertex set.  In full dimension the ray
-lifted to the ambient space is the facet's unique primitive normal, so no
-elimination runs per facet.  A polytope whose inequalities are known,
-such as a cell of a totally unimodular system, passes those instead
-(`from_certified_rows`): rows a.x <= b valid on its vertices, whose
-inclusion-maximal nonempty proper tight sets are the facet vertex sets
-when every facet is the tight set of some row (`_read_facets`).  Below
-full dimension a facet has many normals, so either way each gets the one
-that `_facet_row` picks, and two polytopes built from equal vertices, by
-either route, are equal field for field.  A face is not rebuilt from its
-points: its vertices and facets are read off the face lattice of the
-polytope it belongs to.  It has the vertices, affine hull and facet vertex
-sets of the polytope built from its vertices, but each of its facets keeps
-the least facet row tight on it of the polytope it was read off: a valid
-normal, which below full dimension may differ from `_facet_row`'s by a
-hull equality.
+and its zero set is the facet's vertex set.  The ray lifted through the
+frame's unimodular column reduction is a primitive normal of the facet,
+valid on the polytope and tight exactly on the facet, so no elimination
+runs per facet.  In full dimension it is the facet's unique primitive
+normal; below full dimension a facet has many normals, which differ by
+hull equalities and cut the same halfspace of the affine hull, and the
+lift picks one.  A face is not rebuilt from its points: its vertices and
+facets are read off the face lattice of the polytope it belongs to.  It
+has the vertices, affine hull and facet vertex sets of the polytope built
+from its vertices, but each of its facets keeps the least facet row tight
+on it of the polytope it was read off: a valid normal, which below full
+dimension may differ from the lifted ray by a hull equality.
 
 Every polytope has one lattice frame, read off one column reduction of
 its vertex differences (`_echelon`) on first read: its dimension, its hull
@@ -181,34 +177,6 @@ def _in_unit_cube(box):
     lattice point.
     """
     return all(hi - lo <= 1 for lo, hi in box)
-
-
-def _facet_row(verts, tight):
-    """((a, b), rank) for the vertex set `tight` of a facet of conv(verts).
-
-    The normal rule below full dimension, of `_read_facets` and of a
-    polytope built from points alike, so a facet's row depends on its
-    vertex set only, not on the row or ray it was read off.  One column
-    echelon of the differences of the sorted set from its least vertex
-    gives its rank and the kernel lattice.  The first kernel column that
-    is not constant on `verts` is a normal of the facet inside the affine
-    hull; it is oriented so that a.x <= b holds on `verts`, with content
-    one.  In full dimension it is the facet's unique normal.
-    """
-    pts = sorted(tight)
-    t0 = pts[0]
-    n = len(t0)
-    pivots, _, u = column_echelon(
-        [[q[i] - t0[i] for i in range(n)] for q in pts[1:]], n)
-    for cand in u[len(pivots):]:
-        b = dot(cand, t0)
-        values = [dot(cand, v) for v in verts]
-        if any(x != b for x in values):
-            if max(values) > b:
-                cand, b = [-c for c in cand], -b
-            a = reduce_content(cand)
-            return (a, dot(a, t0)), len(pivots)
-    return None, len(pivots)
 
 
 def _double_description(coords, stair):
@@ -446,15 +414,20 @@ class LatticePolytope:
             if len(tight) < dim:
                 raise InvariantError(
                     f"facet {sorted(tight)} holds fewer than {dim} vertices")
-            if dim < self.ambient_dim:
-                found[tight] = _facet_row(verts, tight)[0]
-            else:
-                # U is unimodular, so the lift of the primitive row r.y <= h0,
-                # r = -h[1:], is the facet's unique primitive normal
-                a = tuple(-sum(r * c[i] for r, c in zip(h[1:], u))
-                          for i in range(dim))
-                found[tight] = a, h[0] + dot(a, p0)
-        self._keep_facets(found)
+            # a.x = a.p0 - r.y(x - p0) for r = h[1:], and h0 + r.y >= 0 with
+            # equality on the facet.  h0 is -r.y at a facet vertex, so r is
+            # primitive as h is, and a is, as U is unimodular
+            a = tuple(-sum(r * c[i] for r, c in zip(h[1:], u))
+                      for i in range(self.ambient_dim))
+            found[tight] = a, h[0] + dot(a, p0)
+        for v in verts:
+            if (on := sum(v in t for t in found)) < dim:
+                raise InvariantError(
+                    f"vertex {v} lies on {on} facets, fewer than the "
+                    f"dimension {dim}: a facet is missing")
+        ordered = sorted(found, key=found.__getitem__)
+        self.facets = tuple(found[t] for t in ordered)
+        self._facet_vertex_sets = tuple(ordered)
 
     # -- construction helpers ------------------------------------------------
 
@@ -521,81 +494,6 @@ class LatticePolytope:
             if lp_feasible(LinearSystem(m, eq=eq, le=le)) is None:
                 out.append(p)
         return tuple(out)
-
-    @classmethod
-    def from_certified_rows(cls, vertices, rows):
-        """Hull of the sorted `vertices`, its facets read off the rows a.x <= r.
-
-        The rows, with equations that need not be passed (they are tight
-        everywhere), must describe a region whose vertices are exactly
-        `vertices`; a cell of a totally unimodular system is one
-        (Hoffman-Kruskal).  So no double description is needed: the rows
-        go to the reader (`_read_facets`), which gives each facet the row
-        that a polytope built from points gives it, and the result equals
-        `LatticePolytope(vertices)` field for field.  The reader raises
-        InvariantError on a row that fails on a vertex, a kept tight set
-        that does not span dim - 1, or a vertex on fewer than dim kept
-        facets.  Rows missing a facet can pass all three, so that they
-        hold every facet is the caller's certificate (Hoffman-Kruskal for
-        the cells).
-        """
-        verts = tuple(vertices)
-        if not verts or list(verts) != sorted(set(verts)):
-            raise ValueError("expected sorted distinct vertices")
-        poly = cls.__new__(cls)
-        poly._start(verts)
-        poly.vertices = verts
-        poly._read_facets(rows)
-        return poly
-
-    def _read_facets(self, rows):
-        """Facets and facet vertex sets off rows a.x <= r valid on the hull.
-
-        Every facet of the hull is the tight set of one of the rows, and every
-        nonempty proper tight set is a face (Schrijver 1986, ch. 8), so the
-        facet vertex sets are the inclusion-maximal ones.  Each gets its normal
-        from `_facet_row`, and the facets are sorted by it.  InvariantError
-        exactly when a row fails on a vertex, a kept set does not span dim - 1,
-        or a vertex lies on fewer than dim kept facets.  A missing facet can
-        pass all three: the octahedron's rows (+-1, +-1, +-1).x <= 1 less one
-        give seven facets and a wrong face lattice.  So the caller vouches
-        that the rows hold every facet.
-        """
-        verts, dim = self.vertices, self.dim
-        tights = set()
-        for a, r in rows:
-            values = [dot(a, v) for v in verts]
-            if max(values) > r:
-                raise InvariantError(f"row {a}.x <= {r} fails on the vertices")
-            tight = [v for v, x in zip(verts, values) if x == r]
-            if 0 < len(tight) < len(verts):
-                tights.add(frozenset(tight))
-        found = {}
-        for t in tights:
-            if not any(t < other for other in tights):
-                key, rank = _facet_row(verts, t)
-                if rank != dim - 1:
-                    raise InvariantError(
-                        f"tight set {sorted(t)} spans dimension {rank}, "
-                        f"not {dim - 1}: it is no facet of the hull")
-                found[t] = key
-        self._keep_facets(found)
-
-    def _keep_facets(self, found):
-        """Facets and facet vertex sets off {vertex set: row}, sorted by row.
-
-        InvariantError when a vertex lies on fewer than dim of them: some
-        facet is missing.
-        """
-        for v in self.vertices:
-            on = sum(v in t for t in found)
-            if on < self.dim:
-                raise InvariantError(
-                    f"vertex {v} lies on {on} facets, fewer than the "
-                    f"dimension {self.dim}: a facet is missing")
-        ordered = sorted(found, key=found.__getitem__)
-        self.facets = tuple(found[t] for t in ordered)
-        self._facet_vertex_sets = tuple(ordered)
 
     @classmethod
     def from_inequalities(cls, system, box):

@@ -94,7 +94,7 @@ def realize_polynomial(f):
 
     Simplex number j sits in the hyperplane (first coordinate) = 2j, so the
     cells never touch and the placement is deterministic.  Each is built
-    from its rows (`from_certified_rows`), with no double description.
+    from its vertices, which lie in one unit cube, so no vertex LP runs.
     Negative or fractional coefficients admit no such complex and are
     rejected, and so is a vector whose simplices have more nonempty faces,
     sum_i f_i (2^(i+1) - 1), than REALIZE_FACE_BUDGET, before anything is
@@ -113,10 +113,6 @@ def realize_polynomial(f):
     ambient = max(dims) + 1
     cells = []
     for i, c in enumerate(coeffs):
-        # x_a >= 0 for each axis 0 < a <= i, and their sum at most 1
-        rows = [(tuple(-(b == a) for b in range(ambient)), 0)
-                for a in range(1, i + 1)]
-        rows.append((tuple(int(0 < b <= i) for b in range(ambient)), 1))
         for _ in range(c):
             base = [0] * ambient
             base[0] = 2 * len(cells)
@@ -125,8 +121,7 @@ def realize_polynomial(f):
                 v = list(base)
                 v[axis] += 1
                 verts.append(tuple(v))
-            cells.append(LatticePolytope.from_certified_rows(sorted(verts),
-                                                             rows))
+            cells.append(LatticePolytope(verts))
     # disjoint simplices: no cell, and no facet, lies in another
     total = PolytopalComplex(cells, ambient_dim=ambient)
     boundary = PolytopalComplex(

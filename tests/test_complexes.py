@@ -255,20 +255,15 @@ def reference_sub(cx, planes):
 def suite_builds(suite):
     """Every suite pair, and C5 in all kinds, built afresh: (name, kind,
     family, polytopes constructed, [(complex, planes, sub) per
-    faces_in_hyperplanes call]).  Both entry points that build a polytope
-    from scratch are counted: from points and from certified rows."""
+    faces_in_hyperplanes call]).  Every polytope built from scratch is
+    built from points, so the constructor counts them all."""
     init = LatticePolytope.__init__
-    from_rows = LatticePolytope.from_certified_rows
     select = PolytopalComplex.faces_in_hyperplanes
     state = {}
 
     def counting_init(self, points):
         state["built"] += 1
         init(self, points)
-
-    def counting_from_rows(vertices, rows):
-        state["built"] += 1
-        return from_rows(vertices, rows)
 
     def recording_select(self, planes):
         sub = select(self, planes)
@@ -278,8 +273,6 @@ def suite_builds(suite):
     out = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(LatticePolytope, "__init__", counting_init)
-        mp.setattr(LatticePolytope, "from_certified_rows",
-                   staticmethod(counting_from_rows))
         mp.setattr(PolytopalComplex, "faces_in_hyperplanes", recording_select)
         for name, g in {**suite, "C5": cycle_graph(5)}.items():
             for kind in KINDS:

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_graphs import graphs
-from test_polytope import fields
+from test_polytope import assert_facets_match_rows, assert_rows_fit, fields
 
 from ehrhil import constructions, normal_sr, polytope
 from ehrhil.complexes import PolytopalComplex, RelativeComplex
@@ -24,7 +24,7 @@ from ehrhil.constructions import (
     oracle,
 )
 from ehrhil.exact import (
-    InvariantError, LinearSystem, det, lp_feasible, rational_kernel)
+    InvariantError, LinearSystem, det, dot, lp_feasible, rational_kernel)
 from ehrhil.graphs import (
     Graph,
     complete_graph,
@@ -289,7 +289,9 @@ class TestLPReference:
 class TestSubcomplexFields:
     def test_suite_sub_cells_are_pinned(self, suite):
         # every field of every C' cell on the 50 suite pairs, facet normals
-        # included, hashed; pinned when C' was read by a scan of all faces
+        # included, hashed; pinned when C' was read by a scan of all faces,
+        # and again when the cells below full dimension took lifted rays as
+        # their normals (72 of 1,720 rows moved, each by a hull equality)
         rows = [(name, kind, [(c.vertices, c.facets,
                                [sorted(t) for t in c._facet_vertex_sets],
                                c.hull_equalities)
@@ -297,24 +299,48 @@ class TestSubcomplexFields:
                               .relative.sub.maximal_cells])
                 for name in sorted(suite) for kind in KINDS]
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
-            "e4513915cacac5df654c81834448fb0b946dfb797f52fd442c18f5623df11b77")
+            "a9f84f8fa92bb5841a3920fa02251bec751a98dd8c93f11728bbce32b978390a")
+
+
+def candidate_rows(kind, g, cell):
+    """The box walls and rows of the kept candidate of `kind` on g whose
+    closed region holds the cell: the cells close distinct open regions of
+    one dimension, so one candidate does."""
+    n, candidates, _ = constructions._candidates(kind, g)
+    for _, eq, rows, box in candidates:
+        strict = constructions._walls(n, box) + rows
+        if all(dot(a, v) <= r for a, r in strict for v in cell.vertices) \
+                and all(dot(a, v) == r for a, r in eq for v in cell.vertices):
+            return strict
+    raise AssertionError(f"no candidate holds {cell}")
 
 
 class TestCellsFromRows:
-    """Each kept cell is built from its certified rows; the double
-    description of `LatticePolytope(points)` must give the same polytope
-    field for field, the facet normals included, and so must the
-    homogenized lifts."""
+    """Each kept cell is built from its walked points.  The box walls and
+    rows of its candidate are the reference: its facet vertex sets are
+    their maximal tight sets, and each facet row is primitive, valid and
+    tight on its own set.  So are the cells of C', read off C, and the
+    homogenized lifts, against the lifted rows."""
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_cells_equal_the_scan(self, kind, suite):
         for name, g in {**suite, "C5": cycle_graph(5)}.items():
             rel = build_family(kind, g).relative
             lift = normal_sr.homogenize(rel)
-            for cx in (rel.complex, lift.complex, lift.sub):
-                assert _cell_fields(cx) == [
-                    fields(polytope.LatticePolytope(c.vertices))
-                    for c in cx.maximal_cells], (name, kind)
+            rows = [candidate_rows(kind, g, c)
+                    for c in rel.complex.maximal_cells]
+            lifted = [[((*a, 0), r) for a, r in rs] for rs in rows]
+            for cx, sub, rows_of in ((rel.complex, rel.sub, rows),
+                                     (lift.complex, lift.sub, lifted)):
+                pairs = list(zip(cx.maximal_cells, rows_of))
+                # a face's facets are its maximal meets with the facets of
+                # a cell holding it
+                pairs += [next((face, rs) for cell, rs in pairs
+                               if set(face.vertices) <= set(cell.vertices))
+                          for face in sub.maximal_cells]
+                for cell, rs in pairs:
+                    assert_facets_match_rows(cell, rs)
+                    assert_rows_fit(cell)
 
 
 def totally_unimodular(m):

@@ -17,6 +17,8 @@ from ehrhil.exact import (
     column_echelon,
     dot,
     lp_feasible,
+    rational_kernel,
+    reduce_content,
 )
 from ehrhil.graphs import cycle_graph
 from ehrhil.normal_sr import homogenize
@@ -745,10 +747,17 @@ def assert_face_is_rebuilt(face, vs):
     for k in (1, 2, 3):
         assert face.lattice_points(k) == ref.lattice_points(k), k
     assert face.is_two_level() == ref.is_two_level()
-    for (a, b), tight in zip(face.facets, face._facet_vertex_sets):
-        values = [dot(a, v) for v in face.vertices]
-        assert max(values) <= b
-        assert {v for v, x in zip(face.vertices, values) if x == b} == tight
+    assert_rows_fit(face)
+
+
+def assert_rows_fit(p):
+    """Each facet row of p is primitive, valid on every vertex and tight
+    exactly on its own vertex set."""
+    for (a, b), tight in zip(p.facets, p._facet_vertex_sets):
+        assert math.gcd(*a) == 1, (p, a)
+        values = [dot(a, v) for v in p.vertices]
+        assert max(values) <= b, (p, a, b)
+        assert {v for v, x in zip(p.vertices, values) if x == b} == tight
 
 
 def fields(p):
@@ -756,6 +765,55 @@ def fields(p):
 
 
 SQUARE_WALLS = [((-1, 0), 0), ((1, 0), 1), ((0, -1), 0), ((0, 1), 1)]
+
+
+def row_facets(p, rows):
+    """Facet vertex sets of p read off rows a.x <= r valid on its vertices,
+    when every facet is the tight set of one of them: every nonempty proper
+    tight set is a face (Schrijver 1986, ch. 8), so the facets are the
+    inclusion-maximal ones.  AssertionError when a row fails on a vertex, a
+    kept set does not span dim - 1, or a vertex lies on fewer than dim kept
+    sets; rows that miss a facet can pass all three, so the callers compare
+    the sets with the polytope's own."""
+    tights = set()
+    for a, r in rows:
+        values = [dot(a, v) for v in p.vertices]
+        if max(values) > r:
+            raise AssertionError(f"row {a}.x <= {r} fails on the vertices")
+        tight = frozenset(v for v, x in zip(p.vertices, values) if x == r)
+        if 0 < len(tight) < len(p.vertices):
+            tights.add(tight)
+    facets = {t for t in tights if not any(t < other for other in tights)}
+    for t in facets:
+        if (rank := affine_rank(t)) != p.dim - 1:
+            raise AssertionError(f"tight set {sorted(t)} spans dimension "
+                                 f"{rank}, not {p.dim - 1}")
+    for v in p.vertices:
+        if (on := sum(v in t for t in facets)) < p.dim:
+            raise AssertionError(f"vertex {v} lies on {on} facets, fewer "
+                                 f"than the dimension {p.dim}")
+    return facets
+
+
+def frame_row(p, a):
+    """The row r with r.y = a.z on p's lattice frame, z = y B for the basis
+    B of the lattice of its affine hull: r_j = a.B_j.  Rows that differ by
+    a hull equality have the same frame row."""
+    return tuple(sum(x * c[j] for x, c in zip(a, p._basis))
+                 for j in range(p.dim))
+
+
+def assert_facets_match_rows(p, rows):
+    """p's facet vertex sets are those `row_facets` reads off the rows, and
+    each facet's frame row is the primitive one on the ray of the frame
+    row of any of the rows tight on it."""
+    assert set(p._facet_vertex_sets) == row_facets(p, rows)
+    own = dict(zip(p._facet_vertex_sets, p.facets))
+    for a, r in rows:
+        tight = frozenset(v for v in p.vertices if dot(a, v) == r)
+        if tight in own:
+            assert frame_row(p, own[tight][0]) \
+                == reduce_content(frame_row(p, a)), (p, a, r)
 
 
 def subset_scan(vertices, dim):
@@ -809,12 +867,20 @@ class TestSubsetScan:
               (0, 1, 0, 0, 0), (0, 1, 1, 0, 1), (1, 0, 1, 1, 0),
               (1, 1, 0, 1, 0), (1, 1, 0, 1, 1), (1, 1, 1, 1, 1)])
     def test_double_description_matches_the_scan(self, points):
-        # the scan's rows go through the row reader: only the vertices and
-        # the normal rule below full dimension are shared
+        # vertices by LP, dim and hull by ranks, facets by the scan: each
+        # facet is a maximal tight set of the scan's rows, and its frame row
+        # is the primitive one on the scan row's
         p = LatticePolytope(points)
-        ref = LatticePolytope.from_certified_rows(
-            p.vertices, subset_scan(p.vertices, p.dim))
-        assert fields(p) == fields(ref)
+        distinct = sorted(set(points))
+        assert p.vertices == tuple(
+            q for q in distinct if len(distinct) == 1
+            or not in_hull(q, [o for o in distinct if o != q]))
+        assert p.dim == affine_rank(points)
+        assert len(p.hull_equalities) == p.ambient_dim - p.dim
+        assert all(dot(h, q) == c for h, c in p.hull_equalities
+                   for q in points)
+        assert_facets_match_rows(p, subset_scan(p.vertices, p.dim))
+        assert_rows_fit(p)
 
     @pytest.mark.parametrize("axis", range(3))
     def test_hull_equalities_hide_no_subset(self, axis):
@@ -837,9 +903,9 @@ class TestSubsetScan:
 
 class TestDoubleDescription:
     @pytest.mark.parametrize("dim, lift, echelons", [
-        (3, False, 1),  # the frame only: each ray lifts to its facet's
-        (4, False, 1),  # unique primitive normal
-        (3, True, 7),   # the frame and one `_facet_row` per facet
+        (3, False, 1),  # the frame only: each ray lifts to a primitive
+        (4, False, 1),  # normal of its facet
+        (3, True, 1),   # below full dimension too
     ])
     def test_one_elimination_per_polytope(self, dim, lift, echelons,
                                           monkeypatch):
@@ -867,41 +933,85 @@ class TestDoubleDescription:
             LatticePolytope(SQUARE.vertices)
 
 
+def dilated_box(points, k):
+    """The ranges of k times the bounding box of the points, grown by one
+    on every side, so a facet in a wall of the box is tested too."""
+    return [range(k * min(c) - 1, k * max(c) + 2) for c in zip(*points)]
+
+
+class TestContains:
+    @settings(max_examples=60, deadline=None)
+    @given(embedded_point_sets().filter(
+        lambda pts: math.prod(map(len, dilated_box(pts, 2))) <= 1500))
+    # twice the triangle in a plane, the unit square's index-two image and
+    # the 3-cube in a hyperplane of R^4
+    @example([(0, 0, 0), (2, 0, -2), (0, 2, -2)])
+    @example([(0, 0, 0), (1, 1, 1), (1, -1, 3), (2, 0, 4)])
+    @example([(x, y, -x - y, z)
+              for x, y, z in itertools.product((0, 1), repeat=3)])
+    def test_contains_is_the_hull_in_every_dimension(self, points):
+        # the facet rows below full dimension are lifted rays; membership of
+        # x/k in the hull, by exact LP on the points of the affine hull (a
+        # rational kernel of the differences), is the reference, on the
+        # dilated box and one step beyond it
+        p = LatticePolytope(points)
+        p0 = points[0]
+        kernel = rational_kernel([[x - o for x, o in zip(q, p0)]
+                                  for q in points], len(p0))
+        for k in (1, 2):
+            box = list(itertools.product(*dilated_box(points, k)))
+            assert tuple(x for x in box if p.contains(x, k)) \
+                == p.lattice_points(k)
+            for x in box:
+                inside = all(dot(w, x) == k * dot(w, p0) for w in kernel) \
+                    and in_hull(x, p.vertices, k)
+                assert p.contains(x, k) == inside, (x, k)
+
+
 class TestFromCertifiedRows:
+    """`row_facets` reads facets off certified rows: the reference the
+    facets of a polytope built from points are held to.  These pin what it
+    reads and what it refuses."""
+
     def test_square_matches_the_scan(self):
-        got = LatticePolytope.from_certified_rows(SQUARE.vertices, SQUARE_WALLS)
-        assert fields(got) == fields(SQUARE)
+        assert row_facets(SQUARE, SQUARE_WALLS) \
+            == row_facets(SQUARE, subset_scan(SQUARE.vertices, 2))
+        assert_facets_match_rows(SQUARE, SQUARE_WALLS)
 
     def test_slice_matches_the_scan(self):
         # x + y = 1 in the unit square; the equation is tight everywhere,
         # and the slack row x + y <= 3 is tight nowhere
-        verts = ((0, 1), (1, 0))
+        p = LatticePolytope([(0, 1), (1, 0)])
         rows = SQUARE_WALLS + [((1, 1), 1), ((-1, -1), -1), ((1, 1), 3)]
-        got = LatticePolytope.from_certified_rows(verts, rows)
-        assert fields(got) == fields(LatticePolytope(verts))
+        assert row_facets(p, rows) == row_facets(p, subset_scan(p.vertices, 1))
+        assert_facets_match_rows(p, rows)
 
     def test_missing_wall_refused(self):
-        with pytest.raises(InvariantError, match="fewer than the dimension"):
-            LatticePolytope.from_certified_rows(
-                SQUARE.vertices, SQUARE_WALLS[:-1])
+        with pytest.raises(AssertionError, match="fewer than the dimension"):
+            row_facets(SQUARE, SQUARE_WALLS[:-1])
 
     def test_tight_set_short_of_a_facet_refused(self):
         # x + y <= 2 touches the square at (1, 1) only, and no other row
         # holds that vertex
         rows = [((-1, 0), 0), ((0, -1), 0), ((1, 1), 2)]
-        with pytest.raises(InvariantError, match="spans dimension 0, not 1"):
-            LatticePolytope.from_certified_rows(SQUARE.vertices, rows)
+        with pytest.raises(AssertionError, match="spans dimension 0, not 1"):
+            row_facets(SQUARE, rows)
 
     def test_violated_row_refused(self):
-        with pytest.raises(InvariantError, match="fails on the vertices"):
-            LatticePolytope.from_certified_rows(
-                SQUARE.vertices, SQUARE_WALLS + [((1, 1), 1)])
+        with pytest.raises(AssertionError, match="fails on the vertices"):
+            row_facets(SQUARE, SQUARE_WALLS + [((1, 1), 1)])
 
-    @pytest.mark.parametrize("verts", [(), ((1, 0), (0, 1)),
-                                       ((0, 0), (0, 0), (1, 0))])
-    def test_unsorted_or_repeated_vertices_refused(self, verts):
-        with pytest.raises(ValueError, match="sorted distinct"):
-            LatticePolytope.from_certified_rows(verts, SQUARE_WALLS)
+    def test_rows_missing_a_facet_are_caught(self):
+        # the octahedron's rows (+-1, +-1, +-1).x <= 1 less one pass the
+        # reader's own checks with seven facets; the comparison with the
+        # polytope's facets fails
+        octahedron = LatticePolytope(tuple(s * (j == i) for j in range(3))
+                                     for i in range(3) for s in (1, -1))
+        rows = [(a, 1) for a in itertools.product((1, -1), repeat=3)]
+        assert_facets_match_rows(octahedron, rows)
+        assert len(row_facets(octahedron, rows[1:])) == 7
+        with pytest.raises(AssertionError):
+            assert_facets_match_rows(octahedron, rows[1:])
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(small_polytopes(), small_solids(),
@@ -911,13 +1021,12 @@ class TestFromCertifiedRows:
            st.integers(-2, 2))
     def test_any_normal_of_each_facet_gives_the_scan(self, p, shift):
         # each facet row moved by a multiple of a hull equality is another
-        # normal of the same facet; the result must not depend on which
+        # normal of the same facet, with the same tight set and frame row
         rows = list(p.facets) * 2
         for h, c in p.hull_equalities[:1]:
             rows = [(tuple(x + shift * y for x, y in zip(a, h)), b + shift * c)
                     for a, b in rows]
-        got = LatticePolytope.from_certified_rows(p.vertices, rows)
-        assert fields(got) == fields(p)
+        assert_facets_match_rows(p, rows)
 
 
 class TestTrustedFaces:
@@ -1095,7 +1204,9 @@ class TestPullingOnce:
         # facets, compressedness under sampled orders and the pulled cells
         # of 0/1 polytopes, hashed; pinned when every face was pulled
         # afresh under every order, every simplex tested each time it
-        # appeared and the scan took one elimination per subset
+        # appeared and the scan took one elimination per subset; pinned
+        # again when the polytopes below full dimension took lifted rays as
+        # their normals (20 of 402 rows moved, each by a hull equality)
         rows = []
         for i, p in enumerate(cube_shapes()):
             pts, rng = list(p.lattice_points()), random.Random(i)
@@ -1108,7 +1219,7 @@ class TestPullingOnce:
                              {q: j for j, q in enumerate(order)}))
                           for order in orders]))
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
-            "e4162ed7cd8e52f8ffd5222091e9c54c56fcdb6fb394bbb7825f394bd905773e")
+            "3cf392d76afefe99187bfbdb26caff02a87635f85c0e9ed0d4f5a1839f87a2aa")
 
     def test_non_vertex_points_are_pinned(self):
         # the pulled cells under seeded orders and the sampled verdicts of

@@ -5,6 +5,7 @@ import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from test_polytope import assert_facets_match_rows, assert_rows_fit
 
 import ehrhil.srideal as srideal
 from ehrhil.complexes import (
@@ -177,18 +178,19 @@ class TestRealizePolynomial:
     @example((1,))
     @example((0, 0, 0, 0, 0, 0, 1))
     def test_cells_equal_the_scanned_simplices(self, f):
-        # each simplex, built from its rows, equals the one the double
-        # description builds from its vertices, field for field, in every
-        # dimension
+        # each i-simplex, below full dimension but for the largest i, has
+        # the facets of its rows x_a >= 0 for 0 < a <= i and the sum of
+        # those x_a at most 1
         cells = realize_polynomial(f).complex.maximal_cells
         assert sorted(len(c.vertices) - 1 for c in cells) \
             == [i for i, c in enumerate(f) for _ in range(c)]
         for cell in cells:
-            ref = LatticePolytope(cell.vertices)
-            assert (cell.vertices, cell.facets, cell._facet_vertex_sets,
-                    cell.hull_equalities, cell.dim) \
-                == (ref.vertices, ref.facets, ref._facet_vertex_sets,
-                    ref.hull_equalities, ref.dim)
+            n, i = cell.ambient_dim, cell.dim
+            rows = [(tuple(-(b == a) for b in range(n)), 0)
+                    for a in range(1, i + 1)]
+            rows.append((tuple(int(0 < b <= i) for b in range(n)), 1))
+            assert_facets_match_rows(cell, rows)
+            assert_rows_fit(cell)
 
     def test_budget_admits_k6_chromatic(self, monkeypatch):
         # K6's chromatic vector has 720 * 63 + 720 * 127 = 136,800 faces;
@@ -196,24 +198,20 @@ class TestRealizePolynomial:
         class Started(Exception):
             pass
 
-        class Start:
-            @staticmethod
-            def from_certified_rows(vertices, rows):
-                raise Started
+        def start(vertices):
+            raise Started
 
-        monkeypatch.setattr(srideal, "LatticePolytope", Start)
+        monkeypatch.setattr(srideal, "LatticePolytope", start)
         with pytest.raises(Started):
             realize_polynomial((0, 0, 0, 0, 0, 720, 720))
         with pytest.raises(Started):
             realize_polynomial((REALIZE_FACE_BUDGET,))
 
     def test_budget_refuses_before_building(self, monkeypatch):
-        class Start:
-            @staticmethod
-            def from_certified_rows(vertices, rows):
-                raise AssertionError("built a simplex")
+        def start(vertices):
+            raise AssertionError("built a simplex")
 
-        monkeypatch.setattr(srideal, "LatticePolytope", Start)
+        monkeypatch.setattr(srideal, "LatticePolytope", start)
         with pytest.raises(BudgetError,
                            match=f"1000000 faces.* {REALIZE_FACE_BUDGET}"):
             realize_polynomial((1000000,))
